@@ -6,6 +6,9 @@ catastrophically once eigenvalue gaps shrink below ~1e-5, which random
 spectra hit routinely.  It is evaluated here as the negated (m-1)-th
 divided difference of g(x) = x^m ln x, with near-coincident nodes merged
 and handled confluently through the exact derivatives of g.
+
+Each functional takes one vector (or state) and returns a float, or a
+stack of them along leading axes and returns an array of values.
 """
 
 from __future__ import annotations
@@ -80,103 +83,110 @@ def harmonic(k: int) -> float:
 
 
 def _validated_probabilities(p) -> np.ndarray:
+    """The one validation point for probability vectors and spectra, single
+    (m,) or stacked (..., m): finite, nonnegative within _NEG_TOL, each row
+    summing to 1 within _SUM_TOL.  Returns a clipped copy."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise DomainError(f"expected a 1-d probability vector, got shape {p.shape}")
-    if p.min() < -_NEG_TOL:
+    if p.ndim < 1 or p.shape[-1] < 1:
+        raise DomainError(f"expected a probability vector or a stack of them, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise DomainError("probabilities must be finite")
+    if p.size and p.min() < -_NEG_TOL:
         raise DomainError(f"negative probability {p.min():.3e} beyond tolerance")
-    if abs(p.sum() - 1.0) > _SUM_TOL:
-        raise DomainError(f"probabilities sum to {p.sum()!r}, expected 1")
+    sums = p.sum(axis=-1)
+    unnormalized = np.abs(sums - 1.0) > _SUM_TOL
+    if unnormalized.any():
+        raise DomainError(f"probabilities sum to {float(sums[unnormalized].flat[0])!r}, expected 1")
     return np.clip(p, 0.0, None)
 
 
-def shannon_entropy(p) -> float:
+def _scalar_or_stack(values: np.ndarray):
+    # a single input vector gives a plain float, a stack an array
+    return float(values) if values.ndim == 0 else values
+
+
+def shannon_entropy(p):
     """-sum p_i ln p_i in nats, with the 0 ln 0 = 0 convention.
 
-    Terms are combined with exact (fsum) summation; for the dimensions this
-    package sees that is cheap insurance against cancellation.
+    A stack of vectors (..., m) gives one entropy per vector.  Terms are
+    summed in sorted order, so any permutation of p gives the same value to
+    the bit (a diagonal state's diagonal and spectrum, for one).
     """
-    p = _validated_probabilities(p)
-    mask = p > 0.0
-    terms = p[mask] * np.log(p[mask])
-    return max(0.0, -math.fsum(terms))
+    p = np.sort(_validated_probabilities(p), axis=-1)
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    return _scalar_or_stack(np.maximum(0.0, -(p * log_p).sum(axis=-1)))
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho):
     """Shannon entropy of the spectrum of a density matrix, in nats."""
     return shannon_entropy(rho.spectrum)
 
 
-def relative_entropy_of_coherence(rho) -> float:
+def relative_entropy_of_coherence(rho):
     """S(rho_diag) - S(rho), clamped at 0; zero exactly for diagonal states."""
-    c = shannon_entropy(rho.diagonal) - von_neumann_entropy(rho)
-    if c < _COHERENCE_FLOOR:
-        raise DomainError(f"coherence {c!r} below the numerical floor; sampler or solver is broken")
-    return max(c, 0.0)
+    c = np.asarray(shannon_entropy(rho.diagonal) - von_neumann_entropy(rho))
+    if (c < _COHERENCE_FLOOR).any():
+        raise DomainError(f"coherence {float(c.min())!r} below the numerical floor; "
+                          "sampler or solver is broken")
+    return _scalar_or_stack(np.maximum(c, 0.0))
 
 
-def _g(x: float, m: int) -> float:
-    # g(x) = x^m ln x, continued by 0 at x = 0
-    if x == 0.0:
-        return 0.0
-    return x**m * math.log(x)
-
-
-def _g_derivative(x: float, m: int, r: int) -> float:
-    """r-th derivative of g(x) = x^m ln x for 0 <= r < m.
+def _g_derivative(x, m: int, r: int) -> np.ndarray:
+    """r-th derivative of g(x) = x^m ln x for 0 <= r < m, elementwise.
 
     d^r/dx^r [x^m ln x] = (m!/(m-r)!) x^(m-r) (ln x + H_m - H_{m-r}),
     which extends by 0 to x = 0 since r < m.
     """
+    x = np.asarray(x, dtype=np.float64)
+    # ln 0 is replaced by 0; the power in front of it vanishes there
+    log_x = np.log(x, out=np.zeros_like(x), where=x > 0.0)
     if r == 0:
-        return _g(x, m)
-    if x == 0.0:
-        return 0.0
+        return x**m * log_x
     falling = math.factorial(m) // math.factorial(m - r)
-    return falling * x ** (m - r) * (math.log(x) + harmonic(m) - harmonic(m - r))
+    return falling * x ** (m - r) * (log_x + harmonic(m) - harmonic(m - r))
 
 
 def _clustered_nodes(lam: np.ndarray) -> np.ndarray:
-    """Sort nodes ascending, snap near-zeros to 0, and merge clusters of
-    nodes closer than the confluence gap to their common mean."""
-    nodes = np.sort(lam)
+    """Sort each row of lam (rows, m) ascending, snap near-zeros to 0, and
+    merge clusters of nodes closer than the confluence gap to their common
+    mean.  A cluster is a maximal run of consecutive gaps <= _CLUSTER_GAP."""
+    nodes = np.sort(lam, axis=-1)
     nodes[nodes < _ZERO_NODE] = 0.0
-    out = np.empty_like(nodes)
-    i = 0
-    while i < nodes.size:
-        j = i + 1
-        while j < nodes.size and nodes[j] - nodes[j - 1] <= _CLUSTER_GAP:
-            j += 1
-        out[i:j] = nodes[i:j].mean() if j - i > 1 else nodes[i]
-        i = j
-    return out
+    starts = np.ones(nodes.shape, dtype=bool)
+    starts[:, 1:] = np.diff(nodes, axis=-1) > _CLUSTER_GAP
+    if starts.all():
+        return nodes
+    rows, m = nodes.shape
+    labels = (np.cumsum(starts, axis=-1) - 1 + m * np.arange(rows)[:, None]).ravel()
+    sums = np.bincount(labels, weights=nodes.ravel(), minlength=rows * m)
+    counts = np.bincount(labels, minlength=rows * m)
+    return (sums / np.maximum(counts, 1))[labels].reshape(rows, m)
 
 
-def subentropy(lam) -> float:
+def subentropy(lam):
     """Subentropy Q of a spectrum, in nats.
 
     Equal to the negated (m-1)-th divided difference of g(x) = x^m ln x
     over the eigenvalues; repeated (or nearly repeated) eigenvalues are
     handled by the confluent limit g[x,...,x] (r+1 nodes) = g^(r)(x)/r!.
     Ranges over [0, 1 + ln m - H_m], the maximum at the uniform spectrum.
+    A stack of spectra (..., m) gives one value per spectrum; the
+    recursion runs on all of them at once.
     """
     lam = _validated_probabilities(lam)
-    m = lam.size
+    m = lam.shape[-1]
     if m == 1:
-        return 0.0
-    z = _clustered_nodes(lam)
-    col = [_g(float(x), m) for x in z]
+        return _scalar_or_stack(np.zeros(lam.shape[:-1]))
+    z = _clustered_nodes(lam.reshape(-1, m))
+    col = _g_derivative(z, m, 0)
     for order in range(1, m):
-        nxt = []
-        for i in range(m - order):
-            lo, hi = z[i], z[i + order]
-            if hi == lo:
-                nxt.append(_g_derivative(float(lo), m, order) / math.factorial(order))
-            else:
-                nxt.append((col[i + 1] - col[i]) / (hi - lo))
-        col = nxt
-    q = -col[0]
-    if q < -_NEG_TOL:
+        lo, hi = z[:, :-order], z[:, order:]
+        tie = hi == lo
+        col = np.divide(col[:, 1:] - col[:, :-1], hi - lo, out=np.zeros_like(lo), where=~tie)
+        if tie.any():
+            col = np.where(tie, _g_derivative(lo, m, order) / math.factorial(order), col)
+    q = -col[:, 0].reshape(lam.shape[:-1])
+    if (q < -_NEG_TOL).any():
         # divided-difference noise only ever shows up at the bottom of the range
-        raise DomainError(f"subentropy {q!r} escaped its lower bound")
-    return max(q, 0.0)
+        raise DomainError(f"subentropy {float(q.min())!r} escaped its lower bound")
+    return _scalar_or_stack(np.maximum(q, 0.0))

@@ -1,11 +1,15 @@
 """Parallel Monte Carlo estimation with streaming statistics.
 
 Work is split across workers by a fixed rule (worker w takes the ceiling
-share iff w < samples mod workers), each worker owns the random stream
-keyed by its index, and per-worker Welford accumulators are merged in
-worker-index order.  The result is therefore bit-identical across runs for
-fixed (master_seed, workers, samples), whether the workers actually ran in
-parallel processes or inline.
+share iff w < samples mod workers) and each worker owns the random stream
+keyed by its index.  A worker evaluates its share in chunks of consecutive
+draws, each drawn as one Ginibre block of at most CHUNK_ENTRIES entries and
+evaluated as one stack of states.  A block holds exactly the matrices that
+draw-by-draw sampling gives, so chunking changes no draw.  Each chunk is
+reduced to (count, mean, m2) and merged in stream order; the per-worker
+results merge in worker-index order.  The result is therefore
+bit-identical across runs for fixed (master_seed, workers, samples),
+whether the workers actually ran in parallel processes or inline.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF
 live here so the distributional checks need nothing outside the package.
@@ -22,9 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedforms, functionals
-from .ensembles import (
+# every sampler the estimators use is looked up in this module's namespace,
+# where the traced benchmark run (bench/spans.py) wraps it; sample_wishart
+# stays listed there although no estimator calls it
+from .ensembles import (  # noqa: F401
     EnsembleSpec,
     sample_diag_dirichlet,
+    sample_ginibre,
     sample_isospectral_diagonal,
     sample_mixing_state,
     sample_wishart,
@@ -35,6 +43,10 @@ from .randkit import RngStream, SeedSpec
 QUANTITIES = ("entropy", "diag_entropy", "coherence", "subentropy", "isospectral_diag_entropy")
 
 Z_PASS_THRESHOLD = 4.0
+
+# Ginibre entries per chunk: bounds the arrays one chunk allocates (normals,
+# the Ginibre block, the state stack) to a few hundred KiB at any (m, k*n)
+CHUNK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,15 @@ class RunningStats:
         delta = x - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (x - self.mean)
+
+    @classmethod
+    def of(cls, values) -> "RunningStats":
+        """Statistics of a batch of values, computed in two passes."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.size == 0:
+            return cls()
+        mean = float(values.mean())
+        return cls(values.size, mean, float(np.square(values - mean).sum()))
 
     def merge(self, other: "RunningStats") -> "RunningStats":
         """Combine two accumulators as if their samples were concatenated."""
@@ -123,26 +144,38 @@ def worker_counts(samples: int, workers: int) -> list[int]:
     return [base + (1 if w < rem else 0) for w in range(workers)]
 
 
+def chunk_sizes(count: int, entries_per_draw: int) -> list[int]:
+    """Split count consecutive draws into chunks of at most CHUNK_ENTRIES
+    Ginibre entries (at least one draw each), in stream order."""
+    size = max(1, CHUNK_ENTRIES // entries_per_draw)
+    full, rest = divmod(count, size)
+    return [size] * full + ([rest] if rest else [])
+
+
 def _make_evaluator(quantity: str, spec: EnsembleSpec, fixed_spectrum):
+    """evaluate(stream, size): draw size samples, return their values."""
+    if quantity == "isospectral_diag_entropy":
+        lam = np.asarray(fixed_spectrum, dtype=np.float64)
+        return lambda stream, size: functionals.shannon_entropy(sample_isospectral_diagonal(stream, lam, size))
+    states = lambda stream, size: sample_mixing_state(stream, spec, size)
     if quantity == "entropy":
-        return lambda stream: functionals.von_neumann_entropy(sample_mixing_state(stream, spec))
+        return lambda stream, size: functionals.von_neumann_entropy(states(stream, size))
     if quantity == "diag_entropy":
-        return lambda stream: functionals.shannon_entropy(sample_mixing_state(stream, spec).diagonal)
+        return lambda stream, size: functionals.shannon_entropy(states(stream, size).diagonal)
     if quantity == "coherence":
-        return lambda stream: functionals.relative_entropy_of_coherence(sample_mixing_state(stream, spec))
-    if quantity == "subentropy":
-        return lambda stream: functionals.subentropy(sample_mixing_state(stream, spec).spectrum)
-    lam = np.asarray(fixed_spectrum, dtype=np.float64)
-    return lambda stream: functionals.shannon_entropy(sample_isospectral_diagonal(stream, lam))
+        return lambda stream, size: functionals.relative_entropy_of_coherence(states(stream, size))
+    return lambda stream, size: functionals.subentropy(states(stream, size).spectrum)
 
 
 def _run_worker(payload) -> tuple[int, float, float]:
     quantity, m, n, k, master_seed, worker_index, count, fixed_spectrum = payload
     stream = RngStream(SeedSpec(master_seed, worker_index))
     evaluate = _make_evaluator(quantity, EnsembleSpec(m, n, k), fixed_spectrum)
+    # a Haar draw is one square Ginibre matrix, a state one m x kn block
+    entries = m * k * n if fixed_spectrum is None else len(fixed_spectrum) ** 2
     stats = RunningStats()
-    for _ in range(count):
-        stats.update(evaluate(stream))
+    for size in chunk_sizes(count, entries):
+        stats.merge(RunningStats.of(evaluate(stream, size)))
     return stats.count, stats.mean, stats.m2
 
 
@@ -217,10 +250,9 @@ def _concentration_worker(payload) -> tuple[int, int]:
     center = closedforms.avg_coherence(m, n, k)
     stream = RngStream(SeedSpec(master_seed, worker_index))
     exceed = 0
-    for _ in range(count):
-        c = functionals.relative_entropy_of_coherence(sample_mixing_state(stream, spec))
-        if abs(c - center) > epsilon:
-            exceed += 1
+    for size in chunk_sizes(count, m * spec.env_dim):
+        c = functionals.relative_entropy_of_coherence(sample_mixing_state(stream, spec, size))
+        exceed += int(np.count_nonzero(np.abs(c - center) > epsilon))
     return count, exceed
 
 
@@ -341,9 +373,9 @@ def gamma_marginal_test(m: int, n: int, samples: int, master_seed: int) -> np.nd
     if samples < 1000:
         raise ParameterError(f"need >= 1000 samples for a meaningful KS test, got {samples}")
     stream = RngStream(SeedSpec(master_seed, 0))
-    diags = np.empty((samples, m), dtype=np.float64)
-    for s in range(samples):
-        diags[s] = np.real(np.diagonal(sample_wishart(stream, m, n)))
+    # W_ii = sum_j |Z_ij|^2, so the diagonals need no Gram matrix
+    blocks = (sample_ginibre(stream, m, n, size) for size in chunk_sizes(samples, m * n))
+    diags = np.concatenate([np.sum(z.real**2 + z.imag**2, axis=-1) for z in blocks])
     cdf = lambda x: gamma_cdf(x, float(n))
     return np.array([ks_statistic(diags[:, i], cdf) for i in range(m)])
 
@@ -359,9 +391,12 @@ def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: in
         raise ParameterError(f"samples must be >= 2, got {samples}")
     state_stream = RngStream(SeedSpec(master_seed, 0))
     dir_stream = RngStream(SeedSpec(master_seed, 1))
-    from_states = np.array(
-        [sample_mixing_state(state_stream, spec).diagonal[0] for _ in range(samples)]
-    )
+    from_states = np.concatenate([
+        sample_mixing_state(state_stream, spec, size).diagonal[:, 0]
+        for size in chunk_sizes(samples, spec.m * spec.env_dim)
+    ])
+    # batched gammas interleave their rejection rounds and would not
+    # reproduce these draws, so the Dirichlet side stays draw by draw
     from_dirichlet = np.array(
         [sample_diag_dirichlet(dir_stream, spec)[0] for _ in range(samples)]
     )
@@ -369,4 +404,9 @@ def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: in
 
 
 def default_workers() -> int:
+    """Available parallelism: the CPUs this process may run on, where the
+    platform reports its affinity, else the CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0)) or 1
     return os.cpu_count() or 1

@@ -46,6 +46,22 @@ class TestDensityMatrix:
         with pytest.raises(ParameterError):
             DensityMatrix(np.diag([0.6, 0.6]).astype(complex))
 
+    def test_rejects_nan_entries(self):
+        with pytest.raises(ParameterError):
+            DensityMatrix(np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex))
+
+    def test_stack_checks_every_trace(self):
+        good = np.eye(2, dtype=complex) / 2.0
+        with pytest.raises(ParameterError):
+            DensityMatrix(np.stack([good, 2.0 * good]))
+
+    def test_stack_holds_every_state(self):
+        mats = np.stack([np.diag([0.7, 0.3]), np.diag([0.2, 0.8])]).astype(complex)
+        rho = DensityMatrix(mats)
+        assert rho.dim == 2
+        assert np.array_equal(rho.diagonal, [[0.7, 0.3], [0.2, 0.8]])
+        assert np.array_equal(rho.spectrum, [[0.7, 0.3], [0.8, 0.2]])
+
     def test_caches_diagonal_and_spectrum(self):
         rho = sample_induced_state(stream(), EnsembleSpec(3, 3))
         assert np.array_equal(rho.diagonal, np.real(np.diagonal(rho.matrix)))
@@ -74,6 +90,13 @@ class TestGinibre:
     def test_rejects_empty_dimensions(self):
         with pytest.raises(ParameterError):
             sample_ginibre(stream(), 0, 3)
+
+    def test_block_holds_the_sequential_draws(self):
+        a, b = stream(15), stream(15)
+        block = sample_ginibre(a, 3, 4, 25)
+        assert block.shape == (25, 3, 4)
+        assert np.array_equal(block, [sample_ginibre(b, 3, 4) for _ in range(25)])
+        assert a.uniform() == b.uniform()  # and leaves the stream at the same place
 
 
 class TestWishart:
@@ -138,6 +161,16 @@ class TestMixingState:
                 for _ in range(20_000)]
         assert abs(np.mean(vals) - 0.125) < 0.01
 
+    @pytest.mark.parametrize("spec", [EnsembleSpec(1, 3), EnsembleSpec(2, 2), EnsembleSpec(3, 4, k=3)])
+    def test_stack_holds_the_sequential_states(self, spec):
+        a, b = stream(16), stream(16)
+        stack = sample_mixing_state(a, spec, 40)
+        singles = [sample_mixing_state(b, spec) for _ in range(40)]
+        assert stack.matrix.shape == (40, spec.m, spec.m)
+        assert np.array_equal(stack.matrix, [rho.matrix for rho in singles])
+        assert np.array_equal(stack.spectrum, [rho.spectrum for rho in singles])
+        assert a.uniform() == b.uniform()
+
     def test_unit_trace(self):
         s = stream(8)
         for _ in range(200):
@@ -175,6 +208,12 @@ class TestIsospectralDiagonal:
     def test_uniform_spectrum_is_fixed(self):
         d = sample_isospectral_diagonal(stream(11), np.full(3, 1.0 / 3.0))
         assert d == pytest.approx(np.full(3, 1.0 / 3.0), abs=1e-12)
+
+    def test_stack_holds_the_sequential_diagonals(self):
+        lam = np.array([0.6, 0.3, 0.1])
+        a, b = stream(17), stream(17)
+        stack = sample_isospectral_diagonal(a, lam, 30)
+        assert np.array_equal(stack, [sample_isospectral_diagonal(b, lam) for _ in range(30)])
 
     def test_mean_diag_entropy_pure_qubit(self):
         # Haar average of S(diag) on the (1, 0) orbit is H_2 - 1 = 1/2

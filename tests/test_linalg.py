@@ -35,6 +35,12 @@ class TestGram:
             assert linalg.hermitian_eigenvalues(w).min() >= -1e-12
 
 
+    def test_stack_equals_matrix_by_matrix(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((20, 3, 5)) + 1j * rng.standard_normal((20, 3, 5))
+        assert np.array_equal(linalg.gram(z), [linalg.gram(x) for x in z])
+
+
 class TestHermitianEigenvalues:
     def test_diagonal_matrix_sorted_descending(self):
         vals = linalg.hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0]).astype(complex))
@@ -69,6 +75,22 @@ class TestHermitianEigenvalues:
         with pytest.raises(ParameterError):
             linalg.hermitian_eigenvalues(np.zeros((2, 3)))
 
+    def test_stack_equals_matrix_by_matrix(self):
+        rng = np.random.default_rng(4)
+        stack = np.array([random_hermitian(rng, 4) for _ in range(30)]).reshape(5, 6, 4, 4)
+        vals = linalg.hermitian_eigenvalues(stack)
+        assert vals.shape == (5, 6, 4)
+        singles = [linalg.hermitian_eigenvalues(a) for a in stack.reshape(30, 4, 4)]
+        assert np.array_equal(vals.reshape(30, 4), singles)
+
+    def test_hermitian_tolerance_is_per_matrix(self):
+        # a large member must not loosen the check on a small one
+        big = 1e6 * np.eye(2, dtype=complex)
+        skewed = np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex)
+        linalg.hermitian_eigenvalues(big)
+        with pytest.raises(ParameterError):
+            linalg.hermitian_eigenvalues(np.stack([big, skewed]))
+
 
 class TestClampSpectrum:
     def test_rounding_noise_is_clamped_to_zero(self):
@@ -78,6 +100,18 @@ class TestClampSpectrum:
     def test_genuinely_negative_eigenvalue_raises(self):
         with pytest.raises(NumericalError):
             linalg.clamp_spectrum(np.array([1.001, -1e-3]))
+
+    def test_nan_raises(self):
+        with pytest.raises(NumericalError):
+            linalg.clamp_spectrum(np.array([math.nan, math.nan]))
+        with pytest.raises(NumericalError):
+            linalg.clamp_spectrum(np.array([[0.5, 0.5], [1.0, math.nan]]))
+
+    def test_stack_is_checked_row_by_row(self):
+        vals = linalg.clamp_spectrum(np.array([[1.0 + 5e-13, -5e-13], [0.5, 0.5]]))
+        assert np.array_equal(vals, [[1.0 + 5e-13, 0.0], [0.5, 0.5]])
+        with pytest.raises(NumericalError):
+            linalg.clamp_spectrum(np.array([[0.5, 0.5], [0.6, 0.6]]))
 
 
 class TestHaarUnitary:
@@ -112,6 +146,12 @@ class TestHaarUnitary:
         with pytest.raises(ParameterError):
             linalg.haar_unitary(stream(), 0)
 
+    def test_stack_holds_the_sequential_draws(self):
+        a, b = stream(7), stream(7)
+        us = linalg.haar_unitary(a, 3, 40)
+        assert us.shape == (40, 3, 3)
+        assert np.array_equal(us, [linalg.haar_unitary(b, 3) for _ in range(40)])
+
 
 class TestUnitaryConjugateDiagonal:
     def test_identity_returns_spectrum(self):
@@ -130,6 +170,15 @@ class TestUnitaryConjugateDiagonal:
             d = linalg.unitary_conjugate_diagonal(linalg.haar_unitary(s, 4), lam)
             assert abs(d.sum() - 1.0) < 1e-12
             assert d.min() >= 0.0 and d.max() <= 1.0
+
+    def test_stack_of_unitaries(self):
+        us = linalg.haar_unitary(stream(12), 3, 10)
+        lam = np.array([0.6, 0.3, 0.1])
+        d = linalg.unitary_conjugate_diagonal(us, lam)
+        assert d.shape == (10, 3)
+        assert np.allclose(d, [linalg.unitary_conjugate_diagonal(u, lam) for u in us], rtol=0.0, atol=1e-15)
+        per_row = linalg.unitary_conjugate_diagonal(us, np.tile(lam, (10, 1)))
+        assert np.array_equal(per_row, d)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ParameterError):

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
-from randcoh import mc
-from randcoh.ensembles import EnsembleSpec
+from randcoh import functionals, mc
+from randcoh.ensembles import (
+    EnsembleSpec,
+    sample_diag_dirichlet,
+    sample_isospectral_diagonal,
+    sample_mixing_state,
+    sample_wishart,
+)
 from randcoh.errors import ParameterError
 from randcoh.functionals import harmonic
 from randcoh.randkit import RngStream, SeedSpec
@@ -20,6 +26,32 @@ class TestWorkerSplit:
 
     def test_more_workers_than_samples(self):
         assert mc.worker_counts(2, 5) == [1, 1, 0, 0, 0]
+
+
+class TestChunks:
+    def test_budget_sets_the_chunk_size(self):
+        # (2, 2): 4 Ginibre entries per draw, so 1024 draws per chunk
+        assert mc.chunk_sizes(2500, 4) == [1024, 1024, 452]
+        assert mc.chunk_sizes(1024, 4) == [1024]
+        assert mc.chunk_sizes(1000, 4) == [1000]
+        assert mc.chunk_sizes(0, 4) == []
+
+    def test_at_least_one_draw_per_chunk(self):
+        assert mc.chunk_sizes(3, mc.CHUNK_ENTRIES * 2) == [1, 1, 1]
+
+
+class TestDefaultWorkers:
+    def test_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        assert mc.default_workers() == 3
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 6)
+        assert mc.default_workers() == 6
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
+        assert mc.default_workers() == 1
 
 
 class TestRunningStats:
@@ -65,6 +97,17 @@ class TestRunningStats:
         right = accumulate(chunks[0]).merge(bc)
         assert left.mean == pytest.approx(right.mean, rel=1e-12)
         assert left.m2 == pytest.approx(right.m2, rel=1e-12)
+
+    def test_batch_matches_updates(self):
+        data = np.random.default_rng(3).standard_normal(777) + 5.0
+        serial = mc.RunningStats()
+        for x in data:
+            serial.update(float(x))
+        batch = mc.RunningStats.of(data)
+        assert batch.count == serial.count
+        assert batch.mean == pytest.approx(serial.mean, rel=1e-14)
+        assert batch.m2 == pytest.approx(serial.m2, rel=1e-12)
+        assert mc.RunningStats.of([]) == mc.RunningStats()
 
     def test_merge_with_empty_is_identity(self):
         s = mc.RunningStats()
@@ -130,6 +173,57 @@ class TestEstimate:
         small = mc.estimate(mc.EstimatorConfig(samples=4000, workers=1, **base))
         big = mc.estimate(mc.EstimatorConfig(samples=16000, workers=1, **base))
         assert big.stderr * 2.0 == pytest.approx(small.stderr, rel=0.2)
+
+
+def per_draw_reference(config):
+    """The estimate one draw at a time: the single-state samplers, the
+    functional on each draw, and a Welford update per value."""
+    functional = {
+        "entropy": functionals.von_neumann_entropy,
+        "diag_entropy": lambda rho: functionals.shannon_entropy(rho.diagonal),
+        "coherence": functionals.relative_entropy_of_coherence,
+        "subentropy": lambda rho: functionals.subentropy(rho.spectrum),
+    }
+    merged = mc.RunningStats()
+    for w, count in enumerate(mc.worker_counts(config.samples, config.workers)):
+        stream = RngStream(SeedSpec(config.master_seed, w))
+        stats = mc.RunningStats()
+        for _ in range(count):
+            if config.fixed_spectrum is not None:
+                value = functionals.shannon_entropy(sample_isospectral_diagonal(stream, config.fixed_spectrum))
+            else:
+                value = functional[config.quantity](sample_mixing_state(stream, config.spec))
+            stats.update(value)
+        merged.merge(stats)
+    return merged
+
+
+class TestChunkedEstimateMatchesPerDrawLoop:
+    # (2, 2) draws come 1024 to a chunk: 1000 is one partial chunk, 1024 one
+    # full chunk, 2500 two full chunks and a partial one
+    @pytest.mark.parametrize("quantity", ["entropy", "diag_entropy", "coherence", "subentropy"])
+    @pytest.mark.parametrize("spec,samples,workers", [
+        (EnsembleSpec(2, 2), 1000, 1),
+        (EnsembleSpec(2, 2), 1024, 1),
+        (EnsembleSpec(2, 2), 2500, 2),
+        (EnsembleSpec(2, 2, k=3), 700, 1),
+        (EnsembleSpec(1, 3), 300, 1),
+        (EnsembleSpec(4, 5), 300, 1),
+    ])
+    def test_every_quantity(self, quantity, spec, samples, workers):
+        config = mc.EstimatorConfig(spec, quantity, samples, master_seed=61, workers=workers)
+        self.assert_close(mc.estimate(config), per_draw_reference(config))
+
+    def test_isospectral(self):
+        config = mc.EstimatorConfig(EnsembleSpec(3, 3), "isospectral_diag_entropy", 1200, master_seed=62,
+                                    fixed_spectrum=(0.6, 0.3, 0.1))
+        self.assert_close(mc.estimate(config), per_draw_reference(config))
+
+    @staticmethod
+    def assert_close(chunked, reference):
+        assert chunked.count == reference.count
+        assert chunked.mean == pytest.approx(reference.mean, rel=1e-12, abs=1e-300)
+        assert chunked.m2 == pytest.approx(reference.m2, rel=1e-12, abs=1e-300)
 
 
 class TestCompare:
@@ -212,11 +306,25 @@ class TestGammaMarginal:
         with pytest.raises(ParameterError):
             mc.gamma_marginal_test(2, 4, samples=10, master_seed=0)
 
+    def test_diagonals_are_those_of_the_wishart_draws(self):
+        stream = RngStream(SeedSpec(63, 0))
+        diags = np.array([np.diagonal(sample_wishart(stream, 2, 3)).real for _ in range(1500)])
+        expected = [mc.ks_statistic(diags[:, i], lambda x: mc.gamma_cdf(x, 3.0)) for i in range(2)]
+        assert mc.gamma_marginal_test(2, 3, 1500, 63) == pytest.approx(expected, abs=1e-12)
+
 
 class TestDirichletConsistency:
     def test_small_case_passes(self):
         d = mc.dirichlet_consistency_test(EnsembleSpec(2, 3), samples=20_000, master_seed=51)
         assert d < mc.ks_critical_value(20_000, n2=20_000)
+
+    def test_samples_are_those_of_the_single_draw_samplers(self):
+        spec = EnsembleSpec(2, 3, k=2)
+        states, direct = RngStream(SeedSpec(64, 0)), RngStream(SeedSpec(64, 1))
+        from_states = [sample_mixing_state(states, spec).diagonal[0] for _ in range(1100)]
+        from_dirichlet = [sample_diag_dirichlet(direct, spec)[0] for _ in range(1100)]
+        expected = mc.ks_two_sample(np.array(from_states), np.array(from_dirichlet))
+        assert mc.dirichlet_consistency_test(spec, 1100, 64) == expected
 
     def test_dimension_one_is_exactly_consistent(self):
         assert mc.dirichlet_consistency_test(EnsembleSpec(1, 2), samples=500, master_seed=0) == 0.0
