@@ -22,12 +22,11 @@ from .ensembles import (
     sample_diag_dirichlet,
     sample_mixing_state,
 )
-from .errors import RandcohError
+from .errors import NumericalError, RandcohError
 from .randkit import RngStream, SeedSpec
 
 SCHEMA_VERSION = 1
 _LN2 = math.log(2.0)
-_MIN_KS_SAMPLES = 1000
 
 
 class UsageError(Exception):
@@ -52,8 +51,16 @@ def _sig12(value):
     return value
 
 
+def _json_line(payload) -> str:
+    """payload as one line of strict JSON, which has no NaN or infinities."""
+    try:
+        return json.dumps(_sig12(payload), separators=(", ", ": "), allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"refusing to write a non-finite number: {exc}") from exc
+
+
 def _emit(record: dict, out_path: str | None) -> None:
-    line = json.dumps(_sig12(record), separators=(", ", ": "))
+    line = _json_line(record)
     print(line)
     if out_path:
         with open(out_path, "a", encoding="utf-8") as fh:
@@ -134,7 +141,7 @@ def cmd_verify(args) -> int:
         _emit(record, args.out)
 
     # distributional checks need a sample floor to mean anything
-    ks_samples = max(args.samples, _MIN_KS_SAMPLES)
+    ks_samples = max(args.samples, mc.KS_MIN_SAMPLES)
 
     t0 = time.perf_counter()
     stats = mc.gamma_marginal_test(spec.m, spec.env_dim, ks_samples, args.seed)
@@ -246,7 +253,7 @@ def cmd_sample(args) -> int:
                 payload = _complex_matrix_json(state.matrix)
             else:
                 payload = [float(x) for x in state.spectrum]
-        print(json.dumps(_sig12(payload), separators=(", ", ": ")))
+        print(_json_line(payload))
     return 0
 
 
@@ -272,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         if samples:
             p.add_argument("--samples", type=int, required=True, help="Monte Carlo sample count")
             p.add_argument("--workers", type=int, default=mc.default_workers(),
-                           help="parallel workers (default: available parallelism)")
+                           help="processes that evaluate the sample chunks; the results do not "
+                                "depend on it (default: available parallelism)")
         p.add_argument("--out", type=str, default=None, help="also append JSONL records to this file")
 
     p_est = sub.add_parser("estimate", help="one MC estimate vs its closed form")

@@ -6,6 +6,9 @@ ensemble implies.  The two m = 2 eigenvalue densities at the bottom give
 the same curve through two independent routes (Vandermonde-squared joint
 law vs. the diagonal law hit with the derivative operator), which is what
 the pointwise verification leans on.
+
+The ensemble averages check their (m, n, k) by building the EnsembleSpec
+they describe, so the rules live in one place.
 """
 
 from __future__ import annotations
@@ -14,47 +17,34 @@ import math
 
 import numpy as np
 
+from .ensembles import EnsembleSpec
 from .errors import ParameterError
 from .functionals import EULER_GAMMA, harmonic, subentropy
 
 _LN2 = math.log(2.0)
 
 
-def _check_mn(m: int, n: int) -> None:
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    if m > n:
-        raise ParameterError(f"requires m <= n, got m={m}, n={n}")
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-
-
 def avg_entropy_page(m: int, n: int) -> float:
     """Average von Neumann entropy of induced states: H_mn - H_n - (m-1)/(2n)."""
-    _check_mn(m, n)
+    EnsembleSpec(m, n)
     return harmonic(m * n) - harmonic(n) - (m - 1) / (2.0 * n)
 
 
 def avg_diag_entropy(m: int, n: int, k: int = 1) -> float:
     """Average diagonal entropy of the order-k ensemble: H_mkn - H_kn."""
-    _check_mn(m, n)
-    _check_k(k)
+    EnsembleSpec(m, n, k)
     return harmonic(m * k * n) - harmonic(k * n)
 
 
 def avg_coherence(m: int, n: int, k: int = 1) -> float:
     """Average relative entropy of coherence of the order-k ensemble: (m-1)/(2kn)."""
-    _check_mn(m, n)
-    _check_k(k)
+    EnsembleSpec(m, n, k)
     return (m - 1) / (2.0 * k * n)
 
 
 def avg_subentropy(m: int, n: int) -> float:
     """Average subentropy of induced states: 1 + H_mn - H_m - H_n."""
-    _check_mn(m, n)
+    EnsembleSpec(m, n)
     return 1.0 + harmonic(m * n) - harmonic(m) - harmonic(n)
 
 

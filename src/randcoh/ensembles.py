@@ -138,10 +138,18 @@ def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None 
     return DensityMatrix._from_gram(w[0] if size is None else w)
 
 
-def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec) -> np.ndarray:
+def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec, size: int | None = None) -> np.ndarray:
     """Diagonal marginal of the order-k ensemble, sampled directly as a
-    symmetric Dirichlet(k*n, ..., k*n) vector of length m."""
-    return stream.sample_symmetric_dirichlet(spec.m, float(spec.env_dim))
+    symmetric Dirichlet(k*n, ..., k*n) vector of length m.
+
+    With size, a (size, m) stack drawn from one block of size*m Gamma
+    variates; a single vector is the stack of one.  The Gamma sampler
+    interleaves the rejection rounds of a block, so a stack does not hold
+    the vectors that size single draws give.
+    """
+    g = stream.gammas(float(spec.env_dim), spec.m * (1 if size is None else size)).reshape(-1, spec.m)
+    d = g / g.sum(axis=-1, keepdims=True)
+    return d[0] if size is None else d
 
 
 def sample_isospectral_diagonal(stream: RngStream, lam: np.ndarray, size: int | None = None) -> np.ndarray:

@@ -14,7 +14,6 @@ stack of them along leading axes and returns an array of values.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -29,57 +28,21 @@ _ZERO_NODE = 1e-14
 _COHERENCE_FLOOR = -1e-9
 
 
-class HarmonicTable:
-    """Cached harmonic numbers H_1..H_K, grown on demand.
-
-    Growth uses Kahan-compensated accumulation so the table stays within a
-    few ulps of the exact partial sums regardless of K.  Beyond the table
-    limit the Euler-Maclaurin expansion is exact to double precision.
-    """
-
-    TABLE_LIMIT = 1 << 16
-
-    def __init__(self):
-        self._values = [0.0, 1.0]  # index k holds H_k; H_0 = 0 placeholder
-        self._carry = 0.0
-        self._lock = threading.Lock()
-
-    def value(self, k: int) -> float:
-        if k < 1:
-            raise ParameterError(f"harmonic index must be >= 1, got {k}")
-        if k > self.TABLE_LIMIT:
-            return self._asymptotic(k)
-        if k >= len(self._values):
-            with self._lock:
-                self._grow(k)
-        return self._values[k]
-
-    def _grow(self, k: int) -> None:
-        total = self._values[-1]
-        carry = self._carry
-        for j in range(len(self._values), k + 1):
-            term = 1.0 / j - carry
-            new_total = total + term
-            carry = (new_total - total) - term
-            total = new_total
-            self._values.append(total)
-        self._carry = carry
-
-    @staticmethod
-    def _asymptotic(k: int) -> float:
-        # H_k = ln k + gamma + 1/2k - 1/12k^2 + 1/120k^4 - 1/252k^6 + O(k^-8)
-        inv = 1.0 / k
-        inv2 = inv * inv
-        return (math.log(k) + EULER_GAMMA + 0.5 * inv
-                - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0)))
-
-
-_TABLE = HarmonicTable()
-
-
 def harmonic(k: int) -> float:
-    """The k-th harmonic number H_k = sum_{j=1}^{k} 1/j."""
-    return _TABLE.value(k)
+    """The k-th harmonic number H_k = sum_{j=1}^{k} 1/j.
+
+    Summed exactly (fsum) below k = 100; from there on the Euler-Maclaurin
+    expansion is within 2 ulp of the partial sums, and at k = 100 equal.
+    """
+    if k < 1:
+        raise ParameterError(f"harmonic index must be >= 1, got {k}")
+    if k < 100:
+        return math.fsum(1.0 / j for j in range(1, k + 1))
+    # H_k = ln k + gamma + 1/2k - 1/12k^2 + 1/120k^4 - 1/252k^6 + O(k^-8)
+    inv = 1.0 / k
+    inv2 = inv * inv
+    return (math.log(k) + EULER_GAMMA + 0.5 * inv
+            - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0)))
 
 
 def _validated_probabilities(p) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Parallel Monte Carlo estimation with streaming statistics.
 
-Work is split across workers by a fixed rule (worker w takes the ceiling
-share iff w < samples mod workers) and each worker owns the random stream
-keyed by its index.  A worker evaluates its share in chunks of consecutive
-draws, each drawn as one Ginibre block of at most CHUNK_ENTRIES entries and
-evaluated as one stack of states.  A block holds exactly the matrices that
-draw-by-draw sampling gives, so chunking changes no draw.  Each chunk is
-reduced to (count, mean, m2) and merged in stream order; the per-worker
-results merge in worker-index order.  The result is therefore
-bit-identical across runs for fixed (master_seed, workers, samples),
-whether the workers actually ran in parallel processes or inline.
+A job of `samples` draws is split into chunks by a fixed rule
+(chunk_sizes: at most CHUNK_ENTRIES Ginibre entries per chunk, so the
+split depends only on the draw's shape).  Chunk c draws from the random
+stream keyed (master_seed, c), evaluates its draws as one stack of states
+and is reduced to (count, mean, m2); the chunk results merge in chunk
+order.  The chunk is thus the unit of randomness as well as the unit of
+work, and workers only schedule chunks: the same (master_seed, samples)
+gives bit-identical results for any worker count, on any machine, whether
+the chunks ran inline or in a process pool.  A job of one chunk always
+runs inline.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF
 live here so the distributional checks need nothing outside the package.
@@ -22,6 +22,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +48,9 @@ Z_PASS_THRESHOLD = 4.0
 # Ginibre entries per chunk: bounds the arrays one chunk allocates (normals,
 # the Ginibre block, the state stack) to a few hundred KiB at any (m, k*n)
 CHUNK_ENTRIES = 1 << 12
+
+# below this many draws a Kolmogorov-Smirnov test says little
+KS_MIN_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -137,13 +141,6 @@ class ComparisonReport:
     wall_time_ms: float = 0.0
 
 
-def worker_counts(samples: int, workers: int) -> list[int]:
-    """Deterministic split: worker w gets ceil(samples/workers) iff
-    w < samples mod workers, else the floor."""
-    base, rem = divmod(samples, workers)
-    return [base + (1 if w < rem else 0) for w in range(workers)]
-
-
 def chunk_sizes(count: int, entries_per_draw: int) -> list[int]:
     """Split count consecutive draws into chunks of at most CHUNK_ENTRIES
     Ginibre entries (at least one draw each), in stream order."""
@@ -152,49 +149,46 @@ def chunk_sizes(count: int, entries_per_draw: int) -> list[int]:
     return [size] * full + ([rest] if rest else [])
 
 
-def _make_evaluator(quantity: str, spec: EnsembleSpec, fixed_spectrum):
-    """evaluate(stream, size): draw size samples, return their values."""
-    if quantity == "isospectral_diag_entropy":
-        lam = np.asarray(fixed_spectrum, dtype=np.float64)
-        return lambda stream, size: functionals.shannon_entropy(sample_isospectral_diagonal(stream, lam, size))
-    states = lambda stream, size: sample_mixing_state(stream, spec, size)
-    if quantity == "entropy":
-        return lambda stream, size: functionals.von_neumann_entropy(states(stream, size))
-    if quantity == "diag_entropy":
-        return lambda stream, size: functionals.shannon_entropy(states(stream, size).diagonal)
-    if quantity == "coherence":
-        return lambda stream, size: functionals.relative_entropy_of_coherence(states(stream, size))
-    return lambda stream, size: functionals.subentropy(states(stream, size).spectrum)
+def _map_chunks(fn, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks], on a process pool when there are several
+    workers and several tasks; each worker then takes one contiguous run of
+    tasks.  Results come back in task order either way."""
+    if workers == 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(fn, tasks, chunksize=math.ceil(len(tasks) / workers)))
 
 
-def _run_worker(payload) -> tuple[int, float, float]:
-    quantity, m, n, k, master_seed, worker_index, count, fixed_spectrum = payload
-    stream = RngStream(SeedSpec(master_seed, worker_index))
-    evaluate = _make_evaluator(quantity, EnsembleSpec(m, n, k), fixed_spectrum)
-    # a Haar draw is one square Ginibre matrix, a state one m x kn block
-    entries = m * k * n if fixed_spectrum is None else len(fixed_spectrum) ** 2
-    stats = RunningStats()
-    for size in chunk_sizes(count, entries):
-        stats.merge(RunningStats.of(evaluate(stream, size)))
-    return stats.count, stats.mean, stats.m2
+def _chunk_values(config: EstimatorConfig, stream: RngStream, size: int) -> np.ndarray:
+    """Draw size samples from stream and return the configured quantity of each."""
+    if config.quantity == "isospectral_diag_entropy":
+        return functionals.shannon_entropy(sample_isospectral_diagonal(stream, config.fixed_spectrum, size))
+    states = sample_mixing_state(stream, config.spec, size)
+    if config.quantity == "entropy":
+        return functionals.von_neumann_entropy(states)
+    if config.quantity == "diag_entropy":
+        return functionals.shannon_entropy(states.diagonal)
+    if config.quantity == "coherence":
+        return functionals.relative_entropy_of_coherence(states)
+    return functionals.subentropy(states.spectrum)
+
+
+def _run_worker(config: EstimatorConfig, chunk: tuple[int, int]) -> RunningStats:
+    """Statistics of one chunk (index, size) of an estimate."""
+    index, size = chunk
+    return RunningStats.of(_chunk_values(config, RngStream(SeedSpec(config.master_seed, index)), size))
 
 
 def estimate(config: EstimatorConfig) -> RunningStats:
     """Draw config.samples states, evaluate the configured quantity on each,
     and return the merged streaming statistics."""
     spec = config.spec
-    payloads = [
-        (config.quantity, spec.m, spec.n, spec.k, config.master_seed, w, count, config.fixed_spectrum)
-        for w, count in enumerate(worker_counts(config.samples, config.workers))
-    ]
-    if config.workers == 1:
-        results = [_run_worker(payloads[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_worker, payloads))
+    # a Haar draw is one square Ginibre matrix, a state one m x kn block
+    entries = spec.m * spec.env_dim if config.fixed_spectrum is None else len(config.fixed_spectrum) ** 2
+    chunks = list(enumerate(chunk_sizes(config.samples, entries)))
     merged = RunningStats()
-    for count, mean, m2 in results:  # map() preserves worker-index order
-        merged.merge(RunningStats(count, mean, m2))
+    for stats in _map_chunks(partial(_run_worker, config), chunks, config.workers):
+        merged.merge(stats)
     return merged
 
 
@@ -244,16 +238,15 @@ def run_comparison(config: EstimatorConfig) -> ComparisonReport:
     return compare(stats, config, wall_time_ms=elapsed_ms)
 
 
-def _concentration_worker(payload) -> tuple[int, int]:
-    m, n, k, epsilon, master_seed, worker_index, count = payload
-    spec = EnsembleSpec(m, n, k)
-    center = closedforms.avg_coherence(m, n, k)
-    stream = RngStream(SeedSpec(master_seed, worker_index))
-    exceed = 0
-    for size in chunk_sizes(count, m * spec.env_dim):
-        c = functionals.relative_entropy_of_coherence(sample_mixing_state(stream, spec, size))
-        exceed += int(np.count_nonzero(np.abs(c - center) > epsilon))
-    return count, exceed
+def _concentration_worker(spec: EnsembleSpec, epsilon: float, master_seed: int,
+                          chunk: tuple[int, int]) -> int:
+    """How many coherences of one chunk (index, size) deviate from the mean
+    (m-1)/2kn by more than epsilon."""
+    index, size = chunk
+    center = closedforms.avg_coherence(spec.m, spec.n, spec.k)
+    states = sample_mixing_state(RngStream(SeedSpec(master_seed, index)), spec, size)
+    c = functionals.relative_entropy_of_coherence(states)
+    return int(np.count_nonzero(np.abs(c - center) > epsilon))
 
 
 def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
@@ -266,19 +259,12 @@ def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     bound = closedforms.concentration_bound(spec.m, spec.env_dim, epsilon)
-    payloads = [
-        (spec.m, spec.n, spec.k, epsilon, master_seed, w, count)
-        for w, count in enumerate(worker_counts(samples, workers))
-    ]
-    if workers == 1:
-        results = [_concentration_worker(payloads[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_concentration_worker, payloads))
-    total = sum(c for c, _ in results)
-    exceed = sum(e for _, e in results)
-    return exceed / total, bound
+    chunks = list(enumerate(chunk_sizes(samples, spec.m * spec.env_dim)))
+    exceed = sum(_map_chunks(partial(_concentration_worker, spec, epsilon, master_seed), chunks, workers))
+    return exceed / samples, bound
 
 
 # -- incomplete gamma and Kolmogorov-Smirnov machinery ------------------------
@@ -370,8 +356,8 @@ def gamma_marginal_test(m: int, n: int, samples: int, master_seed: int) -> np.nd
     """
     if m > n:
         raise ParameterError(f"requires m <= n, got m={m}, n={n}")
-    if samples < 1000:
-        raise ParameterError(f"need >= 1000 samples for a meaningful KS test, got {samples}")
+    if samples < KS_MIN_SAMPLES:
+        raise ParameterError(f"need >= {KS_MIN_SAMPLES} samples for a meaningful KS test, got {samples}")
     stream = RngStream(SeedSpec(master_seed, 0))
     # W_ii = sum_j |Z_ij|^2, so the diagonals need no Gram matrix
     blocks = (sample_ginibre(stream, m, n, size) for size in chunk_sizes(samples, m * n))
@@ -395,11 +381,10 @@ def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: in
         sample_mixing_state(state_stream, spec, size).diagonal[:, 0]
         for size in chunk_sizes(samples, spec.m * spec.env_dim)
     ])
-    # batched gammas interleave their rejection rounds and would not
-    # reproduce these draws, so the Dirichlet side stays draw by draw
-    from_dirichlet = np.array(
-        [sample_diag_dirichlet(dir_stream, spec)[0] for _ in range(samples)]
-    )
+    # a Dirichlet draw is m Gamma variates
+    from_dirichlet = np.concatenate([
+        sample_diag_dirichlet(dir_stream, spec, size)[:, 0] for size in chunk_sizes(samples, spec.m)
+    ])
     return ks_two_sample(from_states, from_dirichlet)
 
 

@@ -5,10 +5,10 @@ The generator is Philox-4x64, a counter-based PRNG whose raw 64-bit output
 sequence is a fixed function of its 128-bit key.  Stream derivation is the
 simplest documented rule there is: the key is the pair
 ``(master_seed, stream_index)``.  Distinct keys give statistically
-independent counter sequences by construction, so parallel workers get
-independent streams by using their worker index as ``stream_index``, and a
-fixed seed pair reproduces the identical byte stream on every platform and
-numpy version.
+independent counter sequences by construction, so the chunks of a Monte
+Carlo job get independent streams by using their chunk index as
+``stream_index``, and a fixed seed pair reproduces the identical byte
+stream on every platform and numpy version.
 
 Distributions are implemented as explicit transforms of the uniform stream:
 polar Box-Muller for normals, Marsaglia-Tsang for Gamma, normalized Gamma

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -5,7 +6,9 @@ import sys
 
 import pytest
 
+from randcoh import cli, mc
 from randcoh.cli import main
+from randcoh.errors import NumericalError
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +87,27 @@ class TestEstimate:
             "--samples", "2000", "--seed", "5", "--workers", "1", "--out", str(out_path),
         )
         assert out_path.read_text() == out
+
+    def test_emit_refuses_a_non_finite_number(self, capsys, tmp_path):
+        out_path = tmp_path / "records.jsonl"
+        with pytest.raises(NumericalError):
+            cli._emit({"results": {"mean": math.nan}}, str(out_path))
+        assert capsys.readouterr().out == ""
+        assert not out_path.exists()
+
+    def test_non_finite_result_exits_one_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        run_comparison = mc.run_comparison
+        monkeypatch.setattr(mc, "run_comparison",
+                            lambda config: dataclasses.replace(run_comparison(config), mc_mean=math.inf))
+        out_path = tmp_path / "records.jsonl"
+        code, out, err = run_cli(
+            capsys, "estimate", "--quantity", "coherence", "--m", "2", "--n", "2",
+            "--samples", "100", "--seed", "5", "--workers", "1", "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert "non-finite" in err
+        assert not out_path.exists()
 
 
 class TestVerify:

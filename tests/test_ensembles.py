@@ -189,6 +189,22 @@ class TestDiagDirichlet:
         vals = [functionals.shannon_entropy(sample_diag_dirichlet(s, spec)) for _ in range(100_000)]
         assert abs(np.mean(vals) - (H4 - H2)) < 0.005
 
+    def test_single_draw_is_the_stack_of_one(self):
+        spec = EnsembleSpec(3, 4, k=2)
+        single = sample_diag_dirichlet(stream(12), spec)
+        assert np.array_equal(single, stream(12).sample_symmetric_dirichlet(3, 8.0))
+        assert np.array_equal(sample_diag_dirichlet(stream(12), spec, size=1), single[None])
+
+    def test_stack_rows_follow_the_dirichlet_law(self):
+        # Dirichlet(a, ..., a) of length m: mean 1/m, variance (m-1)/(m^2 (m a + 1))
+        m, a, size = 3, 4.0, 20_000
+        d = sample_diag_dirichlet(stream(13), EnsembleSpec(m, 4), size=size)
+        assert d.shape == (size, m)
+        assert np.abs(d.sum(axis=1) - 1.0).max() < 1e-12
+        var = (m - 1) / (m * m * (m * a + 1))
+        assert np.abs(d.mean(axis=0) - 1.0 / m).max() < 5 * math.sqrt(var / size)
+        assert d[:, 0].var() == pytest.approx(var, rel=0.05)
+
     def test_matches_full_sampler_marginal(self):
         spec = EnsembleSpec(2, 3)
         n = 100_000

@@ -11,7 +11,6 @@ from randcoh.functionals import (
     _CLUSTER_GAP,
     _ZERO_NODE,
     EULER_GAMMA,
-    HarmonicTable,
     _g_derivative,
     harmonic,
     relative_entropy_of_coherence,
@@ -148,14 +147,10 @@ class TestHarmonic:
             assert harmonic(k) == pytest.approx(exact, rel=1e-14)
 
     def test_asymptotic_continuation_is_seamless(self):
-        limit = HarmonicTable.TABLE_LIMIT
-        for k in (limit + 1, limit + 12345):
+        # the exact sum ends at k = 99, the Euler-Maclaurin expansion starts at 100
+        for k in (99, 100, 101, (1 << 16) + 12345):
             exact = math.fsum(1.0 / j for j in range(1, k + 1))
             assert harmonic(k) == pytest.approx(exact, rel=1e-13)
-
-    def test_table_grows_on_demand(self):
-        table = HarmonicTable()
-        assert table.value(3000) == pytest.approx(harmonic(3000), rel=1e-15)
 
 
 class TestShannonEntropy:

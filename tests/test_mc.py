@@ -17,17 +17,6 @@ from randcoh.functionals import harmonic
 from randcoh.randkit import RngStream, SeedSpec
 
 
-class TestWorkerSplit:
-    def test_even_split(self):
-        assert mc.worker_counts(12, 3) == [4, 4, 4]
-
-    def test_remainder_goes_to_low_indices(self):
-        assert mc.worker_counts(10, 4) == [3, 3, 2, 2]
-
-    def test_more_workers_than_samples(self):
-        assert mc.worker_counts(2, 5) == [1, 1, 0, 0, 0]
-
-
 class TestChunks:
     def test_budget_sets_the_chunk_size(self):
         # (2, 2): 4 Ginibre entries per draw, so 1024 draws per chunk
@@ -143,23 +132,52 @@ class TestEstimate:
         assert (a.count, a.mean, a.m2) == (b.count, b.mean, b.m2)
 
     def test_inline_and_pooled_agree(self):
-        # worker results depend only on (seed, index, count), not on where they ran
-        base = dict(spec=EnsembleSpec(2, 3), quantity="coherence", samples=2000, master_seed=43)
-        pooled = mc.estimate(mc.EstimatorConfig(workers=2, **base))
-        counts = mc.worker_counts(2000, 2)
+        # chunk results depend only on (seed, chunk index, size), not on where they ran
+        config = mc.EstimatorConfig(EnsembleSpec(2, 3), "coherence", samples=2000, master_seed=43, workers=2)
+        pooled = mc.estimate(config)
+        chunks = list(enumerate(mc.chunk_sizes(2000, 6)))
+        assert len(chunks) == 3
         inline = mc.RunningStats()
-        for w, count in enumerate(counts):
-            c, mean, m2 = mc._run_worker(("coherence", 2, 3, 1, 43, w, count, None))
-            inline.merge(mc.RunningStats(c, mean, m2))
-        assert pooled.mean == inline.mean
-        assert pooled.m2 == inline.m2
+        for chunk in chunks:
+            inline.merge(mc._run_worker(config, chunk))
+        assert (pooled.count, pooled.mean, pooled.m2) == (inline.count, inline.mean, inline.m2)
 
     def test_worker_count_changes_only_stream_assignment(self):
+        # streams are keyed by chunk, so no stream moves and the gap is 0
         base = dict(spec=EnsembleSpec(2, 2), quantity="coherence", samples=4000, master_seed=44)
         one = mc.estimate(mc.EstimatorConfig(workers=1, **base))
         three = mc.estimate(mc.EstimatorConfig(workers=3, **base))
-        gap = abs(one.mean - three.mean)
-        assert gap < 5 * math.hypot(one.stderr, three.stderr)
+        assert (one.count, one.mean, one.m2) == (three.count, three.mean, three.m2)
+
+    # (4, 8): 128 draws to a chunk; an isospectral draw at m = 3 is one 3 x 3
+    # Haar matrix, 455 to a chunk; both sizes below make three chunks
+    @pytest.mark.parametrize("quantity,spec,samples,spectrum", [
+        ("entropy", EnsembleSpec(4, 8), 300, None),
+        ("diag_entropy", EnsembleSpec(4, 8), 300, None),
+        ("coherence", EnsembleSpec(4, 8), 300, None),
+        ("subentropy", EnsembleSpec(4, 8), 300, None),
+        ("isospectral_diag_entropy", EnsembleSpec(3, 3), 1000, (0.6, 0.3, 0.1)),
+    ])
+    def test_bit_identical_for_every_worker_count(self, quantity, spec, samples, spectrum):
+        keys = []
+        for workers in (1, 2, 3):
+            config = mc.EstimatorConfig(spec, quantity, samples, master_seed=65, workers=workers,
+                                        fixed_spectrum=spectrum)
+            stats = mc.estimate(config)
+            keys.append((stats.count, stats.mean, stats.m2))
+        assert keys[0][0] == samples
+        assert keys == [keys[0]] * 3
+
+    def test_one_chunk_job_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk job started a process pool")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        # (2, 3): 682 draws to a chunk
+        stats = mc.estimate(mc.EstimatorConfig(EnsembleSpec(2, 3), "coherence", 600, master_seed=66, workers=4))
+        assert stats.count == 600
+        fraction, _ = mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 400, master_seed=66, workers=4)
+        assert 0.0 <= fraction <= 1.0
 
     def test_degenerate_dimension_one(self):
         cfg = mc.EstimatorConfig(EnsembleSpec(1, 4), "entropy", samples=100, master_seed=7)
@@ -176,17 +194,20 @@ class TestEstimate:
 
 
 def per_draw_reference(config):
-    """The estimate one draw at a time: the single-state samplers, the
-    functional on each draw, and a Welford update per value."""
+    """The estimate one draw at a time: chunk c's draws from stream c by the
+    single-state samplers, the functional on each draw, and a Welford update
+    per value."""
     functional = {
         "entropy": functionals.von_neumann_entropy,
         "diag_entropy": lambda rho: functionals.shannon_entropy(rho.diagonal),
         "coherence": functionals.relative_entropy_of_coherence,
         "subentropy": lambda rho: functionals.subentropy(rho.spectrum),
     }
+    spec = config.spec
+    entries = spec.m * spec.env_dim if config.fixed_spectrum is None else len(config.fixed_spectrum) ** 2
     merged = mc.RunningStats()
-    for w, count in enumerate(mc.worker_counts(config.samples, config.workers)):
-        stream = RngStream(SeedSpec(config.master_seed, w))
+    for chunk, count in enumerate(mc.chunk_sizes(config.samples, entries)):
+        stream = RngStream(SeedSpec(config.master_seed, chunk))
         stats = mc.RunningStats()
         for _ in range(count):
             if config.fixed_spectrum is not None:
@@ -319,11 +340,15 @@ class TestDirichletConsistency:
         assert d < mc.ks_critical_value(20_000, n2=20_000)
 
     def test_samples_are_those_of_the_single_draw_samplers(self):
+        # the state side draw by draw; the Dirichlet side as stacks of at
+        # most CHUNK_ENTRIES Gamma variates, m per draw (at m = 2 the 1100
+        # draws are one stack)
         spec = EnsembleSpec(2, 3, k=2)
         states, direct = RngStream(SeedSpec(64, 0)), RngStream(SeedSpec(64, 1))
         from_states = [sample_mixing_state(states, spec).diagonal[0] for _ in range(1100)]
-        from_dirichlet = [sample_diag_dirichlet(direct, spec)[0] for _ in range(1100)]
-        expected = mc.ks_two_sample(np.array(from_states), np.array(from_dirichlet))
+        from_dirichlet = np.concatenate([sample_diag_dirichlet(direct, spec, size)[:, 0]
+                                         for size in mc.chunk_sizes(1100, spec.m)])
+        expected = mc.ks_two_sample(np.array(from_states), from_dirichlet)
         assert mc.dirichlet_consistency_test(spec, 1100, 64) == expected
 
     def test_dimension_one_is_exactly_consistent(self):
@@ -337,6 +362,15 @@ class TestEmpiricalConcentration:
         )
         assert bound == 1.0  # vacuous at desk scale
         assert fraction <= bound
+
+    def test_same_fraction_for_every_worker_count(self):
+        # (3, 3): 455 draws to a chunk, so 1000 draws make three chunks
+        fractions = [
+            mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 1000, master_seed=67, workers=workers)[0]
+            for workers in (1, 2, 3)
+        ]
+        assert fractions == [fractions[0]] * 3
+        assert 0.0 < fractions[0] < 1.0
 
     def test_large_epsilon_has_empty_tail(self):
         # coherence lives in [0, ln m], so deviations beyond ln m are impossible
@@ -357,3 +391,5 @@ class TestEmpiricalConcentration:
             mc.empirical_concentration(EnsembleSpec(2, 2), 0.1, 100, 0)
         with pytest.raises(ParameterError):
             mc.empirical_concentration(EnsembleSpec(3, 3), 0.0, 100, 0)
+        with pytest.raises(ParameterError):
+            mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 100, 0, workers=0)
