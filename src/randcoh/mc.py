@@ -13,6 +13,9 @@ runs inline.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF
 live here so the distributional checks need nothing outside the package.
+Both work on arrays: gamma_cdf(x, shape) maps an array x to the array of
+CDF values (a scalar x gives a float), and ks_statistic(values, cdf) calls
+cdf once, on the sorted sample, so cdf must be such an array map.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .ensembles import (  # noqa: F401
     sample_mixing_state,
     sample_wishart,
 )
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .randkit import RngStream, SeedSpec
 
 QUANTITIES = ("entropy", "diag_entropy", "coherence", "subentropy", "isospectral_diag_entropy")
@@ -273,59 +276,90 @@ _IGAM_EPS = 1e-15
 _IGAM_MAX_ITER = 400
 
 
-def gamma_cdf(x: float, shape: float) -> float:
+def gamma_cdf(x: float | np.ndarray, shape: float) -> float | np.ndarray:
     """Regularized lower incomplete gamma P(shape, x): the Gamma(shape, 1) CDF.
 
-    Series expansion for x < shape + 1, Lentz continued fraction for the
-    complementary function otherwise.
+    x may be a scalar or an array; an array gives an array of the same
+    shape, a scalar a float.  Series expansion where x < shape + 1, Lentz
+    continued fraction for the complementary function elsewhere, each run
+    as one masked loop over the entries that have not yet converged.
+    P = 0 for x <= 0 and P = 1 at x = +inf; a NaN x raises DomainError, a
+    shape that is not finite and positive ParameterError.
     """
-    if shape <= 0:
-        raise ParameterError(f"shape must be positive, got {shape}")
-    if x <= 0.0:
-        return 0.0
-    log_prefactor = shape * math.log(x) - x - math.lgamma(shape)
-    if x < shape + 1.0:
-        # P(a, x) = x^a e^-x / Gamma(a) * sum_{k>=0} x^k / (a (a+1) ... (a+k))
-        ap = shape
-        term = 1.0 / shape
-        total = term
-        for _ in range(_IGAM_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _IGAM_EPS:
-                break
-        return min(1.0, total * math.exp(log_prefactor))
-    # Q(a, x) = x^a e^-x / Gamma(a) * 1/(x+1-a- 1(1-a)/(x+3-a- ...)) (Lentz)
-    tiny = 1e-300
-    b = x + 1.0 - shape
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _IGAM_MAX_ITER + 1):
-        an = -i * (i - shape)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _IGAM_EPS:
+    if not (math.isfinite(shape) and shape > 0):
+        raise ParameterError(f"shape must be finite and positive, got {shape}")
+    xa = np.asarray(x, dtype=np.float64)
+    if np.isnan(xa).any():
+        raise DomainError("gamma_cdf is undefined at x = NaN")
+    out = np.where(xa > 0.0, 1.0, 0.0)
+    inner = np.flatnonzero((xa > 0.0) & (xa < math.inf))
+    xs = xa.ravel()[inner]
+    prefactor = np.exp(shape * np.log(xs) - xs - math.lgamma(shape))
+    series = xs < shape + 1.0
+    result = np.empty(xs.size)
+    result[series] = np.minimum(1.0, _gamma_series(xs[series], shape) * prefactor[series])
+    cf = ~series
+    result[cf] = np.maximum(0.0, 1.0 - prefactor[cf] * _gamma_continued_fraction(xs[cf], shape))
+    out.ravel()[inner] = result
+    return float(out) if out.ndim == 0 else out
+
+
+def _gamma_series(x: np.ndarray, a: float) -> np.ndarray:
+    """sum_{k>=0} x^k / (a (a+1) ... (a+k)), so that P(a, x) = x^a e^-x / Gamma(a) * sum."""
+    term = np.full(x.size, 1.0 / a)
+    total = term.copy()
+    live = np.arange(x.size)
+    ap = a
+    for _ in range(_IGAM_MAX_ITER):
+        if not live.size:
             break
-    return max(0.0, 1.0 - math.exp(log_prefactor) * h)
+        ap += 1.0
+        t = term[live] * (x[live] / ap)
+        tot = total[live] + t
+        term[live] = t
+        total[live] = tot
+        live = live[~(np.abs(t) < np.abs(tot) * _IGAM_EPS)]
+    return total
+
+
+def _gamma_continued_fraction(x: np.ndarray, a: float) -> np.ndarray:
+    """1/(x+1-a- 1(1-a)/(x+3-a- ...)) by Lentz, so that Q(a, x) = x^a e^-x / Gamma(a) * cf."""
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = np.full(x.size, 1.0 / tiny)
+    d = 1.0 / b
+    h = d.copy()
+    live = np.arange(x.size)
+    for i in range(1, _IGAM_MAX_ITER + 1):
+        if not live.size:
+            break
+        an = -i * (i - a)
+        bl = b[live] + 2.0
+        dl = an * d[live] + bl
+        dl[np.abs(dl) < tiny] = tiny
+        cl = bl + an / c[live]
+        cl[np.abs(cl) < tiny] = tiny
+        dl = 1.0 / dl
+        delta = dl * cl
+        b[live], c[live], d[live] = bl, cl, dl
+        h[live] *= delta
+        live = live[~(np.abs(delta - 1.0) < _IGAM_EPS)]
+    return h
 
 
 def ks_statistic(values: np.ndarray, cdf) -> float:
-    """One-sample two-sided Kolmogorov-Smirnov statistic against cdf."""
+    """One-sample two-sided Kolmogorov-Smirnov statistic against cdf.
+
+    cdf is called once, on the sorted sample as one array, and must return
+    the array of CDF values.
+    """
     values = np.sort(np.asarray(values, dtype=np.float64))
     n = values.size
     if n < 1:
         raise ParameterError("KS statistic needs at least one sample")
-    f = np.array([cdf(v) for v in values])
+    f = np.asarray(cdf(values), dtype=np.float64)
+    if f.shape != values.shape:
+        raise ParameterError(f"cdf must map the {values.shape} sample to an array of that shape, got {f.shape}")
     grid = np.arange(1, n + 1) / n
     return float(max((grid - f).max(), (f - (grid - 1.0 / n)).max()))
 

@@ -13,6 +13,16 @@ stream on every platform and numpy version.
 Distributions are implemented as explicit transforms of the uniform stream:
 polar Box-Muller for normals, Marsaglia-Tsang for Gamma, normalized Gamma
 variates for the symmetric Dirichlet.
+
+Uniforms are buffered.  A request that the buffer cannot serve refills
+only its shortfall, at least 4096 raw outputs at a time.  Polar normals
+screen their candidate pairs in one vectorised pass over a lookahead of
+the buffer: need/p + 4 sqrt(need (1-p))/p pairs for need accepted pairs,
+p = pi/4, i.e. the negative-binomial mean plus four standard deviations.
+A call then consumes exactly the uniforms up to the last pair it used, so
+every call leaves the stream exactly where drawing the pairs round by
+round would, and the pairs it looked at but did not use stay buffered for
+the next call.
 """
 
 from __future__ import annotations
@@ -30,6 +40,13 @@ _U32_MAX = 2**32 - 1
 _BLOCK = 4096
 _INV_2_53 = 2.0**-53
 _SQRT_HALF = math.sqrt(0.5)
+_POLAR_ACCEPT = math.pi / 4.0  # P(u^2 + v^2 < 1) for (u, v) uniform on [-1, 1)^2
+
+
+def _polar_lookahead(need: int) -> int:
+    """Polar pairs to screen for need accepted ones: the negative binomial
+    mean need/p plus four of its standard deviations sqrt(need (1-p))/p."""
+    return math.ceil((need + 4.0 * math.sqrt(need * (1.0 - _POLAR_ACCEPT))) / _POLAR_ACCEPT)
 
 
 @dataclass(frozen=True)
@@ -72,21 +89,24 @@ class RngStream:
     def uniforms(self, n: int) -> np.ndarray:
         """Next n i.i.d. uniforms on [0, 1) as float64."""
         if n < 0:
-            raise ParameterError("n must be nonnegative")
-        out = np.empty(n, dtype=np.float64)
-        filled = 0
-        while filled < n:
-            if self._pos == self._buf.size:
-                # block size only affects buffering; the i-th uniform is
-                # always derived from the i-th raw output
-                raw = self._bitgen.random_raw(max(_BLOCK, n - filled))
-                self._buf = (raw >> np.uint64(11)) * _INV_2_53
-                self._pos = 0
-            take = min(n - filled, self._buf.size - self._pos)
-            out[filled:filled + take] = self._buf[self._pos:self._pos + take]
-            self._pos += take
-            filled += take
+            raise ParameterError(f"n must be nonnegative, got {n}")
+        out = self._lookahead(n).copy()
+        self._pos += n
         return out
+
+    def _lookahead(self, n: int) -> np.ndarray:
+        """The next n uniforms, as a view of the buffer, without consuming them.
+
+        Refills only the shortfall, at least _BLOCK raw outputs at a time.
+        The block size only affects buffering: the i-th uniform is always
+        derived from the i-th raw output.
+        """
+        short = n - (self._buf.size - self._pos)
+        if short > 0:
+            raw = self._bitgen.random_raw(max(_BLOCK, short))
+            self._buf = np.concatenate([self._buf[self._pos:], (raw >> np.uint64(11)) * _INV_2_53])
+            self._pos = 0
+        return self._buf[self._pos:self._pos + n]
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -100,7 +120,14 @@ class RngStream:
         lies in (0, 1); each accepted pair yields the two normals
         u*sqrt(-2 ln s / s), v*sqrt(-2 ln s / s).  A single leftover normal
         is cached on the stream and used first by the next call.
+
+        The pairs are screened in one pass over the lookahead described in
+        the module docstring.  In the rare case that it holds too few
+        accepted pairs, the call consumes it all and looks ahead again for
+        the rest.
         """
+        if n < 0:
+            raise ParameterError(f"n must be nonnegative, got {n}")
         out = np.empty(n, dtype=np.float64)
         filled = 0
         if self._spare_normal is not None and n > 0:
@@ -108,14 +135,14 @@ class RngStream:
             self._spare_normal = None
             filled = 1
         while filled < n:
-            npairs = (n - filled + 1) // 2
-            u = self.uniforms(2 * npairs) * 2.0 - 1.0
+            need = (n - filled + 1) // 2
+            u = self._lookahead(2 * _polar_lookahead(need)) * 2.0 - 1.0
             x = u[0::2]
             y = u[1::2]
             s = x * x + y * y
-            ok = (s > 0.0) & (s < 1.0)
-            if not ok.any():
-                continue
+            ok = np.flatnonzero((s > 0.0) & (s < 1.0))[:need]
+            used = ok[-1] + 1 if ok.size == need else x.size
+            self.uniforms(2 * int(used))
             xs, ys, ss = x[ok], y[ok], s[ok]
             f = np.sqrt(-2.0 * np.log(ss) / ss)
             block = np.empty(2 * xs.size, dtype=np.float64)
@@ -125,7 +152,7 @@ class RngStream:
             out[filled:filled + take] = block[:take]
             filled += take
             if take < block.size:
-                # 2*npairs <= n - filled + 1, so at most one normal is left over
+                # need pairs give at most n - filled + 1 normals: one is left over
                 self._spare_normal = float(block[take])
         return out
 
@@ -140,6 +167,8 @@ class RngStream:
 
         Consumes 2n normals in (re, im) interleaved order.
         """
+        if n < 0:
+            raise ParameterError(f"n must be nonnegative, got {n}")
         nrm = self.normals(2 * n)
         return _SQRT_HALF * (nrm[0::2] + 1j * nrm[1::2])
 
@@ -157,8 +186,10 @@ class RngStream:
         shape < 1 the draw is boosted from Gamma(shape + 1) by the factor
         (1 - U)^(1/shape).
         """
-        if shape <= 0:
-            raise ParameterError(f"gamma shape must be positive, got {shape}")
+        if not (math.isfinite(shape) and shape > 0):
+            raise ParameterError(f"gamma shape must be finite and positive, got {shape}")
+        if n < 0:
+            raise ParameterError(f"n must be nonnegative, got {n}")
         boosted = shape < 1.0
         a = shape + 1.0 if boosted else float(shape)
         d = a - 1.0 / 3.0
@@ -197,7 +228,7 @@ class RngStream:
         """
         if m < 1:
             raise ParameterError(f"Dirichlet length must be >= 1, got {m}")
-        if alpha <= 0:
-            raise ParameterError(f"Dirichlet concentration must be positive, got {alpha}")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ParameterError(f"Dirichlet concentration must be finite and positive, got {alpha}")
         g = self.gammas(alpha, m)
         return g / g.sum()

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 
 from randcoh import closedforms as cf
 from randcoh import linalg, mc
@@ -148,6 +149,36 @@ def test_criterion_08_derivative_principle_m2():
                                    - cf.derivative_principle_density_m2(n, float(x))))
     ok = worst < 1e-10
     assert report(8, ok, f"derivative-principle density vs joint eigenvalue law, max diff {worst:.2e}")
+
+
+def larger_eigenvalue_cdf(n):
+    """CDF of the larger eigenvalue of an m = 2 induced state, integrated
+    exactly from eigen_density_m2: on (0, 1) the density is a polynomial of
+    degree 2n - 2, which interpolation at 2n - 1 nodes reproduces."""
+    density = Chebyshev.interpolate(
+        lambda xs: np.array([cf.eigen_density_m2(n, float(x)) for x in xs]), 2 * n - 2, domain=[0.0, 1.0])
+    # the density is symmetric about 1/2, so the larger eigenvalue has twice
+    # its mass on [1/2, 1)
+    return 2.0 * density.integ(lbnd=0.5)
+
+
+def test_criterion_08_sampled_spectra_follow_the_joint_law():
+    samples = 20_000
+    critical = mc.ks_critical_value(samples, alpha=0.01)
+    details = []
+    ok = True
+    for n in (2, 3, 5):
+        cdf = larger_eigenvalue_cdf(n)
+        assert cdf(1.0) == pytest.approx(1.0, abs=1e-12)
+        states = sample_mixing_state(RngStream(SeedSpec(SEED + 8, n)), EnsembleSpec(2, n), samples)
+        larger = states.spectrum[:, 0]
+        d = mc.ks_statistic(larger, cdf)
+        # power: the same draws must be told apart from the n + 1 law
+        d_wrong = mc.ks_statistic(larger, larger_eigenvalue_cdf(n + 1))
+        ok &= d < critical < d_wrong
+        details.append(f"n={n} KS={d:.5f}, vs n+1 {d_wrong:.5f}")
+    assert report(8, ok, f"sampled m=2 larger eigenvalue vs the joint law, 1% critical value "
+                         f"{critical:.5f} [{'; '.join(details)}]")
 
 
 def test_criterion_09_concentration_sanity():

@@ -59,3 +59,29 @@ def test_traced_estimate_runs_and_restores(spans, tmp_path):
     assert totals["linalg.eig"]["calls"] == chunks
     assert totals["ensembles.state"]["calls"] == chunks
     assert rec.counters["normals"] == 2 * 6 * 1500
+
+
+def test_traced_uniform_count_is_what_the_oracle_consumes(spans, tmp_path):
+    # the one-pass normals consume exactly the uniforms of the round-by-round
+    # oracle, so the traced uniforms_per_sample and polar_accept_ratio are exact
+    from test_randkit import RoundByRoundStream
+
+    class Counted(RoundByRoundStream):
+        consumed = 0
+
+        def uniforms(self, n):
+            Counted.consumed += n
+            return super().uniforms(n)
+
+    config = mc.EstimatorConfig(EnsembleSpec(2, 3), "coherence", 1500, master_seed=72)
+    for index, size in enumerate(mc.chunk_sizes(1500, 6)):
+        Counted(mc.SeedSpec(72, index)).normals(2 * 6 * size)
+    rec = spans.Recorder(tmp_path)
+    restore = spans.install(rec)
+    try:
+        mc.estimate(config)
+    finally:
+        restore()
+    assert rec.counters["uniforms"] == Counted.consumed
+    assert rec.counters["polar_attempted_pairs"] == Counted.consumed // 2
+    assert rec.counters["polar_accepted_pairs"] == 6 * 1500

@@ -12,7 +12,7 @@ from randcoh.ensembles import (
     sample_mixing_state,
     sample_wishart,
 )
-from randcoh.errors import ParameterError
+from randcoh.errors import DomainError, ParameterError
 from randcoh.functionals import harmonic
 from randcoh.randkit import RngStream, SeedSpec
 
@@ -275,23 +275,74 @@ class TestIncompleteGamma:
                     float(special.gammainc(shape, x)), abs=1e-12
                 )
 
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.0, 12.5, 50.0, 120.0, 200.0])
+    def test_array_against_scipy_across_the_branch_point(self, shape):
+        # series below x = shape + 1, continued fraction from there
+        edge = shape + 1.0
+        xs = np.concatenate([np.linspace(1e-9, 3.0 * shape + 40.0, 1201),
+                             [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]])
+        got = mc.gamma_cdf(xs, shape)
+        assert got.shape == xs.shape
+        assert np.abs(got - special.gammainc(shape, xs)).max() <= 1e-12
+
+    def test_array_keeps_its_shape_and_matches_scalars(self):
+        xs = np.array([[0.0, 0.5, 2.0], [3.0, 4.0, 9.0]])
+        got = mc.gamma_cdf(xs, 3.0)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[mc.gamma_cdf(float(x), 3.0) for x in row] for row in xs]
+        assert isinstance(mc.gamma_cdf(2.0, 3.0), float)
+
     def test_edge_values(self):
         assert mc.gamma_cdf(0.0, 3.0) == 0.0
         assert mc.gamma_cdf(-1.0, 3.0) == 0.0
         assert mc.gamma_cdf(1e4, 2.0) == 1.0
 
+    def test_infinite_x_is_one(self):
+        assert mc.gamma_cdf(math.inf, 3.0) == 1.0
+        assert mc.gamma_cdf(np.array([-math.inf, 1.0, math.inf]), 3.0).tolist() == [
+            0.0, mc.gamma_cdf(1.0, 3.0), 1.0]
+
+    def test_nan_x_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            mc.gamma_cdf(math.nan, 3.0)
+        with pytest.raises(DomainError):
+            mc.gamma_cdf(np.array([1.0, math.nan]), 3.0)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ParameterError):
             mc.gamma_cdf(1.0, 0.0)
+
+    @pytest.mark.parametrize("shape", [math.nan, math.inf])
+    def test_rejects_non_finite_shape(self, shape):
+        with pytest.raises(ParameterError):
+            mc.gamma_cdf(1.0, shape)
+        with pytest.raises(ParameterError):
+            mc.gamma_cdf(np.array([1.0, 2.0]), shape)
 
 
 class TestKolmogorovSmirnov:
     def test_one_sample_matches_scipy(self):
         rng = np.random.default_rng(5)
         values = rng.random(4000)
-        ours = mc.ks_statistic(values, lambda x: min(max(x, 0.0), 1.0))
+        ours = mc.ks_statistic(values, lambda x: np.clip(x, 0.0, 1.0))
         theirs, _ = sps.kstest(values, "uniform")
         assert ours == pytest.approx(theirs, abs=1e-12)
+
+    def test_cdf_is_called_once_on_the_sorted_sample(self):
+        calls = []
+
+        def cdf(x):
+            calls.append(x.copy())
+            return np.clip(x, 0.0, 1.0)
+
+        values = np.random.default_rng(7).random(50)
+        mc.ks_statistic(values, cdf)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.sort(values))
+
+    def test_rejects_a_cdf_that_is_not_an_array_map(self):
+        with pytest.raises(ParameterError):
+            mc.ks_statistic(np.array([0.2, 0.4, 0.6]), lambda x: 0.5)
 
     def test_two_sample_matches_scipy(self):
         rng = np.random.default_rng(6)

@@ -1,5 +1,11 @@
+import contextlib
+import math
+import random
+import signal
+
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy import stats as sps
 
 from randcoh.errors import ParameterError
@@ -8,6 +14,60 @@ from randcoh.randkit import RngStream, SeedSpec
 
 def stream(master=2024, index=0):
     return RngStream(SeedSpec(master, index))
+
+
+class RoundByRoundStream(RngStream):
+    """Test oracle: polar normals drawn in rejection rounds, each round
+    requesting exactly one pair per normal still needed (the one-pass
+    lookahead in RngStream.normals must reproduce it bit for bit)."""
+
+    def normals(self, n):
+        out = np.empty(n, dtype=np.float64)
+        filled = 0
+        if self._spare_normal is not None and n > 0:
+            out[0] = self._spare_normal
+            self._spare_normal = None
+            filled = 1
+        while filled < n:
+            npairs = (n - filled + 1) // 2
+            u = self.uniforms(2 * npairs) * 2.0 - 1.0
+            x = u[0::2]
+            y = u[1::2]
+            s = x * x + y * y
+            ok = (s > 0.0) & (s < 1.0)
+            if not ok.any():
+                continue
+            xs, ys, ss = x[ok], y[ok], s[ok]
+            f = np.sqrt(-2.0 * np.log(ss) / ss)
+            block = np.empty(2 * xs.size, dtype=np.float64)
+            block[0::2] = f * xs
+            block[1::2] = f * ys
+            take = min(block.size, n - filled)
+            out[filled:filled + take] = block[:take]
+            filled += take
+            if take < block.size:
+                self._spare_normal = float(block[take])
+        return out
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Turn a hang into a failure: raise TimeoutError after seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"call did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def philox_uniforms(master, index, count):
+    raw = Philox(key=np.array([master, index], dtype=np.uint64)).random_raw(count)
+    return (raw >> np.uint64(11)) * 2.0**-53
 
 
 class TestSeedSpec:
@@ -55,6 +115,63 @@ class TestDeterminism:
         a = stream(99, 0).uniforms(n)
         b = stream(99, 1).uniforms(n)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
+
+
+class TestStreamLayout:
+    SIZES = (0, 1, 2, 3, 7, 1000, 8192, 100_001)
+
+    @pytest.mark.parametrize("master,index", [(0, 0), (2024, 3), (2**64 - 1, 2**32 - 1)])
+    def test_uniforms_are_the_scaled_philox_outputs_across_refills(self, master, index):
+        # requests that end just before, on and just after 4096-output refills
+        sizes = (1, 4094, 1, 1, 5000, 3191, 4096, 0, 9000, 7)
+        s = RngStream(SeedSpec(master, index))
+        got = np.concatenate([s.uniforms(k) for k in sizes])
+        assert np.array_equal(got, philox_uniforms(master, index, sum(sizes)))
+
+    def test_normals_match_the_round_by_round_oracle(self):
+        rnd = random.Random(4)
+        for pattern in range(40):
+            master, index = rnd.getrandbits(64), rnd.getrandbits(32)
+            ours, oracle = RngStream(SeedSpec(master, index)), RoundByRoundStream(SeedSpec(master, index))
+            for _ in range(rnd.randint(1, 8)):
+                op, size = rnd.choice("nnug"), rnd.choice(self.SIZES)
+                if op == "n":
+                    a, b = ours.normals(size), oracle.normals(size)
+                elif op == "u":
+                    a, b = ours.uniforms(size), oracle.uniforms(size)
+                else:
+                    shape = rnd.choice((0.5, 1.0, 3.5))
+                    size = min(size, 8192)
+                    a, b = ours.gammas(shape, size), oracle.gammas(shape, size)
+                assert np.array_equal(a, b), (pattern, op, size)
+                assert ours._spare_normal == oracle._spare_normal
+            assert np.array_equal(ours.uniforms(5), oracle.uniforms(5))
+
+    def test_short_lookahead_continues_exactly(self):
+        # one pair per call: its lookahead of 4 pairs holds no accepted pair
+        # with probability (1 - pi/4)^4 = 0.2%, so 3000 calls take that branch
+        # that branch consumes the lookahead and then draws again
+        class Counting(RngStream):
+            consumptions = 0
+
+            def uniforms(self, n):
+                Counting.consumptions += 1
+                return super().uniforms(n)
+
+        ours, oracle = Counting(SeedSpec(5, 0)), RoundByRoundStream(SeedSpec(5, 0))
+        for _ in range(3000):
+            assert np.array_equal(ours.normals(2), oracle.normals(2))
+        assert Counting.consumptions > 3000
+        assert np.array_equal(ours.uniforms(5), oracle.uniforms(5))
+
+    @pytest.mark.parametrize("method", ["normals", "complex_gaussians", "uniforms"])
+    def test_negative_count_is_a_parameter_error(self, method):
+        with pytest.raises(ParameterError):
+            getattr(stream(), method)(-1)
+
+    def test_negative_gamma_count_is_a_parameter_error(self):
+        with pytest.raises(ParameterError):
+            stream().gammas(2.0, -1)
 
 
 class TestStandardNormal:
@@ -113,6 +230,14 @@ class TestGamma:
         with pytest.raises(ParameterError):
             stream().gammas(-1.0, 5)
 
+    def test_nan_shape_is_a_parameter_error(self):
+        with time_limit(5), pytest.raises(ParameterError):
+            stream().gammas(math.nan, 3)
+
+    def test_infinite_shape_is_a_parameter_error(self):
+        with pytest.raises(ParameterError):
+            stream().gammas(math.inf, 3)
+
     def test_scalar_draw_matches_batch(self):
         s1, s2 = stream(14), stream(14)
         assert s1.sample_gamma(2.5) == s2.gammas(2.5, 1)[0]
@@ -140,6 +265,11 @@ class TestDirichlet:
             d = s.sample_symmetric_dirichlet(5, 1.5)
             assert d.min() >= 0.0
             assert abs(d.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_concentration(self, alpha):
+        with time_limit(5), pytest.raises(ParameterError):
+            stream().sample_symmetric_dirichlet(3, alpha)
 
     def test_rejects_empty_vector(self):
         with pytest.raises(ParameterError):
