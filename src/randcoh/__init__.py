@@ -17,7 +17,6 @@ from .ensembles import (
     EnsembleSpec,
     sample_diag_dirichlet,
     sample_ginibre,
-    sample_induced_state,
     sample_isospectral_diagonal,
     sample_mixing_state,
     sample_wishart,

@@ -242,6 +242,8 @@ def _complex_matrix_json(matrix: np.ndarray):
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise UsageError(f"--count must be >= 0, got {args.count}")
     spec = EnsembleSpec(args.m, args.n, args.k)
     stream = RngStream(SeedSpec(args.seed, 0))
     for _ in range(args.count):
@@ -306,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=cmd_concentration)
 
     p_sam = sub.add_parser("sample", help="dump sampled states or diagnostics as JSONL")
-    p_sam.add_argument("--count", type=int, required=True, help="number of draws")
+    p_sam.add_argument("--count", type=int, required=True, help="number of draws (>= 0)")
     p_sam.add_argument("--what", choices=["state", "diag", "spectrum"], default="state")
     add_common(p_sam, samples=False)
     p_sam.set_defaults(func=cmd_sample)

@@ -74,8 +74,8 @@ def concentration_bound(m: int, n: int, epsilon: float) -> float:
         raise ParameterError(f"the tail bound requires m >= 3, got {m}")
     if n < m:
         raise ParameterError(f"requires m <= n, got m={m}, n={n}")
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
     exponent = -(m * n * epsilon**2) / (144.0 * math.pi**3 * _LN2 * math.log(m) ** 2)
     return min(1.0, 2.0 * math.exp(exponent))
 
@@ -99,36 +99,20 @@ def eigen_density_m2(n: int, x: float) -> float:
     return (2.0 * x - 1.0) ** 2 * (x * (1.0 - x)) ** (n - 2) / norm
 
 
-_DP_NORMALIZERS: dict[int, float] = {}
-
-
-def _dp_unnormalized(n: int, x: np.ndarray | float):
-    # (lam2 - lam1) * d/dx of the diagonal density (x(1-x))^(n-1)/B(n,n),
-    # with the operator d/d lam1 - d/d lam2 restricted to lam2 = 1 - lam1
-    beta_nn = math.exp(_log_beta(n, n))
-    return (1.0 - 2.0 * x) * (n - 1) * (x * (1.0 - x)) ** (n - 2) * (1.0 - 2.0 * x) / beta_nn
-
-
-def _dp_normalizer(n: int) -> float:
-    z = _DP_NORMALIZERS.get(n)
-    if z is None:
-        # integrand is a polynomial of degree 2n - 2: Gauss-Legendre is exact
-        nodes, weights = np.polynomial.legendre.leggauss(n + 8)
-        t = 0.5 * (nodes + 1.0)
-        z = float(0.5 * np.sum(weights * _dp_unnormalized(n, t)))
-        _DP_NORMALIZERS[n] = z
-    return z
-
-
 def derivative_principle_density_m2(n: int, x: float) -> float:
     """m = 2 eigenvalue density reconstructed from the diagonal law by the
-    derivative principle, normalized to unit mass by exact quadrature.
+    derivative principle.
 
-    Agrees pointwise with eigen_density_m2: both reduce to the same
-    polynomial profile, but through independent constant factors.
+    (lam2 - lam1) times (d/d lam1 - d/d lam2) of the diagonal density
+    (x(1-x))^(n-1)/B(n,n), restricted to lam2 = 1 - lam1 = 1 - x, has unit
+    mass after division by 2: integration by parts gives
+    int_0^1 (1-2x) d/dx[(x(1-x))^(n-1)] dx = 2 B(n,n).  Agrees pointwise
+    with eigen_density_m2: both reduce to the same polynomial profile, but
+    through independent constant factors.
     """
     if n < 2:
         raise ParameterError(f"m = 2 spectra need n >= 2, got n={n}")
     if not 0.0 < x < 1.0:
         return 0.0
-    return float(_dp_unnormalized(n, x)) / _dp_normalizer(n)
+    beta_nn = math.exp(_log_beta(n, n))
+    return (1.0 - 2.0 * x) * (n - 1) * (x * (1.0 - x)) ** (n - 2) * (1.0 - 2.0 * x) / beta_nn / 2.0

@@ -3,9 +3,10 @@
 The base object is the Ginibre matrix (i.i.d. complex standard Gaussians).
 Its Gram matrix is a Wishart matrix; trace-normalizing that gives the
 induced random mixed state.  Mixing ensembles of order k are realized by
-block concatenation: one m x (k*n) Ginibre draw, so the k = 1 case reduces
-bit-for-bit to the plain induced sampler.  Direct Dirichlet and
-Haar-isospectral samplers cover the marginal laws that have one.
+block concatenation: one m x (k*n) Ginibre draw, so one sampler,
+sample_mixing_state, covers both, and k = 1 is the induced measure.
+Direct Dirichlet and Haar-isospectral samplers cover the marginal laws
+that have one.
 """
 
 from __future__ import annotations
@@ -118,21 +119,13 @@ def sample_wishart(stream: RngStream, m: int, n: int) -> np.ndarray:
     return linalg.gram(sample_ginibre(stream, m, n))
 
 
-def sample_induced_state(stream: RngStream, spec: EnsembleSpec) -> DensityMatrix:
-    """Random mixed state of the induced measure: a Wishart draw normalized
-    by its trace."""
-    if spec.k != 1:
-        raise ParameterError(f"induced states have k=1, got k={spec.k}; use sample_mixing_state")
-    return sample_mixing_state(stream, spec)
-
-
 def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None = None) -> DensityMatrix:
     """Random state of the order-k mixing ensemble.
 
     Drawn as the trace-normalized Gram matrix of one m x (k*n) Ginibre
-    block; for k=1 this is exactly the induced sampler, same stream, same
-    state.  With size, a DensityMatrix holding a (size, m, m) stack; a
-    single state is the stack of one, so both give the same states.
+    block; k=1 gives the induced measure.  With size, a DensityMatrix
+    holding a (size, m, m) stack; a single state is the stack of one, so
+    both give the same states.
     """
     w = linalg.gram(sample_ginibre(stream, spec.m, spec.env_dim, 1 if size is None else size))
     return DensityMatrix._from_gram(w[0] if size is None else w)

@@ -59,12 +59,13 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     return vals[..., ::-1].copy()
 
 
-def clamp_spectrum(values: np.ndarray, check_sum: bool = True) -> np.ndarray:
+def clamp_spectrum(values: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues of a density matrix into a valid spectrum.
 
     Values in [-EIG_CLAMP, 0) are rounding noise and are set to 0; anything
-    more negative, or not finite, signals a broken sampler and raises.  A
-    stack of spectra (..., m) is checked row by row.
+    more negative, not finite, or a spectrum that does not sum to 1 signals
+    a broken sampler and raises.  A stack of spectra (..., m) is checked
+    row by row.
     """
     vals = np.array(values, dtype=np.float64)
     if not np.isfinite(vals).all():
@@ -72,11 +73,10 @@ def clamp_spectrum(values: np.ndarray, check_sum: bool = True) -> np.ndarray:
     if vals.size and vals.min() < -EIG_CLAMP:
         raise NumericalError(f"eigenvalue {vals.min():.3e} below clamp tolerance -{EIG_CLAMP:.0e}")
     np.clip(vals, 0.0, None, out=vals)
-    if check_sum:
-        sums = vals.sum(axis=-1)
-        bad = np.abs(sums - 1.0) > SPECTRUM_SUM_TOL
-        if bad.any():
-            raise NumericalError(f"spectrum sums to {float(np.asarray(sums)[bad].flat[0])!r}, expected 1")
+    sums = vals.sum(axis=-1)
+    bad = np.abs(sums - 1.0) > SPECTRUM_SUM_TOL
+    if bad.any():
+        raise NumericalError(f"spectrum sums to {float(np.asarray(sums)[bad].flat[0])!r}, expected 1")
     return vals
 
 

@@ -255,11 +255,10 @@ def _concentration_worker(spec: EnsembleSpec, epsilon: float, master_seed: int,
 def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
                             master_seed: int, workers: int = 1) -> tuple[float, float]:
     """Observed tail fraction of |C(rho) - (m-1)/2kn| > epsilon, paired with
-    the theoretical tail bound at the effective environment dimension."""
-    if spec.m < 3:
-        raise ParameterError(f"the tail bound requires m >= 3, got {spec.m}")
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    the theoretical tail bound at the effective environment dimension.
+
+    The bound is computed before any draw, so its checks of m and epsilon
+    are the ones that apply here."""
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     if workers < 1:

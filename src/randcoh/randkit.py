@@ -1,5 +1,5 @@
-"""Deterministic, splittable random streams and the scalar distributions
-every sampler in this package is built on.
+"""Deterministic, splittable random streams and the distributions every
+sampler in this package is built on.
 
 The generator is Philox-4x64, a counter-based PRNG whose raw 64-bit output
 sequence is a fixed function of its 128-bit key.  Stream derivation is the
@@ -12,7 +12,8 @@ stream on every platform and numpy version.
 
 Distributions are implemented as explicit transforms of the uniform stream:
 polar Box-Muller for normals, Marsaglia-Tsang for Gamma, normalized Gamma
-variates for the symmetric Dirichlet.
+variates for the symmetric Dirichlet.  Every draw method returns an array
+of n draws; one draw is the batch of one, e.g. ``uniforms(1)[0]``.
 
 Uniforms are buffered.  A request that the buffer cannot serve refills
 only its shortfall, at least 4096 raw outputs at a time.  Polar normals
@@ -35,8 +36,6 @@ from numpy.random import Philox
 
 from .errors import ParameterError
 
-_U64_MAX = 2**64 - 1
-_U32_MAX = 2**32 - 1
 _BLOCK = 4096
 _INV_2_53 = 2.0**-53
 _SQRT_HALF = math.sqrt(0.5)
@@ -57,10 +56,11 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.master_seed <= _U64_MAX:
-            raise ParameterError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
-        if not 0 <= self.stream_index <= _U32_MAX:
-            raise ParameterError(f"stream_index must be a 32-bit unsigned integer, got {self.stream_index}")
+        # a float would pass the range test and be truncated by the key cast
+        for name, value, bits in (("master_seed", self.master_seed, 64),
+                                  ("stream_index", self.stream_index, 32)):
+            if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**bits):
+                raise ParameterError(f"{name} must be a {bits}-bit unsigned integer, got {value!r}")
 
 
 class RngStream:
@@ -73,16 +73,11 @@ class RngStream:
     """
 
     def __init__(self, seed: SeedSpec):
-        self.seed = seed
         key = np.array([seed.master_seed, seed.stream_index], dtype=np.uint64)
         self._bitgen = Philox(key=key)
         self._buf = np.empty(0, dtype=np.float64)
         self._pos = 0
         self._spare_normal: float | None = None
-
-    @classmethod
-    def from_seeds(cls, master_seed: int, stream_index: int = 0) -> "RngStream":
-        return cls(SeedSpec(master_seed, stream_index))
 
     # -- uniform layer ------------------------------------------------------
 
@@ -107,9 +102,6 @@ class RngStream:
             self._buf = np.concatenate([self._buf[self._pos:], (raw >> np.uint64(11)) * _INV_2_53])
             self._pos = 0
         return self._buf[self._pos:self._pos + n]
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
 
     # -- normal layer -------------------------------------------------------
 
@@ -156,10 +148,6 @@ class RngStream:
                 self._spare_normal = float(block[take])
         return out
 
-    def standard_normal(self) -> float:
-        """One draw from N(0, 1)."""
-        return float(self.normals(1)[0])
-
     # -- complex Gaussian layer ----------------------------------------------
 
     def complex_gaussians(self, n: int) -> np.ndarray:
@@ -171,9 +159,6 @@ class RngStream:
             raise ParameterError(f"n must be nonnegative, got {n}")
         nrm = self.normals(2 * n)
         return _SQRT_HALF * (nrm[0::2] + 1j * nrm[1::2])
-
-    def complex_standard_gaussian(self) -> complex:
-        return complex(self.complex_gaussians(1)[0])
 
     # -- Gamma / Dirichlet layer ----------------------------------------------
 
@@ -216,10 +201,6 @@ class RngStream:
             u = self.uniforms(n)
             out *= (1.0 - u) ** (1.0 / shape)
         return out
-
-    def sample_gamma(self, shape: float) -> float:
-        """One draw from Gamma(shape, scale=1)."""
-        return float(self.gammas(shape, 1)[0])
 
     def sample_symmetric_dirichlet(self, m: int, alpha: float) -> np.ndarray:
         """One draw from Dirichlet(alpha, ..., alpha) of length m.

@@ -18,7 +18,6 @@ from randcoh.ensembles import (
     EnsembleSpec,
     sample_diag_dirichlet,
     sample_ginibre,
-    sample_induced_state,
     sample_isospectral_diagonal,
     sample_mixing_state,
     sample_wishart,
@@ -78,10 +77,8 @@ def test_criterion_03_average_diagonal_entropy_both_routes():
         full = mc.run_comparison(config)
 
         # direct Dirichlet route, on an independent substream
-        direct = mc.RunningStats()
         stream = RngStream(SeedSpec(SEED + 3, 999))
-        for _ in range(N_GRID):
-            direct.update(shannon_entropy(sample_diag_dirichlet(stream, spec)))
+        direct = mc.RunningStats.of(shannon_entropy(sample_diag_dirichlet(stream, spec, N_GRID)))
         closed = cf.avg_diag_entropy(m, n)
         z_direct = (direct.mean - closed) / direct.stderr
         gap = abs(full.mc_mean - direct.mean)
@@ -254,13 +251,13 @@ def test_criterion_10_property_suites():
     pairs = [
         twice(lambda s: sample_ginibre(s, 3, 4)),
         twice(lambda s: sample_wishart(s, 3, 4)),
-        twice(lambda s: sample_induced_state(s, EnsembleSpec(3, 4)).matrix),
+        twice(lambda s: sample_mixing_state(s, EnsembleSpec(3, 4)).matrix),
         twice(lambda s: sample_mixing_state(s, EnsembleSpec(2, 3, k=2)).matrix),
         twice(lambda s: sample_diag_dirichlet(s, EnsembleSpec(3, 4))),
         twice(lambda s: sample_isospectral_diagonal(s, np.array([0.6, 0.3, 0.1]))),
         twice(lambda s: linalg.haar_unitary(s, 4)),
-        twice(lambda s: np.array([s.standard_normal(), s.sample_gamma(2.5)])),
-        twice(lambda s: np.array([s.complex_standard_gaussian()])),
+        twice(lambda s: np.concatenate([s.normals(1), s.gammas(2.5, 1)])),
+        twice(lambda s: s.complex_gaussians(1)),
         twice(lambda s: s.sample_symmetric_dirichlet(5, 2.0)),
     ]
     checks["f:reproducible"] = all(np.array_equal(a, b) for a, b in pairs)

@@ -220,6 +220,16 @@ class TestConcentration:
         assert code == 1
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_is_a_usage_error(self, capsys, epsilon):
+        code, out, err = run_cli(
+            capsys, "concentration", "--m", "3", "--n", "3", "--epsilon", epsilon,
+            "--samples", "100", "--seed", "4",
+        )
+        assert code == 1
+        assert out == ""
+        assert "epsilon" in err
+
 
 class TestSample:
     def test_spectrum_lines_are_probability_vectors(self, capsys):
@@ -258,6 +268,12 @@ class TestSample:
         _, first, _ = run_cli(capsys, *flags)
         _, second, _ = run_cli(capsys, *flags)
         assert first == second
+
+    def test_negative_count_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--m", "2", "--n", "2", "--count", "-3", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "--count" in err
 
 
 class TestEntryPoint:

@@ -138,8 +138,10 @@ class TestConcentrationBound:
             cf.concentration_bound(2, 4, 0.1)
         with pytest.raises(ParameterError):
             cf.concentration_bound(4, 3, 0.1)
-        with pytest.raises(ParameterError):
-            cf.concentration_bound(3, 3, 0.0)
+        # every comparison with NaN is False, so a sign test alone lets NaN through
+        for epsilon in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                cf.concentration_bound(3, 3, epsilon)
 
 
 class TestEigenDensityM2:

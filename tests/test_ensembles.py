@@ -10,7 +10,6 @@ from randcoh.ensembles import (
     EnsembleSpec,
     sample_diag_dirichlet,
     sample_ginibre,
-    sample_induced_state,
     sample_isospectral_diagonal,
     sample_mixing_state,
     sample_wishart,
@@ -63,7 +62,7 @@ class TestDensityMatrix:
         assert np.array_equal(rho.spectrum, [[0.7, 0.3], [0.8, 0.2]])
 
     def test_caches_diagonal_and_spectrum(self):
-        rho = sample_induced_state(stream(), EnsembleSpec(3, 3))
+        rho = sample_mixing_state(stream(), EnsembleSpec(3, 3))
         assert np.array_equal(rho.diagonal, np.real(np.diagonal(rho.matrix)))
         assert rho.spectrum is rho.spectrum  # second access reuses the cache
 
@@ -96,7 +95,7 @@ class TestGinibre:
         block = sample_ginibre(a, 3, 4, 25)
         assert block.shape == (25, 3, 4)
         assert np.array_equal(block, [sample_ginibre(b, 3, 4) for _ in range(25)])
-        assert a.uniform() == b.uniform()  # and leaves the stream at the same place
+        assert a.uniforms(1) == b.uniforms(1)  # and leaves the stream at the same place
 
 
 class TestWishart:
@@ -126,39 +125,25 @@ class TestWishart:
 
 class TestInducedState:
     def test_dimension_one_is_the_unit_state(self):
-        rho = sample_induced_state(stream(), EnsembleSpec(1, 1))
+        rho = sample_mixing_state(stream(), EnsembleSpec(1, 1))
         assert rho.matrix == pytest.approx(np.array([[1.0 + 0j]]))
 
     def test_diagonal_matches_dirichlet_mean(self):
-        s = stream(5)
-        spec = EnsembleSpec(2, 3)
-        diags = np.array([sample_induced_state(s, spec).diagonal for _ in range(100_000)])
+        diags = sample_mixing_state(stream(5), EnsembleSpec(2, 3), 100_000).diagonal
         assert np.abs(diags.mean(axis=0) - 0.5).max() < 0.005
 
     def test_mean_entropy_matches_page(self):
         # H_4 - H_2 - 1/4 = 1/3 for m = n = 2
-        s = stream(6)
-        spec = EnsembleSpec(2, 2)
-        vals = [functionals.von_neumann_entropy(sample_induced_state(s, spec)) for _ in range(20_000)]
+        states = sample_mixing_state(stream(6), EnsembleSpec(2, 2), 20_000)
+        vals = functionals.von_neumann_entropy(states)
         assert abs(np.mean(vals) - 1.0 / 3.0) < 0.01
-
-    def test_rejects_mixing_order(self):
-        with pytest.raises(ParameterError):
-            sample_induced_state(stream(), EnsembleSpec(2, 2, k=2))
 
 
 class TestMixingState:
-    def test_order_one_reduces_to_induced_sampler(self):
-        a = sample_mixing_state(stream(12), EnsembleSpec(2, 3, k=1))
-        b = sample_induced_state(stream(12), EnsembleSpec(2, 3))
-        assert np.array_equal(a.matrix, b.matrix)
-
     def test_mean_coherence_order_two(self):
         # C-bar(E_2) = (m-1)/(4n) = 1/8 at m = n = 2
-        s = stream(7)
-        spec = EnsembleSpec(2, 2, k=2)
-        vals = [functionals.relative_entropy_of_coherence(sample_mixing_state(s, spec))
-                for _ in range(20_000)]
+        states = sample_mixing_state(stream(7), EnsembleSpec(2, 2, k=2), 20_000)
+        vals = functionals.relative_entropy_of_coherence(states)
         assert abs(np.mean(vals) - 0.125) < 0.01
 
     @pytest.mark.parametrize("spec", [EnsembleSpec(1, 3), EnsembleSpec(2, 2), EnsembleSpec(3, 4, k=3)])
@@ -169,7 +154,7 @@ class TestMixingState:
         assert stack.matrix.shape == (40, spec.m, spec.m)
         assert np.array_equal(stack.matrix, [rho.matrix for rho in singles])
         assert np.array_equal(stack.spectrum, [rho.spectrum for rho in singles])
-        assert a.uniform() == b.uniform()
+        assert a.uniforms(1) == b.uniforms(1)
 
     def test_unit_trace(self):
         s = stream(8)
@@ -184,9 +169,8 @@ class TestDiagDirichlet:
 
     def test_mean_diag_entropy(self):
         # average diagonal entropy is H_mn - H_n = H_4 - H_2 at m = n = 2
-        s = stream(9)
-        spec = EnsembleSpec(2, 2)
-        vals = [functionals.shannon_entropy(sample_diag_dirichlet(s, spec)) for _ in range(100_000)]
+        diags = sample_diag_dirichlet(stream(9), EnsembleSpec(2, 2), 100_000)
+        vals = functionals.shannon_entropy(diags)
         assert abs(np.mean(vals) - (H4 - H2)) < 0.005
 
     def test_single_draw_is_the_stack_of_one(self):
@@ -209,8 +193,8 @@ class TestDiagDirichlet:
         spec = EnsembleSpec(2, 3)
         n = 100_000
         s_full, s_diag = stream(10, 0), stream(10, 1)
-        from_states = np.array([sample_induced_state(s_full, spec).diagonal[0] for _ in range(n)])
-        direct = np.array([sample_diag_dirichlet(s_diag, spec)[0] for _ in range(n)])
+        from_states = sample_mixing_state(s_full, spec, n).diagonal[:, 0]
+        direct = sample_diag_dirichlet(s_diag, spec, n)[:, 0]
         d, _ = sps.ks_2samp(from_states, direct)
         assert d < 0.01
 
@@ -233,10 +217,8 @@ class TestIsospectralDiagonal:
 
     def test_mean_diag_entropy_pure_qubit(self):
         # Haar average of S(diag) on the (1, 0) orbit is H_2 - 1 = 1/2
-        s = stream(13)
-        lam = np.array([1.0, 0.0])
-        vals = [functionals.shannon_entropy(sample_isospectral_diagonal(s, lam))
-                for _ in range(100_000)]
+        diags = sample_isospectral_diagonal(stream(13), np.array([1.0, 0.0]), 100_000)
+        vals = functionals.shannon_entropy(diags)
         assert abs(np.mean(vals) - 0.5) < 0.005
 
 
@@ -257,15 +239,9 @@ class TestEnsembleInvariants:
         u = linalg.haar_unitary(stream(555), 3)
         n = 10_000
         s_plain, s_conj = stream(14, 0), stream(14, 1)
-        plain = np.array([functionals.von_neumann_entropy(sample_induced_state(s_plain, spec))
-                          for _ in range(n)])
-        conjugated = []
-        for _ in range(n):
-            rho = sample_induced_state(s_conj, spec)
-            conjugated.append(
-                functionals.von_neumann_entropy(DensityMatrix(u @ rho.matrix @ u.conj().T))
-            )
-        conjugated = np.array(conjugated)
+        plain = functionals.von_neumann_entropy(sample_mixing_state(s_plain, spec, n))
+        rho = sample_mixing_state(s_conj, spec, n)
+        conjugated = functionals.von_neumann_entropy(DensityMatrix(u @ rho.matrix @ u.conj().T))
         gap = abs(plain.mean() - conjugated.mean())
         stderr = math.sqrt(plain.var() / n + conjugated.var() / n)
         assert gap < 3 * stderr

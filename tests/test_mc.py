@@ -440,7 +440,9 @@ class TestEmpiricalConcentration:
     def test_hypothesis_guards(self):
         with pytest.raises(ParameterError):
             mc.empirical_concentration(EnsembleSpec(2, 2), 0.1, 100, 0)
-        with pytest.raises(ParameterError):
-            mc.empirical_concentration(EnsembleSpec(3, 3), 0.0, 100, 0)
+        # a NaN or infinite epsilon makes every deviation test False: a silent pass
+        for epsilon in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                mc.empirical_concentration(EnsembleSpec(3, 3), epsilon, 100, 0)
         with pytest.raises(ParameterError):
             mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 100, 0, workers=0)
