@@ -5,6 +5,8 @@ Its Gram matrix is a Wishart matrix; trace-normalizing that gives the
 induced random mixed state.  Mixing ensembles of order k are realized by
 block concatenation: one m x (k*n) Ginibre draw, so one sampler,
 sample_mixing_state, covers both, and k = 1 is the induced measure.
+sample_mixing_spectrum draws the spectra of the same states from the
+Laguerre bidiagonal model, at a cost that does not grow with k*n.
 Direct Dirichlet and Haar-isospectral samplers cover the marginal laws
 that have one.
 """
@@ -32,6 +34,12 @@ class EnsembleSpec:
     k: int = 1
 
     def __post_init__(self):
+        # a float would slip through the range tests and on into the Gamma
+        # shapes and array sizes
+        for name in ("m", "n", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.m < 1:
             raise ParameterError(f"m must be >= 1, got {self.m}")
         if self.m > self.n:
@@ -129,6 +137,39 @@ def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None 
     """
     w = linalg.gram(sample_ginibre(stream, spec.m, spec.env_dim, 1 if size is None else size))
     return DensityMatrix._from_gram(w[0] if size is None else w)
+
+
+def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> np.ndarray:
+    """Spectra of size states of the order-k mixing ensemble, without the
+    states: a (size, m) stack, each row descending, clamped and summing to 1.
+
+    The beta = 2 Laguerre matrix model (Dumitriu & Edelman, "Matrix models
+    for beta ensembles", J. Math. Phys. 43, 2002): the Wishart matrix of an
+    m x (k*n) Ginibre block has the spectrum of T = B B^T, for B real lower
+    bidiagonal with diagonal sqrt(Gamma(kn - i)), i = 0..m-1, and
+    sub-diagonal sqrt(Gamma(m - 1 - i)), i = 0..m-2; T is tridiagonal, and
+    its spectrum divided by its trace is that of the sampled state.  A draw
+    consumes 2m - 1 Gamma variates, diagonal shapes first, whatever k*n is;
+    the stack draws all of them in one gammas call, draw by draw.  The
+    states' eigenbasis is Haar and independent of the spectrum, so this
+    covers every quantity of the spectrum alone; sample_mixing_state stays
+    the sampler of the states.
+    """
+    m, kn = spec.m, spec.env_dim
+    shapes = np.concatenate([kn - np.arange(m), m - 1 - np.arange(m - 1)]).astype(np.float64)
+    g = stream.gammas(np.tile(shapes, size), size * shapes.size).reshape(size, -1)
+    diag, sub = g[:, :m], g[:, m:]
+    # (B B^T)_ii = a_i^2 + b_(i-1)^2 and (B B^T)_(i,i-1) = b_(i-1) a_(i-1);
+    # in a flattened m x m matrix the diagonal is every (m+1)-th entry from
+    # 0, the sub-diagonal from m and the super-diagonal from 1
+    t = np.zeros((size, m * m))
+    t[:, ::m + 1] = diag
+    t[:, m + 1::m + 1] += sub
+    off = np.sqrt(sub * diag[:, :-1])
+    t[:, m::m + 1] = off
+    t[:, 1::m + 1] = off
+    vals = linalg.hermitian_eigenvalues(t.reshape(size, m, m)) / g.sum(axis=-1, keepdims=True)
+    return linalg.clamp_spectrum(vals)
 
 
 def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec, size: int | None = None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small Hermitian problems.
+"""Dense linear algebra for small Hermitian (complex or real symmetric) problems.
 
 Eigenvalues are delegated to LAPACK (``numpy.linalg.eigvalsh``); the module
 adds the contracts the rest of the package relies on: Hermitian symmetry
@@ -23,7 +23,8 @@ SPECTRUM_SUM_TOL = 1e-10
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
+    t = np.swapaxes(a, -1, -2)
+    return np.conj(t) if np.iscomplexobj(t) else t
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -45,12 +46,18 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     A stack of shape (..., m, m) gives spectra of shape (..., m).  Input must
     be Hermitian within HERMITIAN_TOL relative to its largest entry; LAPACK
     then reads one triangle, so the input is not averaged a second time.
+    Real input stays real: a real symmetric stack is solved by the real
+    routine, which is cheaper than the complex one on the same matrices.
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-    if (np.abs(a - _dagger(a)).max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any():
+    asym = a - _dagger(a)
+    # a real stack takes its modulus in place: one temporary instead of two
+    asym = np.abs(asym) if np.iscomplexobj(asym) else np.abs(asym, out=asym)
+    if (asym.max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any():
         raise ParameterError("matrix is not Hermitian within tolerance")
     try:
         vals = np.linalg.eigvalsh(a)

@@ -1,15 +1,19 @@
 """Parallel Monte Carlo estimation with streaming statistics.
 
 A job of `samples` draws is split into chunks by a fixed rule
-(chunk_sizes: at most CHUNK_ENTRIES Ginibre entries per chunk, so the
-split depends only on the draw's shape).  Chunk c draws from the random
-stream keyed (master_seed, c), evaluates its draws as one stack of states
-and is reduced to (count, mean, m2); the chunk results merge in chunk
-order.  The chunk is thus the unit of randomness as well as the unit of
-work, and workers only schedule chunks: the same (master_seed, samples)
-gives bit-identical results for any worker count, on any machine, whether
-the chunks ran inline or in a process pool.  A job of one chunk always
-runs inline.
+(chunk_sizes: at most CHUNK_ENTRIES random variates per chunk, counted as
+the draw consumes them, so the split depends only on the quantity and on
+(m, k*n)).  Entropy and subentropy depend on the spectrum alone: their
+draws are spectra from the Laguerre bidiagonal model, 2m - 1 Gamma
+variates each (sample_mixing_spectrum).  Every other quantity draws states
+from an m x kn Ginibre block (m*kn entries) or, on a fixed-spectrum orbit,
+one m x m Haar matrix (m^2 entries).  Chunk c draws from the random stream
+keyed (master_seed, c), evaluates its draws as one stack and is reduced to
+(count, mean, m2); the chunk results merge in chunk order.  The chunk is
+thus the unit of randomness as well as the unit of work, and workers only
+schedule chunks: the same (master_seed, samples) gives bit-identical
+results for any worker count, on any machine, whether the chunks ran
+inline or in a process pool.  A job of one chunk always runs inline.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF
 live here so the distributional checks need nothing outside the package.
@@ -31,13 +35,14 @@ import numpy as np
 
 from . import closedforms, functionals
 # every sampler the estimators use is looked up in this module's namespace,
-# where the traced benchmark run (bench/spans.py) wraps it; sample_wishart
+# where the traced benchmark run (bench/spans.py) can wrap it; sample_wishart
 # stays listed there although no estimator calls it
 from .ensembles import (  # noqa: F401
     EnsembleSpec,
     sample_diag_dirichlet,
     sample_ginibre,
     sample_isospectral_diagonal,
+    sample_mixing_spectrum,
     sample_mixing_state,
     sample_wishart,
 )
@@ -45,15 +50,23 @@ from .errors import DomainError, ParameterError
 from .randkit import RngStream, SeedSpec
 
 QUANTITIES = ("entropy", "diag_entropy", "coherence", "subentropy", "isospectral_diag_entropy")
+# quantities of the spectrum alone, drawn by sample_mixing_spectrum
+SPECTRAL_QUANTITIES = ("entropy", "subentropy")
 
 Z_PASS_THRESHOLD = 4.0
 
-# Ginibre entries per chunk: bounds the arrays one chunk allocates (normals,
-# the Ginibre block, the state stack) to a few hundred KiB at any (m, k*n)
+# random variates (Ginibre entries or Gamma variates) per chunk: bounds the
+# arrays one chunk allocates (normals, the Ginibre block or the Gamma
+# variates, the matrix stack) to a few hundred KiB at any (m, k*n)
 CHUNK_ENTRIES = 1 << 12
 
 # below this many draws a Kolmogorov-Smirnov test says little
 KS_MIN_SAMPLES = 1000
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +83,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise ParameterError(f"unknown quantity {self.quantity!r}; expected one of {QUANTITIES}")
-        if self.samples < 2:
-            raise ParameterError(f"samples must be >= 2, got {self.samples}")
-        if self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers}")
+        _check_count("samples", self.samples, 2)
+        _check_count("workers", self.workers, 1)
         if self.quantity == "isospectral_diag_entropy":
             if self.fixed_spectrum is None:
                 raise ParameterError("isospectral_diag_entropy requires fixed_spectrum")
@@ -145,8 +156,9 @@ class ComparisonReport:
 
 
 def chunk_sizes(count: int, entries_per_draw: int) -> list[int]:
-    """Split count consecutive draws into chunks of at most CHUNK_ENTRIES
-    Ginibre entries (at least one draw each), in stream order."""
+    """Split count consecutive draws, each consuming entries_per_draw random
+    variates, into chunks of at most CHUNK_ENTRIES variates (at least one
+    draw each), in stream order."""
     size = max(1, CHUNK_ENTRIES // entries_per_draw)
     full, rest = divmod(count, size)
     return [size] * full + ([rest] if rest else [])
@@ -162,18 +174,30 @@ def _map_chunks(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=math.ceil(len(tasks) / workers)))
 
 
+def _entries_per_draw(config: EstimatorConfig) -> int:
+    """The random variates one draw of the configured job consumes, the key
+    of its chunk split: 2m - 1 Gamma variates for a spectrum, one square
+    Ginibre matrix for a Haar draw, one m x kn Ginibre block for a state."""
+    spec = config.spec
+    if config.quantity in SPECTRAL_QUANTITIES:
+        return 2 * spec.m - 1
+    if config.fixed_spectrum is not None:
+        return len(config.fixed_spectrum) ** 2
+    return spec.m * spec.env_dim
+
+
 def _chunk_values(config: EstimatorConfig, stream: RngStream, size: int) -> np.ndarray:
     """Draw size samples from stream and return the configured quantity of each."""
     if config.quantity == "isospectral_diag_entropy":
         return functionals.shannon_entropy(sample_isospectral_diagonal(stream, config.fixed_spectrum, size))
-    states = sample_mixing_state(stream, config.spec, size)
     if config.quantity == "entropy":
-        return functionals.von_neumann_entropy(states)
+        return functionals.shannon_entropy(sample_mixing_spectrum(stream, config.spec, size))
+    if config.quantity == "subentropy":
+        return functionals.subentropy(sample_mixing_spectrum(stream, config.spec, size))
+    states = sample_mixing_state(stream, config.spec, size)
     if config.quantity == "diag_entropy":
         return functionals.shannon_entropy(states.diagonal)
-    if config.quantity == "coherence":
-        return functionals.relative_entropy_of_coherence(states)
-    return functionals.subentropy(states.spectrum)
+    return functionals.relative_entropy_of_coherence(states)
 
 
 def _run_worker(config: EstimatorConfig, chunk: tuple[int, int]) -> RunningStats:
@@ -185,10 +209,7 @@ def _run_worker(config: EstimatorConfig, chunk: tuple[int, int]) -> RunningStats
 def estimate(config: EstimatorConfig) -> RunningStats:
     """Draw config.samples states, evaluate the configured quantity on each,
     and return the merged streaming statistics."""
-    spec = config.spec
-    # a Haar draw is one square Ginibre matrix, a state one m x kn block
-    entries = spec.m * spec.env_dim if config.fixed_spectrum is None else len(config.fixed_spectrum) ** 2
-    chunks = list(enumerate(chunk_sizes(config.samples, entries)))
+    chunks = list(enumerate(chunk_sizes(config.samples, _entries_per_draw(config))))
     merged = RunningStats()
     for stats in _map_chunks(partial(_run_worker, config), chunks, config.workers):
         merged.merge(stats)
@@ -259,10 +280,8 @@ def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
 
     The bound is computed before any draw, so its checks of m and epsilon
     are the ones that apply here."""
-    if samples < 1:
-        raise ParameterError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
+    _check_count("samples", samples, 1)
+    _check_count("workers", workers, 1)
     bound = closedforms.concentration_bound(spec.m, spec.env_dim, epsilon)
     chunks = list(enumerate(chunk_sizes(samples, spec.m * spec.env_dim)))
     exceed = sum(_map_chunks(partial(_concentration_worker, spec, epsilon, master_seed), chunks, workers))
@@ -375,7 +394,11 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 
 def ks_critical_value(n: int, alpha: float = 0.01, n2: int | None = None) -> float:
     """Asymptotic two-sided KS critical value at level alpha (one- or
-    two-sample form)."""
+    two-sample form), for 0 < alpha < 1 and sample sizes >= 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+    for size in (n,) if n2 is None else (n, n2):
+        _check_count("KS sample size", size, 1)
     c = math.sqrt(-0.5 * math.log(alpha / 2.0))
     if n2 is None:
         return c / math.sqrt(n)

@@ -162,44 +162,60 @@ class RngStream:
 
     # -- Gamma / Dirichlet layer ----------------------------------------------
 
-    def gammas(self, shape: float, n: int) -> np.ndarray:
+    def gammas(self, shape, n: int) -> np.ndarray:
         """Next n draws from Gamma(shape, scale=1) by Marsaglia-Tsang.
 
-        Each rejection round consumes one normal and one uniform per pending
-        slot (the uniform is drawn unconditionally; it is independent of the
-        candidate, so discarding it on squeeze failure is harmless).  For
-        shape < 1 the draw is boosted from Gamma(shape + 1) by the factor
-        (1 - U)^(1/shape).
+        shape is one shape for all n draws or a length-n array of shapes,
+        one per draw; each draw then runs with its own d = a - 1/3 and
+        c = 1/sqrt(9d), and a scalar shape draws exactly what the array of
+        n copies of it draws.  Each rejection round consumes one normal and
+        one uniform per pending slot (the uniform is drawn unconditionally;
+        it is independent of the candidate, so discarding it on squeeze
+        failure is harmless).  A draw with shape < 1 is boosted from
+        Gamma(shape + 1) by the factor (1 - U)^(1/shape); the boost uniforms
+        are drawn after all rounds, one per boosted draw, in draw order.
         """
-        if not (math.isfinite(shape) and shape > 0):
-            raise ParameterError(f"gamma shape must be finite and positive, got {shape}")
         if n < 0:
             raise ParameterError(f"n must be nonnegative, got {n}")
-        boosted = shape < 1.0
-        a = shape + 1.0 if boosted else float(shape)
-        d = a - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
+        shapes = np.asarray(shape, dtype=np.float64)
+        if shapes.ndim and shapes.shape != (n,):
+            raise ParameterError(f"expected one gamma shape or {n} of them, got shape {shapes.shape}")
+        if not ((shapes > 0.0) & (shapes < math.inf)).all():
+            raise ParameterError(f"gamma shapes must be finite and positive, got {shape!r}")
+        per_draw = shapes.ndim == 1
+        d = shapes + (shapes < 1.0) - 1.0 / 3.0  # boosted draws run at shape + 1
+        c = 1.0 / np.sqrt(9.0 * d)
 
         out = np.empty(n, dtype=np.float64)
         pending = np.arange(n)
         while pending.size:
             k = pending.size
+            dk, ck = (d[pending], c[pending]) if per_draw else (d, c)
             x = self.normals(k)
             u = self.uniforms(k)
-            t = 1.0 + c * x
+            t = 1.0 + ck * x
             v = t * t * t
             pos = v > 0.0
             accept = np.zeros(k, dtype=bool)
             if pos.any():
                 xp, vp, up = x[pos], v[pos], u[pos]
                 squeeze = up < 1.0 - 0.0331 * xp**4
-                logtest = np.log(up) < 0.5 * xp * xp + d * (1.0 - vp + np.log(vp))
+                logtest = np.log(up) < 0.5 * xp * xp + (dk[pos] if per_draw else dk) * (1.0 - vp + np.log(vp))
                 accept[pos] = squeeze | logtest
-            out[pending[accept]] = d * v[accept]
+            out[pending[accept]] = (dk[accept] if per_draw else dk) * v[accept]
             pending = pending[~accept]
-        if boosted:
-            u = self.uniforms(n)
-            out *= (1.0 - u) ** (1.0 / shape)
+        boosted = np.flatnonzero(shapes < 1.0) if per_draw else np.arange(n if shapes < 1.0 else 0)
+        if boosted.size:
+            u = self.uniforms(boosted.size)
+            if not per_draw:
+                out *= (1.0 - u) ** (1.0 / float(shapes))
+            else:
+                # one scalar power per distinct shape, as a scalar shape
+                # boosts: numpy special-cases some scalar exponents, so an
+                # array of exponents could differ from them in the last bit
+                for a in np.unique(shapes[boosted]):
+                    sel = shapes[boosted] == a
+                    out[boosted[sel]] *= (1.0 - u[sel]) ** (1.0 / float(a))
         return out
 
     def sample_symmetric_dirichlet(self, m: int, alpha: float) -> np.ndarray:

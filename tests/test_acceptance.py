@@ -19,6 +19,7 @@ from randcoh.ensembles import (
     sample_diag_dirichlet,
     sample_ginibre,
     sample_isospectral_diagonal,
+    sample_mixing_spectrum,
     sample_mixing_state,
     sample_wishart,
 )
@@ -159,7 +160,11 @@ def larger_eigenvalue_cdf(n):
     return 2.0 * density.integ(lbnd=0.5)
 
 
-def test_criterion_08_sampled_spectra_follow_the_joint_law():
+def joint_law_ks(larger_eigenvalues):
+    """KS of the sampled larger eigenvalues of m = 2 induced states against
+    the joint law, for n = 2, 3, 5: (pass, detail).  larger_eigenvalues(n,
+    samples) draws them.  Each sample must pass at the 1% level and fail
+    against the n + 1 law."""
     samples = 20_000
     critical = mc.ks_critical_value(samples, alpha=0.01)
     details = []
@@ -167,15 +172,29 @@ def test_criterion_08_sampled_spectra_follow_the_joint_law():
     for n in (2, 3, 5):
         cdf = larger_eigenvalue_cdf(n)
         assert cdf(1.0) == pytest.approx(1.0, abs=1e-12)
-        states = sample_mixing_state(RngStream(SeedSpec(SEED + 8, n)), EnsembleSpec(2, n), samples)
-        larger = states.spectrum[:, 0]
+        larger = larger_eigenvalues(n, samples)
         d = mc.ks_statistic(larger, cdf)
         # power: the same draws must be told apart from the n + 1 law
         d_wrong = mc.ks_statistic(larger, larger_eigenvalue_cdf(n + 1))
         ok &= d < critical < d_wrong
         details.append(f"n={n} KS={d:.5f}, vs n+1 {d_wrong:.5f}")
-    assert report(8, ok, f"sampled m=2 larger eigenvalue vs the joint law, 1% critical value "
-                         f"{critical:.5f} [{'; '.join(details)}]")
+    return ok, f"1% critical value {critical:.5f} [{'; '.join(details)}]"
+
+
+def test_criterion_08_sampled_spectra_follow_the_joint_law():
+    ok, detail = joint_law_ks(lambda n, samples: sample_mixing_state(
+        RngStream(SeedSpec(SEED + 8, n)), EnsembleSpec(2, n), samples).spectrum[:, 0])
+    assert report(8, ok, f"sampled m=2 larger eigenvalue vs the joint law, {detail}")
+
+
+def test_criterion_08_laguerre_spectra_follow_the_joint_law():
+    def larger(n, samples):
+        stream = RngStream(SeedSpec(SEED + 8, 100 + n))
+        return np.concatenate([sample_mixing_spectrum(stream, EnsembleSpec(2, n), c)[:, 0]
+                               for c in mc.chunk_sizes(samples, 3)])
+
+    ok, detail = joint_law_ks(larger)
+    assert report(8, ok, f"Laguerre-model m=2 larger eigenvalue vs the joint law, {detail}")
 
 
 def test_criterion_09_concentration_sanity():

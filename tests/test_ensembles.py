@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from randcoh import ensembles, functionals, linalg
+from randcoh import ensembles, functionals, linalg, mc
 from randcoh.ensembles import (
     DensityMatrix,
     EnsembleSpec,
     sample_diag_dirichlet,
     sample_ginibre,
     sample_isospectral_diagonal,
+    sample_mixing_spectrum,
     sample_mixing_state,
     sample_wishart,
 )
@@ -38,6 +39,14 @@ class TestEnsembleSpec:
 
     def test_env_dim(self):
         assert EnsembleSpec(2, 3, k=4).env_dim == 12
+
+    @pytest.mark.parametrize("m,n,k", [(2.5, 3, 1), (2.0, 3, 1), (2, 3.0, 1), (2, 3, 1.0), ("2", 3, 1)])
+    def test_rejects_non_integer_sizes(self, m, n, k):
+        with pytest.raises(ParameterError):
+            EnsembleSpec(m, n, k)
+
+    def test_accepts_numpy_integers(self):
+        assert EnsembleSpec(np.int64(2), np.int32(3), np.uint8(2)).env_dim == 6
 
 
 class TestDensityMatrix:
@@ -161,6 +170,52 @@ class TestMixingState:
         for _ in range(200):
             rho = sample_mixing_state(s, EnsembleSpec(3, 4, k=3))
             assert abs(rho.matrix.trace().real - 1.0) < 1e-12
+
+
+def ginibre_spectra(spec, size, seed):
+    """size spectra of spec's states drawn as Ginibre states."""
+    s = RngStream(seed)
+    return np.concatenate([sample_mixing_state(s, spec, c).spectrum
+                           for c in mc.chunk_sizes(size, spec.m * spec.env_dim)])
+
+
+def laguerre_spectra(spec, size, seed):
+    """size spectra of spec's states drawn from the Laguerre model."""
+    s = RngStream(seed)
+    return np.concatenate([sample_mixing_spectrum(s, spec, c) for c in mc.chunk_sizes(size, 2 * spec.m - 1)])
+
+
+class TestMixingSpectrum:
+    @pytest.mark.parametrize("spec", [EnsembleSpec(2, 2), EnsembleSpec(4, 8), EnsembleSpec(3, 5, k=3)])
+    def test_rows_are_descending_unit_sum_spectra(self, spec):
+        lam = sample_mixing_spectrum(stream(40), spec, 500)
+        assert lam.shape == (500, spec.m)
+        assert (np.diff(lam, axis=1) <= 0.0).all()
+        assert lam.min() >= 0.0
+        assert np.abs(lam.sum(axis=1) - 1.0).max() < 1e-12
+
+    def test_dimension_one_is_the_point_mass(self):
+        assert np.array_equal(sample_mixing_spectrum(stream(41), EnsembleSpec(1, 4, k=2), 50), np.ones((50, 1)))
+
+    def test_depends_on_the_environment_only_through_kn(self):
+        a = sample_mixing_spectrum(stream(42), EnsembleSpec(2, 2, k=3), 300)
+        b = sample_mixing_spectrum(stream(42), EnsembleSpec(2, 6), 300)
+        assert np.array_equal(a, b)
+
+    # the two routes must give the same law of the spectrum: two-sample KS of
+    # the largest eigenvalue and of the entropy at the 1% level; the same
+    # Ginibre draws must tell the Laguerre spectra at kn + 1 apart
+    @pytest.mark.parametrize("spec", [EnsembleSpec(2, 2), EnsembleSpec(4, 8), EnsembleSpec(2, 2, k=3),
+                                      EnsembleSpec(16, 32)])
+    def test_matches_the_ginibre_route(self, spec):
+        size = 10_000
+        ginibre = ginibre_spectra(spec, size, SeedSpec(44, 0))
+        laguerre = laguerre_spectra(spec, size, SeedSpec(44, 1))
+        miskeyed = laguerre_spectra(EnsembleSpec(spec.m, spec.env_dim + 1), size, SeedSpec(44, 1))
+        critical = mc.ks_critical_value(size, alpha=0.01, n2=size)
+        for statistic in (lambda lam: lam[:, 0], functionals.shannon_entropy):
+            assert mc.ks_two_sample(statistic(ginibre), statistic(laguerre)) < critical
+            assert mc.ks_two_sample(statistic(ginibre), statistic(miskeyed)) > critical
 
 
 class TestDiagDirichlet:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
-from randcoh import functionals, mc
+from randcoh import functionals, linalg, mc
 from randcoh.ensembles import (
     EnsembleSpec,
     sample_diag_dirichlet,
@@ -119,6 +119,13 @@ class TestEstimatorConfig:
         with pytest.raises(ParameterError):
             mc.EstimatorConfig(EnsembleSpec(2, 2), "isospectral_diag_entropy", samples=10, master_seed=0)
 
+    @pytest.mark.parametrize("field,value", [("samples", 10.5), ("samples", 10.0), ("workers", 1.5),
+                                             ("workers", 2.0)])
+    def test_rejects_non_integer_counts(self, field, value):
+        kwargs = {"samples": 10, "workers": 1, field: value}
+        with pytest.raises(ParameterError):
+            mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", master_seed=0, **kwargs)
+
     def test_spectrum_rejected_elsewhere(self):
         with pytest.raises(ParameterError):
             mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", samples=10, master_seed=0,
@@ -149,13 +156,15 @@ class TestEstimate:
         three = mc.estimate(mc.EstimatorConfig(workers=3, **base))
         assert (one.count, one.mean, one.m2) == (three.count, three.mean, three.m2)
 
-    # (4, 8): 128 draws to a chunk; an isospectral draw at m = 3 is one 3 x 3
-    # Haar matrix, 455 to a chunk; both sizes below make three chunks
+    # (4, 8): a state is 32 Ginibre entries, 128 draws to a chunk; a spectrum
+    # is 2m - 1 = 7 Gamma variates, 585 to a chunk; an isospectral draw at
+    # m = 3 is one 3 x 3 Haar matrix, 455 to a chunk; each size below makes
+    # three chunks
     @pytest.mark.parametrize("quantity,spec,samples,spectrum", [
-        ("entropy", EnsembleSpec(4, 8), 300, None),
+        ("entropy", EnsembleSpec(4, 8), 1500, None),
         ("diag_entropy", EnsembleSpec(4, 8), 300, None),
         ("coherence", EnsembleSpec(4, 8), 300, None),
-        ("subentropy", EnsembleSpec(4, 8), 300, None),
+        ("subentropy", EnsembleSpec(4, 8), 1500, None),
         ("isospectral_diag_entropy", EnsembleSpec(3, 3), 1000, (0.6, 0.3, 0.1)),
     ])
     def test_bit_identical_for_every_worker_count(self, quantity, spec, samples, spectrum):
@@ -193,35 +202,65 @@ class TestEstimate:
         assert big.stderr * 2.0 == pytest.approx(small.stderr, rel=0.2)
 
 
+def laguerre_shapes(spec):
+    """A spectrum draw's Gamma shapes in the order the sampler draws them:
+    the bidiagonal's diagonal kn, kn - 1, ..., kn - m + 1, then its
+    sub-diagonal m - 1, ..., 1."""
+    m, kn = spec.m, spec.env_dim
+    return [kn - i for i in range(m)] + [m - 1 - i for i in range(m - 1)]
+
+
+def single_spectrum(g, m):
+    """One state's spectrum from its 2m - 1 Gamma variates: the eigenvalues
+    of B B^T for the lower bidiagonal B with diagonal sqrt(g[:m]) and
+    sub-diagonal sqrt(g[m:]), divided by the trace."""
+    b = np.diag(np.sqrt(g[:m])) + np.diag(np.sqrt(g[m:]), -1)
+    t = b @ b.T
+    return linalg.clamp_spectrum(np.linalg.eigvalsh(t)[::-1] / np.trace(t))
+
+
 def per_draw_reference(config):
-    """The estimate one draw at a time: chunk c's draws from stream c by the
-    single-state samplers, the functional on each draw, and a Welford update
-    per value."""
+    """The estimate one draw at a time: chunk c's draws from stream c, the
+    functional on each draw, and a Welford update per value.  States come
+    from the single-state samplers.  A chunk of spectra draws its Gamma
+    variates in one block, as the spectrum sampler lays them out, and each
+    spectrum is then built on its own from its 2m - 1 variates."""
     functional = {
-        "entropy": functionals.von_neumann_entropy,
         "diag_entropy": lambda rho: functionals.shannon_entropy(rho.diagonal),
         "coherence": functionals.relative_entropy_of_coherence,
-        "subentropy": lambda rho: functionals.subentropy(rho.spectrum),
     }
+    spectral = {"entropy": functionals.shannon_entropy, "subentropy": functionals.subentropy}
     spec = config.spec
-    entries = spec.m * spec.env_dim if config.fixed_spectrum is None else len(config.fixed_spectrum) ** 2
+    if config.quantity in spectral:
+        entries = 2 * spec.m - 1
+    elif config.fixed_spectrum is not None:
+        entries = len(config.fixed_spectrum) ** 2
+    else:
+        entries = spec.m * spec.env_dim
     merged = mc.RunningStats()
     for chunk, count in enumerate(mc.chunk_sizes(config.samples, entries)):
         stream = RngStream(SeedSpec(config.master_seed, chunk))
+        if config.quantity in spectral:
+            g = stream.gammas(np.tile(laguerre_shapes(spec), count).astype(float), count * entries)
+            values = [spectral[config.quantity](single_spectrum(draw, spec.m))
+                      for draw in g.reshape(count, entries)]
+        elif config.fixed_spectrum is not None:
+            values = [functionals.shannon_entropy(sample_isospectral_diagonal(stream, config.fixed_spectrum))
+                      for _ in range(count)]
+        else:
+            values = [functional[config.quantity](sample_mixing_state(stream, spec)) for _ in range(count)]
         stats = mc.RunningStats()
-        for _ in range(count):
-            if config.fixed_spectrum is not None:
-                value = functionals.shannon_entropy(sample_isospectral_diagonal(stream, config.fixed_spectrum))
-            else:
-                value = functional[config.quantity](sample_mixing_state(stream, config.spec))
+        for value in values:
             stats.update(value)
         merged.merge(stats)
     return merged
 
 
 class TestChunkedEstimateMatchesPerDrawLoop:
-    # (2, 2) draws come 1024 to a chunk: 1000 is one partial chunk, 1024 one
-    # full chunk, 2500 two full chunks and a partial one
+    # (2, 2) states come 1024 to a chunk: 1000 is one partial chunk, 1024 one
+    # full chunk, 2500 two full chunks and a partial one.  Spectra at m = 2
+    # are 3 Gamma variates and come 1365 to a chunk: 1000 and 1024 are one
+    # partial chunk, 2500 one full chunk and a partial one
     @pytest.mark.parametrize("quantity", ["entropy", "diag_entropy", "coherence", "subentropy"])
     @pytest.mark.parametrize("spec,samples,workers", [
         (EnsembleSpec(2, 2), 1000, 1),
@@ -260,6 +299,18 @@ class TestCompare:
         report = mc.run_comparison(cfg)
         assert report.closed_form == pytest.approx(harmonic(8) - harmonic(4), rel=1e-14)
         assert report.passed
+
+    # k*n >= 100 is where harmonic() switches to its Euler-Maclaurin branch;
+    # at 5e4 draws one step kn -> kn + 1 moves either closed form by about
+    # 6 standard errors, so the same draws must reject the neighbour
+    @pytest.mark.parametrize("quantity", ["entropy", "subentropy"])
+    @pytest.mark.parametrize("spec,seed", [(EnsembleSpec(4, 100), 73), (EnsembleSpec(4, 25, k=4), 74)])
+    def test_asymptotic_harmonic_branch(self, quantity, spec, seed):
+        cfg = mc.EstimatorConfig(spec, quantity, samples=50_000, master_seed=seed)
+        stats = mc.estimate(cfg)
+        assert mc.compare(stats, cfg).passed
+        neighbour = mc.EstimatorConfig(EnsembleSpec(spec.m, spec.env_dim + 1), quantity, 50_000, seed)
+        assert not mc.compare(stats, neighbour).passed
 
     def test_rejects_degenerate_stats(self):
         cfg = mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", samples=10, master_seed=0)
@@ -352,6 +403,12 @@ class TestKolmogorovSmirnov:
     def test_critical_value_constant(self):
         # sqrt(-ln(0.005)/2) = 1.62762363071873
         assert mc.ks_critical_value(10_000) == pytest.approx(1.62762363071873 / 100.0, rel=1e-12)
+
+    @pytest.mark.parametrize("args", [(100, 2.0), (100, 1.0), (100, 0.0), (100, -0.1), (100, math.nan),
+                                      (0, 0.01), (-5, 0.01), (10.5, 0.01), (100, 0.01, 0)])
+    def test_critical_value_rejects_bad_level_or_size(self, args):
+        with pytest.raises(ParameterError):
+            mc.ks_critical_value(*args)
 
 
 class TestGammaMarginal:

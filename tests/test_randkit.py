@@ -8,6 +8,7 @@ import pytest
 from numpy.random import Philox
 from scipy import stats as sps
 
+from randcoh import mc
 from randcoh.errors import ParameterError
 from randcoh.randkit import RngStream, SeedSpec
 
@@ -238,6 +239,58 @@ class TestGamma:
     def test_infinite_shape_is_a_parameter_error(self):
         with pytest.raises(ParameterError):
             stream().gammas(math.inf, 3)
+
+
+class TestGammaShapeArray:
+    def test_scalar_shape_draws_are_pinned(self):
+        # the draws of a scalar shape, as the stream has always given them
+        pinned = {
+            (7, 0, 3.5): ["0x1.26843f754105bp+2", "0x1.42ea06e85883dp+1",
+                          "0x1.279c0cfdd41e8p+0", "0x1.d61a3bc5ae671p-1"],
+            (8, 3, 0.5): ["0x1.c9f6e62c51e42p-8", "0x1.36b47852be123p-6",
+                          "0x1.d621ab389ba0fp-5", "0x1.0262b8d8a81e8p+0"],
+        }
+        for (master, index, shape), values in pinned.items():
+            got = stream(master, index).gammas(shape, 4)
+            assert [float(x).hex() for x in got] == values
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.5, 20_000.0])
+    def test_array_of_one_shape_draws_what_the_scalar_draws(self, shape):
+        a, b = stream(20), stream(20)
+        assert np.array_equal(a.gammas(np.full(3000, shape), 3000), b.gammas(shape, 3000))
+        assert np.array_equal(a.uniforms(5), b.uniforms(5))
+
+    def test_each_entry_follows_its_own_law(self):
+        # shapes N, N-1, ..., 1 interleaved as in one draw of the Laguerre
+        # model; each column must pass KS against its own Gamma CDF at the 1%
+        # level and fail against the CDF of the next shape
+        shapes = np.arange(8, 0, -1, dtype=float)
+        draws = 10_000
+        g = stream(21).gammas(np.tile(shapes, draws), shapes.size * draws).reshape(draws, -1)
+        critical = mc.ks_critical_value(draws, alpha=0.01)
+        for column, shape in zip(g.T, shapes):
+            assert mc.ks_statistic(column, lambda x: mc.gamma_cdf(x, shape)) < critical
+            assert mc.ks_statistic(column, lambda x: mc.gamma_cdf(x, shape + 1.0)) > critical
+
+    def test_boosted_entries_follow_their_law(self):
+        draws = 10_000
+        g = stream(22).gammas(np.tile([0.5, 3.0], draws), 2 * draws).reshape(draws, 2)
+        critical = mc.ks_critical_value(draws, alpha=0.01)
+        for column, shape in zip(g.T, (0.5, 3.0)):
+            assert mc.ks_statistic(column, lambda x: mc.gamma_cdf(x, shape)) < critical
+
+    @pytest.mark.parametrize("shapes", [
+        [2.0, math.nan, 1.0],
+        [2.0, math.inf, 1.0],
+        [2.0, 0.0, 1.0],
+        [2.0, -1.0, 1.0],
+        [2.0, 1.0],
+        [2.0, 1.0, 1.0, 1.0],
+        [[2.0, 1.0, 1.0]],
+    ])
+    def test_bad_shape_arrays_are_parameter_errors(self, shapes):
+        with time_limit(5), pytest.raises(ParameterError):
+            stream().gammas(np.array(shapes), 3)
 
 
 class TestDirichlet:
