@@ -3,10 +3,13 @@
 The base object is the Ginibre matrix (i.i.d. complex standard Gaussians).
 Its Gram matrix is a Wishart matrix; trace-normalizing that gives the
 induced random mixed state.  Mixing ensembles of order k are realized by
-block concatenation: one m x (k*n) Ginibre draw, so one sampler,
-sample_mixing_state, covers both, and k = 1 is the induced measure.
+block concatenation: one m x (k*n) Ginibre block, so one sampler,
+sample_mixing_state, covers both, and k = 1 is the induced measure.  It
+draws the Wishart matrix from its m x m complex Bartlett factor, and
 sample_mixing_spectrum draws the spectra of the same states from the
-Laguerre bidiagonal model, at a cost that does not grow with k*n.
+Laguerre bidiagonal model, both at a cost that does not grow with k*n.
+sample_ginibre and sample_wishart keep the Ginibre block itself, the
+reference construction.
 Direct Dirichlet and Haar-isospectral samplers cover the marginal laws
 that have one.
 """
@@ -55,7 +58,9 @@ class EnsembleSpec:
 
 class DensityMatrix:
     """A sampled mixed state, or a stack of them along leading axes:
-    Hermitian, PSD, unit trace.
+    Hermitian, PSD, unit trace.  The constructor refuses a matrix that is
+    not Hermitian within linalg.HERMITIAN_TOL and averages the rest of the
+    asymmetry, which is rounding noise, away.
 
     The diagonal is cached at construction; the spectrum is computed on
     first access and cached (estimator loops touch one or both per draw).
@@ -73,6 +78,9 @@ class DensityMatrix:
         off = np.abs(trace - 1.0) > TRACE_TOL
         if off.any():
             raise ParameterError(f"density matrix trace is {float(trace[off].flat[0])!r}, expected 1")
+        # a non-Hermitian input is refused, not averaged into another state;
+        # only rounding noise is averaged away
+        linalg.check_hermitian(matrix)
         self._set(linalg.hermitize(matrix))
 
     @classmethod
@@ -128,14 +136,34 @@ def sample_wishart(stream: RngStream, m: int, n: int) -> np.ndarray:
 
 
 def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None = None) -> DensityMatrix:
-    """Random state of the order-k mixing ensemble.
+    """Random state of the order-k mixing ensemble; k=1 gives the induced
+    measure.
 
-    Drawn as the trace-normalized Gram matrix of one m x (k*n) Ginibre
-    block; k=1 gives the induced measure.  With size, a DensityMatrix
-    holding a (size, m, m) stack; a single state is the stack of one, so
-    both give the same states.
+    The state is W / tr(W) for the Wishart matrix W = G G^dagger of an
+    m x (k*n) Ginibre block G, drawn through its complex Bartlett
+    decomposition W = L L^dagger: L is m x m lower triangular with
+    L_ii = sqrt(Gamma(kn - i)), i = 0..m-1, and i.i.d. complex standard
+    Gaussians (E|z|^2 = 1) below the diagonal.  (In the LQ factorization
+    G = L Q, row i's component orthogonal to the earlier rows has squared
+    norm Gamma(kn - i), and its coordinates along them are i.i.d.
+    CN(0, 1).)  The law of the whole state is that of the Ginibre
+    construction, at m(m+1)/2 variates per draw whatever k*n is.
+
+    With size, a DensityMatrix holding a (size, m, m) stack, drawn with one
+    gammas call (m variates per draw, draw by draw) and then one
+    complex_gaussians call (the strict lower triangles, row-major, draw by
+    draw).  A single state is the stack of one; as for
+    sample_diag_dirichlet, a stack does not hold the states that size
+    single draws give.
     """
-    w = linalg.gram(sample_ginibre(stream, spec.m, spec.env_dim, 1 if size is None else size))
+    m, count = spec.m, 1 if size is None else size
+    diag = np.arange(m)
+    rows, cols = np.tril_indices(m, -1)
+    low = np.zeros((count, m, m), dtype=np.complex128)
+    g = stream.gammas(np.tile((spec.env_dim - diag).astype(np.float64), count), count * m)
+    low[:, diag, diag] = np.sqrt(g).reshape(count, m)
+    low[:, rows, cols] = stream.complex_gaussians(count * rows.size).reshape(count, rows.size)
+    w = linalg.gram(low)
     return DensityMatrix._from_gram(w[0] if size is None else w)
 
 

@@ -2,8 +2,9 @@
 
 Eigenvalues are delegated to LAPACK (``numpy.linalg.eigvalsh``); the module
 adds the contracts the rest of the package relies on: Hermitian symmetry
-enforced by averaging, descending spectra, the tiny-negative eigenvalue
-clamp, and the Haar phase correction on QR-sampled unitaries.
+checked within a tolerance and enforced by averaging, descending spectra,
+the tiny-negative eigenvalue clamp, and the Haar phase correction on
+QR-sampled unitaries.
 
 Every function takes a single matrix (or vector) or a stack of them along
 leading axes, and treats each member of a stack exactly as it would treat
@@ -33,6 +34,18 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _dagger(a))
 
 
+def check_hermitian(a: np.ndarray) -> None:
+    """Raise ParameterError unless every matrix of the square stack a is
+    Hermitian within HERMITIAN_TOL relative to its largest entry (taken
+    as at least 1)."""
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    asym = a - _dagger(a)
+    # a real stack takes its modulus in place: one temporary instead of two
+    asym = np.abs(asym) if np.iscomplexobj(asym) else np.abs(asym, out=asym)
+    if (asym.max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any():
+        raise ParameterError("matrix is not Hermitian within tolerance")
+
+
 def gram(z: np.ndarray) -> np.ndarray:
     """Z Z-dagger: the Hermitian PSD Gram matrix of the rows of z (of each
     matrix in a stack of shape (..., m, n))."""
@@ -53,12 +66,7 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-    asym = a - _dagger(a)
-    # a real stack takes its modulus in place: one temporary instead of two
-    asym = np.abs(asym) if np.iscomplexobj(asym) else np.abs(asym, out=asym)
-    if (asym.max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any():
-        raise ParameterError("matrix is not Hermitian within tolerance")
+    check_hermitian(a)
     try:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:

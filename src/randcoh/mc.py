@@ -3,11 +3,13 @@
 A job of `samples` draws is split into chunks by a fixed rule
 (chunk_sizes: at most CHUNK_ENTRIES random variates per chunk, counted as
 the draw consumes them, so the split depends only on the quantity and on
-(m, k*n)).  Entropy and subentropy depend on the spectrum alone: their
+m).  Entropy and subentropy depend on the spectrum alone: their
 draws are spectra from the Laguerre bidiagonal model, 2m - 1 Gamma
-variates each (sample_mixing_spectrum).  Every other quantity draws states
-from an m x kn Ginibre block (m*kn entries) or, on a fixed-spectrum orbit,
-one m x m Haar matrix (m^2 entries).  Chunk c draws from the random stream
+variates each (sample_mixing_spectrum).  Coherence and diagonal entropy
+draw states from their m x m Bartlett factor, m Gamma variates and
+m(m-1)/2 complex Gaussians each (sample_mixing_state), and a draw on a
+fixed-spectrum orbit is one m x m Haar matrix (m^2 entries).  No draw's
+cost grows with k*n.  Chunk c draws from the random stream
 keyed (master_seed, c), evaluates its draws as one stack and is reduced to
 (count, mean, m2); the chunk results merge in chunk order.  The chunk is
 thus the unit of randomness as well as the unit of work, and workers only
@@ -55,9 +57,9 @@ SPECTRAL_QUANTITIES = ("entropy", "subentropy")
 
 Z_PASS_THRESHOLD = 4.0
 
-# random variates (Ginibre entries or Gamma variates) per chunk: bounds the
-# arrays one chunk allocates (normals, the Ginibre block or the Gamma
-# variates, the matrix stack) to a few hundred KiB at any (m, k*n)
+# random variates (Gamma variates, complex Gaussians or Ginibre entries) per
+# chunk: bounds the arrays one chunk allocates (normals, the variates, the
+# matrix stack) to a few hundred KiB at any (m, k*n)
 CHUNK_ENTRIES = 1 << 12
 
 # below this many draws a Kolmogorov-Smirnov test says little
@@ -177,13 +179,19 @@ def _map_chunks(fn, tasks: list, workers: int) -> list:
 def _entries_per_draw(config: EstimatorConfig) -> int:
     """The random variates one draw of the configured job consumes, the key
     of its chunk split: 2m - 1 Gamma variates for a spectrum, one square
-    Ginibre matrix for a Haar draw, one m x kn Ginibre block for a state."""
+    Ginibre matrix for a Haar draw, one Bartlett factor for a state."""
     spec = config.spec
     if config.quantity in SPECTRAL_QUANTITIES:
         return 2 * spec.m - 1
     if config.fixed_spectrum is not None:
         return len(config.fixed_spectrum) ** 2
-    return spec.m * spec.env_dim
+    return _state_variates(spec)
+
+
+def _state_variates(spec: EnsembleSpec) -> int:
+    """The variates one sample_mixing_state draw consumes: its Bartlett
+    factor's m Gamma variates and m(m-1)/2 complex Gaussians."""
+    return spec.m * (spec.m + 1) // 2
 
 
 def _chunk_values(config: EstimatorConfig, stream: RngStream, size: int) -> np.ndarray:
@@ -283,7 +291,7 @@ def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
     _check_count("samples", samples, 1)
     _check_count("workers", workers, 1)
     bound = closedforms.concentration_bound(spec.m, spec.env_dim, epsilon)
-    chunks = list(enumerate(chunk_sizes(samples, spec.m * spec.env_dim)))
+    chunks = list(enumerate(chunk_sizes(samples, _state_variates(spec))))
     exceed = sum(_map_chunks(partial(_concentration_worker, spec, epsilon, master_seed), chunks, workers))
     return exceed / samples, bound
 
@@ -435,7 +443,7 @@ def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: in
     dir_stream = RngStream(SeedSpec(master_seed, 1))
     from_states = np.concatenate([
         sample_mixing_state(state_stream, spec, size).diagonal[:, 0]
-        for size in chunk_sizes(samples, spec.m * spec.env_dim)
+        for size in chunk_sizes(samples, _state_variates(spec))
     ])
     # a Dirichlet draw is m Gamma variates
     from_dirichlet = np.concatenate([

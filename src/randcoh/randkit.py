@@ -170,8 +170,8 @@ class RngStream:
         c = 1/sqrt(9d), and a scalar shape draws exactly what the array of
         n copies of it draws.  Each rejection round consumes one normal and
         one uniform per pending slot (the uniform is drawn unconditionally;
-        it is independent of the candidate, so discarding it on squeeze
-        failure is harmless).  A draw with shape < 1 is boosted from
+        it is independent of the candidate, so discarding it on rejection
+        is harmless).  A draw with shape < 1 is boosted from
         Gamma(shape + 1) by the factor (1 - U)^(1/shape); the boost uniforms
         are drawn after all rounds, one per boosted draw, in draw order.
         """
@@ -186,24 +186,33 @@ class RngStream:
         d = shapes + (shapes < 1.0) - 1.0 / 3.0  # boosted draws run at shape + 1
         c = 1.0 / np.sqrt(9.0 * d)
 
+        # the first round runs on the full arrays, later rounds on the few
+        # draws still pending (None until the first round is done)
         out = np.empty(n, dtype=np.float64)
-        pending = np.arange(n)
-        while pending.size:
-            k = pending.size
-            dk, ck = (d[pending], c[pending]) if per_draw else (d, c)
+        pending = None
+        k = n
+        while k:
+            dk, ck = (d[pending], c[pending]) if per_draw and pending is not None else (d, c)
             x = self.normals(k)
             u = self.uniforms(k)
             t = 1.0 + ck * x
             v = t * t * t
             pos = v > 0.0
-            accept = np.zeros(k, dtype=bool)
-            if pos.any():
-                xp, vp, up = x[pos], v[pos], u[pos]
-                squeeze = up < 1.0 - 0.0331 * xp**4
-                logtest = np.log(up) < 0.5 * xp * xp + (dk[pos] if per_draw else dk) * (1.0 - vp + np.log(vp))
-                accept[pos] = squeeze | logtest
-            out[pending[accept]] = (dk[accept] if per_draw else dk) * v[accept]
-            pending = pending[~accept]
+            # accept = pos & (squeeze | log test), with the cheap log test
+            # first and the squeeze only where it failed: x**4 of a negative
+            # x costs far more than a log
+            logv = np.log(np.where(pos, v, 1.0))
+            accept = pos & (np.log(u) < 0.5 * x * x + dk * (1.0 - v + logv))
+            retry = np.flatnonzero(pos & ~accept)
+            if retry.size:
+                accept[retry] = u[retry] < 1.0 - 0.0331 * x[retry]**4
+            if pending is None:
+                np.multiply(dk, v, out=out)
+                pending = np.flatnonzero(~accept)
+            else:
+                out[pending[accept]] = (dk[accept] if per_draw else dk) * v[accept]
+                pending = pending[~accept]
+            k = pending.size
         boosted = np.flatnonzero(shapes < 1.0) if per_draw else np.arange(n if shapes < 1.0 else 0)
         if boosted.size:
             u = self.uniforms(boosted.size)

@@ -187,6 +187,16 @@ def test_criterion_08_sampled_spectra_follow_the_joint_law():
     assert report(8, ok, f"sampled m=2 larger eigenvalue vs the joint law, {detail}")
 
 
+def test_criterion_08_ginibre_spectra_follow_the_joint_law():
+    # the reference construction: Gram matrices of explicit 2 x n Ginibre blocks
+    def larger(n, samples):
+        w = linalg.gram(sample_ginibre(RngStream(SeedSpec(SEED + 8, n)), 2, n, samples))
+        return DensityMatrix._from_gram(w).spectrum[:, 0]
+
+    ok, detail = joint_law_ks(larger)
+    assert report(8, ok, f"Ginibre-block m=2 larger eigenvalue vs the joint law, {detail}")
+
+
 def test_criterion_08_laguerre_spectra_follow_the_joint_law():
     def larger(n, samples):
         stream = RngStream(SeedSpec(SEED + 8, 100 + n))

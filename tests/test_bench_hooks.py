@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from randcoh import mc
@@ -54,34 +55,57 @@ def test_traced_estimate_runs_and_restores(spans, tmp_path):
     assert (traced.count, traced.mean, traced.m2) == (plain.count, plain.mean, plain.m2)
     assert {name: getattr(mc, name) for name in originals} == originals
     totals = rec.totals()
-    # (2, 3): 6 Ginibre entries per draw, so 682 draws per chunk and 3 chunks
-    chunks = len(mc.chunk_sizes(1500, 6))
-    assert totals["linalg.eig"]["calls"] == chunks
-    assert totals["ensembles.state"]["calls"] == chunks
-    assert rec.counters["normals"] == 2 * 6 * 1500
+    # (2, 3): a state is m(m+1)/2 = 3 variates, so 1365 draws per chunk and
+    # 2 chunks; a draw consumes m Gamma variates and m(m-1)/2 complex
+    # Gaussians, whose normals the oracle replay counts
+    chunks = mc.chunk_sizes(1500, 3)
+    assert totals["linalg.eig"]["calls"] == len(chunks)
+    assert totals["ensembles.state"]["calls"] == len(chunks)
+    assert rec.counters["normals"] == replay(71, chunks, 2, 3).normals_drawn
+
+
+def replay(seed, chunks, m, kn):
+    """Replay each chunk's state draws, the gammas call and then the
+    complex_gaussians call, on the round-by-round oracle stream, and count
+    what the traced run counts."""
+    from test_randkit import RoundByRoundStream
+
+    class Counted(RoundByRoundStream):
+        uniforms_consumed = normals_drawn = attempted_pairs = accepted_pairs = 0
+
+        def uniforms(self, n):
+            Counted.uniforms_consumed += n
+            return super().uniforms(n)
+
+        def normals(self, n):
+            spare_before = self._spare_normal is not None
+            u0 = Counted.uniforms_consumed
+            out = super().normals(n)
+            if n > 0:
+                made = n - spare_before + (self._spare_normal is not None)
+                Counted.accepted_pairs += made // 2
+                Counted.attempted_pairs += (Counted.uniforms_consumed - u0) // 2
+            Counted.normals_drawn += n
+            return out
+
+    for index, size in enumerate(chunks):
+        stream = Counted(mc.SeedSpec(seed, index))
+        stream.gammas(np.tile(np.arange(kn, kn - m, -1, dtype=float), size), m * size)
+        stream.complex_gaussians(size * m * (m - 1) // 2)
+    return Counted
 
 
 def test_traced_uniform_count_is_what_the_oracle_consumes(spans, tmp_path):
     # the one-pass normals consume exactly the uniforms of the round-by-round
     # oracle, so the traced uniforms_per_sample and polar_accept_ratio are exact
-    from test_randkit import RoundByRoundStream
-
-    class Counted(RoundByRoundStream):
-        consumed = 0
-
-        def uniforms(self, n):
-            Counted.consumed += n
-            return super().uniforms(n)
-
     config = mc.EstimatorConfig(EnsembleSpec(2, 3), "coherence", 1500, master_seed=72)
-    for index, size in enumerate(mc.chunk_sizes(1500, 6)):
-        Counted(mc.SeedSpec(72, index)).normals(2 * 6 * size)
+    oracle = replay(72, mc.chunk_sizes(1500, 3), 2, 3)
     rec = spans.Recorder(tmp_path)
     restore = spans.install(rec)
     try:
         mc.estimate(config)
     finally:
         restore()
-    assert rec.counters["uniforms"] == Counted.consumed
-    assert rec.counters["polar_attempted_pairs"] == Counted.consumed // 2
-    assert rec.counters["polar_accepted_pairs"] == 6 * 1500
+    assert rec.counters["uniforms"] == oracle.uniforms_consumed
+    assert rec.counters["polar_attempted_pairs"] == oracle.attempted_pairs
+    assert rec.counters["polar_accepted_pairs"] == oracle.accepted_pairs

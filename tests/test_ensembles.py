@@ -58,6 +58,27 @@ class TestDensityMatrix:
         with pytest.raises(ParameterError):
             DensityMatrix(np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex))
 
+    # averaging a non-Hermitian matrix with its adjoint would make it another
+    # state: [[.5, .3], [-.3, .5]] the maximally mixed one, [[.5, 1], [0, .5]]
+    # a pure one
+    @pytest.mark.parametrize("matrix", [[[0.5, 0.3], [-0.3, 0.5]], [[0.5, 1.0], [0.0, 0.5]],
+                                        [[0.5, 0.2j], [0.2j, 0.5]]])
+    def test_rejects_non_hermitian_input(self, matrix):
+        with pytest.raises(ParameterError):
+            DensityMatrix(np.array(matrix, dtype=complex))
+
+    def test_stack_checks_every_member_is_hermitian(self):
+        good = np.eye(2, dtype=complex) / 2.0
+        bad = np.array([[0.5, 0.3], [-0.3, 0.5]], dtype=complex)
+        with pytest.raises(ParameterError):
+            DensityMatrix(np.stack([good, bad, good]))
+
+    def test_rounding_noise_is_averaged_away(self):
+        matrix = np.array([[0.5, 0.3 + 1e-17j], [0.3 + 3e-17, 0.5]])
+        rho = DensityMatrix(matrix)
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert rho.matrix[0, 1] == pytest.approx(0.3, abs=1e-16)
+
     def test_stack_checks_every_trace(self):
         good = np.eye(2, dtype=complex) / 2.0
         with pytest.raises(ParameterError):
@@ -156,14 +177,29 @@ class TestMixingState:
         assert abs(np.mean(vals) - 0.125) < 0.01
 
     @pytest.mark.parametrize("spec", [EnsembleSpec(1, 3), EnsembleSpec(2, 2), EnsembleSpec(3, 4, k=3)])
-    def test_stack_holds_the_sequential_states(self, spec):
+    def test_single_state_is_the_stack_of_one(self, spec):
         a, b = stream(16), stream(16)
-        stack = sample_mixing_state(a, spec, 40)
-        singles = [sample_mixing_state(b, spec) for _ in range(40)]
-        assert stack.matrix.shape == (40, spec.m, spec.m)
-        assert np.array_equal(stack.matrix, [rho.matrix for rho in singles])
-        assert np.array_equal(stack.spectrum, [rho.spectrum for rho in singles])
+        single = sample_mixing_state(a, spec)
+        stack = sample_mixing_state(b, spec, 1)
+        assert single.matrix.shape == (spec.m, spec.m)
+        assert stack.matrix.shape == (1, spec.m, spec.m)
+        assert np.array_equal(stack.matrix[0], single.matrix)
+        assert np.array_equal(stack.spectrum[0], single.spectrum)
         assert a.uniforms(1) == b.uniforms(1)
+
+    @pytest.mark.parametrize("spec", [EnsembleSpec(1, 3), EnsembleSpec(2, 2), EnsembleSpec(3, 4, k=3),
+                                      EnsembleSpec(5, 7)])
+    def test_stack_is_built_from_one_gamma_and_one_normal_block(self, spec):
+        a, b = stream(18), stream(18)
+        stack = sample_mixing_state(a, spec, 40)
+        expected = bartlett_reference(b, spec, 40)
+        assert stack.matrix.shape == (40, spec.m, spec.m)
+        np.testing.assert_allclose(stack.matrix, expected, rtol=0.0, atol=1e-15)
+        assert a.uniforms(1) == b.uniforms(1)
+
+    def test_dimension_one_is_exactly_one(self):
+        assert np.array_equal(sample_mixing_state(stream(19), EnsembleSpec(1, 5, k=2), 30).matrix,
+                              np.ones((30, 1, 1)))
 
     def test_unit_trace(self):
         s = stream(8)
@@ -172,17 +208,89 @@ class TestMixingState:
             assert abs(rho.matrix.trace().real - 1.0) < 1e-12
 
 
+def bartlett_reference(s, spec, count):
+    """count states of spec built one at a time, as the Bartlett sampler lays
+    out its variates: one gammas block of the m diagonal variates of every
+    draw (shapes kn, kn - 1, ..., kn - m + 1), then one complex_gaussians
+    block of every draw's strict lower triangle, row by row.  Each state is
+    L L^dagger / tr(L L^dagger) for the explicit triangle L."""
+    m, kn = spec.m, spec.env_dim
+    g = s.gammas(np.tile(kn - np.arange(m), count).astype(float), count * m).reshape(count, m)
+    z = s.complex_gaussians(count * m * (m - 1) // 2).reshape(count, -1)
+    states = []
+    for diag, below in zip(g, z):
+        low = np.diag(np.sqrt(diag)).astype(complex)
+        entries = iter(below)
+        for i in range(m):
+            for j in range(i):
+                low[i, j] = next(entries)
+        w = low @ low.conj().T
+        states.append(w / np.trace(w).real)
+    return np.array(states)
+
+
+def ginibre_states(spec, size, seed, statistic):
+    """statistic(rho) of size states of spec, each the trace-normalised Gram
+    matrix of an explicit m x kn Ginibre block: the reference construction."""
+    s = RngStream(seed)
+    return np.concatenate([
+        statistic(DensityMatrix._from_gram(linalg.gram(sample_ginibre(s, spec.m, spec.env_dim, c))))
+        for c in mc.chunk_sizes(size, spec.m * spec.env_dim)])
+
+
+def bartlett_states(spec, size, s, statistic):
+    """statistic(rho) of size states of spec drawn by sample_mixing_state
+    from stream s, in the estimators' chunks."""
+    return np.concatenate([statistic(sample_mixing_state(s, spec, c))
+                           for c in mc.chunk_sizes(size, spec.m * (spec.m + 1) // 2)])
+
+
 def ginibre_spectra(spec, size, seed):
     """size spectra of spec's states drawn as Ginibre states."""
-    s = RngStream(seed)
-    return np.concatenate([sample_mixing_state(s, spec, c).spectrum
-                           for c in mc.chunk_sizes(size, spec.m * spec.env_dim)])
+    return ginibre_states(spec, size, seed, lambda rho: rho.spectrum)
 
 
 def laguerre_spectra(spec, size, seed):
     """size spectra of spec's states drawn from the Laguerre model."""
     s = RngStream(seed)
     return np.concatenate([sample_mixing_spectrum(s, spec, c) for c in mc.chunk_sizes(size, 2 * spec.m - 1)])
+
+
+def state_statistics(rho):
+    """Per state: coherence, rho_00, Re rho_01 and the largest eigenvalue."""
+    return np.stack([functionals.relative_entropy_of_coherence(rho), rho.matrix[:, 0, 0].real,
+                     rho.matrix[:, 0, 1].real, rho.spectrum[:, 0]], axis=1)
+
+
+class LoudStream(RngStream):
+    """A stream whose complex Gaussians have E|z|^2 = 2 instead of 1."""
+
+    def complex_gaussians(self, n):
+        return math.sqrt(2.0) * super().complex_gaussians(n)
+
+
+class TestBartlettMatchesGinibre:
+    # the Bartlett states must follow the law of the Ginibre states: two-sample
+    # KS of the coherence, rho_00, Re rho_01 and the largest eigenvalue at the
+    # 1% level.  The same Ginibre draws must tell apart Bartlett states with
+    # Gamma shapes kn + 1 - i (the sampler fed kn + 1) and Bartlett states
+    # whose off-diagonal entries have E|z|^2 = 2, on the coherence and on the
+    # largest eigenvalue
+    @pytest.mark.parametrize("spec", [EnsembleSpec(2, 2), EnsembleSpec(4, 8), EnsembleSpec(2, 2, k=3),
+                                      EnsembleSpec(16, 32)])
+    def test_two_sample_ks(self, spec):
+        size = 10_000
+        critical = mc.ks_critical_value(size, alpha=0.01, n2=size)
+        ginibre = ginibre_states(spec, size, SeedSpec(45, 0), state_statistics)
+        bartlett = bartlett_states(spec, size, RngStream(SeedSpec(45, 1)), state_statistics)
+        for column in range(4):
+            assert mc.ks_two_sample(ginibre[:, column], bartlett[:, column]) < critical
+        miskeyed = bartlett_states(EnsembleSpec(spec.m, spec.env_dim + 1), size, RngStream(SeedSpec(45, 1)),
+                                   state_statistics)
+        loud = bartlett_states(spec, size, LoudStream(SeedSpec(45, 1)), state_statistics)
+        for wrong in (miskeyed, loud):
+            for column in (0, 3):
+                assert mc.ks_two_sample(ginibre[:, column], wrong[:, column]) > critical
 
 
 class TestMixingSpectrum:

@@ -6,6 +6,7 @@ from scipy import special, stats as sps
 
 from randcoh import functionals, linalg, mc
 from randcoh.ensembles import (
+    DensityMatrix,
     EnsembleSpec,
     sample_diag_dirichlet,
     sample_isospectral_diagonal,
@@ -15,6 +16,7 @@ from randcoh.ensembles import (
 from randcoh.errors import DomainError, ParameterError
 from randcoh.functionals import harmonic
 from randcoh.randkit import RngStream, SeedSpec
+from test_ensembles import bartlett_reference
 
 
 class TestChunks:
@@ -139,10 +141,12 @@ class TestEstimate:
         assert (a.count, a.mean, a.m2) == (b.count, b.mean, b.m2)
 
     def test_inline_and_pooled_agree(self):
-        # chunk results depend only on (seed, chunk index, size), not on where they ran
-        config = mc.EstimatorConfig(EnsembleSpec(2, 3), "coherence", samples=2000, master_seed=43, workers=2)
+        # chunk results depend only on (seed, chunk index, size), not on where
+        # they ran.  A (2, 3) state is 3 variates, 1365 draws to a chunk, so
+        # 3000 draws make three chunks, run on a real 2-worker pool
+        config = mc.EstimatorConfig(EnsembleSpec(2, 3), "coherence", samples=3000, master_seed=43, workers=2)
         pooled = mc.estimate(config)
-        chunks = list(enumerate(mc.chunk_sizes(2000, 6)))
+        chunks = list(enumerate(mc.chunk_sizes(3000, 3)))
         assert len(chunks) == 3
         inline = mc.RunningStats()
         for chunk in chunks:
@@ -156,14 +160,14 @@ class TestEstimate:
         three = mc.estimate(mc.EstimatorConfig(workers=3, **base))
         assert (one.count, one.mean, one.m2) == (three.count, three.mean, three.m2)
 
-    # (4, 8): a state is 32 Ginibre entries, 128 draws to a chunk; a spectrum
-    # is 2m - 1 = 7 Gamma variates, 585 to a chunk; an isospectral draw at
-    # m = 3 is one 3 x 3 Haar matrix, 455 to a chunk; each size below makes
-    # three chunks
+    # a state at m = 8 is m(m+1)/2 = 36 variates, 113 draws to a chunk; a
+    # spectrum at m = 4 is 2m - 1 = 7 Gamma variates, 585 to a chunk; an
+    # isospectral draw at m = 3 is one 3 x 3 Haar matrix, 455 to a chunk;
+    # each size below makes three chunks
     @pytest.mark.parametrize("quantity,spec,samples,spectrum", [
         ("entropy", EnsembleSpec(4, 8), 1500, None),
-        ("diag_entropy", EnsembleSpec(4, 8), 300, None),
-        ("coherence", EnsembleSpec(4, 8), 300, None),
+        ("diag_entropy", EnsembleSpec(8, 8), 300, None),
+        ("coherence", EnsembleSpec(8, 8), 300, None),
         ("subentropy", EnsembleSpec(4, 8), 1500, None),
         ("isospectral_diag_entropy", EnsembleSpec(3, 3), 1000, (0.6, 0.3, 0.1)),
     ])
@@ -182,7 +186,7 @@ class TestEstimate:
             raise AssertionError("a one-chunk job started a process pool")
 
         monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
-        # (2, 3): 682 draws to a chunk
+        # (2, 3): 1365 states to a chunk; (3, 3): 682
         stats = mc.estimate(mc.EstimatorConfig(EnsembleSpec(2, 3), "coherence", 600, master_seed=66, workers=4))
         assert stats.count == 600
         fraction, _ = mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 400, master_seed=66, workers=4)
@@ -221,10 +225,13 @@ def single_spectrum(g, m):
 
 def per_draw_reference(config):
     """The estimate one draw at a time: chunk c's draws from stream c, the
-    functional on each draw, and a Welford update per value.  States come
-    from the single-state samplers.  A chunk of spectra draws its Gamma
-    variates in one block, as the spectrum sampler lays them out, and each
-    spectrum is then built on its own from its 2m - 1 variates."""
+    functional on each draw, and a Welford update per value.  Isospectral
+    diagonals come from the single-draw sampler.  A chunk of spectra draws
+    its Gamma variates in one block, as the spectrum sampler lays them out,
+    and each spectrum is then built on its own from its 2m - 1 variates.  A
+    chunk of states draws its Gamma block and its normal block as the
+    Bartlett sampler lays them out, and each state is then built on its own
+    from its explicit triangle (bartlett_reference)."""
     functional = {
         "diag_entropy": lambda rho: functionals.shannon_entropy(rho.diagonal),
         "coherence": functionals.relative_entropy_of_coherence,
@@ -236,7 +243,7 @@ def per_draw_reference(config):
     elif config.fixed_spectrum is not None:
         entries = len(config.fixed_spectrum) ** 2
     else:
-        entries = spec.m * spec.env_dim
+        entries = spec.m * (spec.m + 1) // 2
     merged = mc.RunningStats()
     for chunk, count in enumerate(mc.chunk_sizes(config.samples, entries)):
         stream = RngStream(SeedSpec(config.master_seed, chunk))
@@ -248,7 +255,8 @@ def per_draw_reference(config):
             values = [functionals.shannon_entropy(sample_isospectral_diagonal(stream, config.fixed_spectrum))
                       for _ in range(count)]
         else:
-            values = [functional[config.quantity](sample_mixing_state(stream, spec)) for _ in range(count)]
+            values = [functional[config.quantity](DensityMatrix(rho))
+                      for rho in bartlett_reference(stream, spec, count)]
         stats = mc.RunningStats()
         for value in values:
             stats.update(value)
@@ -257,10 +265,9 @@ def per_draw_reference(config):
 
 
 class TestChunkedEstimateMatchesPerDrawLoop:
-    # (2, 2) states come 1024 to a chunk: 1000 is one partial chunk, 1024 one
-    # full chunk, 2500 two full chunks and a partial one.  Spectra at m = 2
-    # are 3 Gamma variates and come 1365 to a chunk: 1000 and 1024 are one
-    # partial chunk, 2500 one full chunk and a partial one
+    # states and spectra at m = 2 are both 3 variates and come 1365 to a
+    # chunk: 1000 and 1024 are one partial chunk, 2500 one full chunk and a
+    # partial one; (4, 5) states are 10 variates, 409 to a chunk
     @pytest.mark.parametrize("quantity", ["entropy", "diag_entropy", "coherence", "subentropy"])
     @pytest.mark.parametrize("spec,samples,workers", [
         (EnsembleSpec(2, 2), 1000, 1),
@@ -301,15 +308,18 @@ class TestCompare:
         assert report.passed
 
     # k*n >= 100 is where harmonic() switches to its Euler-Maclaurin branch;
-    # at 5e4 draws one step kn -> kn + 1 moves either closed form by about
-    # 6 standard errors, so the same draws must reject the neighbour
-    @pytest.mark.parametrize("quantity", ["entropy", "subentropy"])
+    # at 5e4 draws one step kn -> kn + 1 moves the entropy, subentropy or
+    # coherence closed form by 6 to 8 standard errors, so the same draws must
+    # reject the neighbour.  The diagonal entropy moves by only about 2.8
+    # standard errors per step, so its neighbour is kn + 3
+    @pytest.mark.parametrize("quantity", ["entropy", "subentropy", "coherence", "diag_entropy"])
     @pytest.mark.parametrize("spec,seed", [(EnsembleSpec(4, 100), 73), (EnsembleSpec(4, 25, k=4), 74)])
     def test_asymptotic_harmonic_branch(self, quantity, spec, seed):
         cfg = mc.EstimatorConfig(spec, quantity, samples=50_000, master_seed=seed)
         stats = mc.estimate(cfg)
         assert mc.compare(stats, cfg).passed
-        neighbour = mc.EstimatorConfig(EnsembleSpec(spec.m, spec.env_dim + 1), quantity, 50_000, seed)
+        step = 3 if quantity == "diag_entropy" else 1
+        neighbour = mc.EstimatorConfig(EnsembleSpec(spec.m, spec.env_dim + step), quantity, 50_000, seed)
         assert not mc.compare(stats, neighbour).passed
 
     def test_rejects_degenerate_stats(self):
@@ -448,15 +458,16 @@ class TestDirichletConsistency:
         assert d < mc.ks_critical_value(20_000, n2=20_000)
 
     def test_samples_are_those_of_the_single_draw_samplers(self):
-        # the state side draw by draw; the Dirichlet side as stacks of at
-        # most CHUNK_ENTRIES Gamma variates, m per draw (at m = 2 the 1100
-        # draws are one stack)
+        # both sides as stacks of at most CHUNK_ENTRIES variates: m(m+1)/2
+        # per state, m Gamma variates per Dirichlet draw (at m = 2 the 1100
+        # draws are one stack on each side)
         spec = EnsembleSpec(2, 3, k=2)
         states, direct = RngStream(SeedSpec(64, 0)), RngStream(SeedSpec(64, 1))
-        from_states = [sample_mixing_state(states, spec).diagonal[0] for _ in range(1100)]
+        from_states = np.concatenate([sample_mixing_state(states, spec, size).diagonal[:, 0]
+                                      for size in mc.chunk_sizes(1100, 3)])
         from_dirichlet = np.concatenate([sample_diag_dirichlet(direct, spec, size)[:, 0]
                                          for size in mc.chunk_sizes(1100, spec.m)])
-        expected = mc.ks_two_sample(np.array(from_states), from_dirichlet)
+        expected = mc.ks_two_sample(from_states, from_dirichlet)
         assert mc.dirichlet_consistency_test(spec, 1100, 64) == expected
 
     def test_dimension_one_is_exactly_consistent(self):
@@ -472,13 +483,21 @@ class TestEmpiricalConcentration:
         assert fraction <= bound
 
     def test_same_fraction_for_every_worker_count(self):
-        # (3, 3): 455 draws to a chunk, so 1000 draws make three chunks
+        # (3, 3): a state is 6 variates, 682 draws to a chunk, so 1500 draws
+        # make three chunks
         fractions = [
-            mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 1000, master_seed=67, workers=workers)[0]
+            mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 1500, master_seed=67, workers=workers)[0]
             for workers in (1, 2, 3)
         ]
         assert fractions == [fractions[0]] * 3
         assert 0.0 < fractions[0] < 1.0
+
+    def test_bound_is_not_vacuous_at_large_kn(self):
+        # at (3, 2e5) and epsilon = 0.2 the bound is 0.0032, so the observed
+        # fraction has a real bound to stay under
+        fraction, bound = mc.empirical_concentration(EnsembleSpec(3, 200_000), 0.2, 20_000, master_seed=75)
+        assert bound == pytest.approx(0.0032, abs=1e-4)
+        assert fraction <= bound
 
     def test_large_epsilon_has_empty_tail(self):
         # coherence lives in [0, ln m], so deviations beyond ln m are impossible
