@@ -39,6 +39,7 @@ from .mc import (
     estimate,
     gamma_marginal_test,
     run_comparison,
+    run_comparisons,
 )
 from .randkit import RngStream, SeedSpec
 

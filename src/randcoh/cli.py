@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -129,14 +130,16 @@ def cmd_verify(args) -> int:
     parameters = {"m": args.m, "n": args.n, "k": args.k, "samples": args.samples, "workers": args.workers}
     all_pass = True
 
-    for quantity in ("coherence", "entropy", "diag_entropy", "subentropy"):
-        config = mc.EstimatorConfig(
-            spec=spec, quantity=quantity, samples=args.samples,
-            master_seed=args.seed, workers=args.workers,
-        )
-        report = mc.run_comparison(config)
+    # coherence and diag_entropy share their state draws, entropy and
+    # subentropy their spectra: one run_comparisons call draws each once
+    configs = [
+        mc.EstimatorConfig(spec=spec, quantity=quantity, samples=args.samples,
+                           master_seed=args.seed, workers=args.workers)
+        for quantity in ("coherence", "entropy", "diag_entropy", "subentropy")
+    ]
+    for report in mc.run_comparisons(configs):
         all_pass &= report.passed
-        record = _record("verify", parameters, {quantity: _comparison_entry(report)},
+        record = _record("verify", parameters, {report.config.quantity: _comparison_entry(report)},
                          args.seed, report.wall_time_ms)
         _emit(record, args.out)
 
@@ -269,7 +272,10 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} must be a comma-separated integer list: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it holds no default
+    that can go stale (--workers resolves when the command runs)."""
     parser = _Parser(prog="randcoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
         if samples:
             p.add_argument("--samples", type=int, required=True, help="Monte Carlo sample count")
-            p.add_argument("--workers", type=int, default=mc.default_workers(),
+            p.add_argument("--workers", type=int, default=None,
                            help="processes that evaluate the sample chunks; the results do not "
                                 "depend on it (default: available parallelism)")
         p.add_argument("--out", type=str, default=None, help="also append JSONL records to this file")
@@ -320,6 +326,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # only the commands that take --workers have the attribute
+        if getattr(args, "workers", 0) is None:
+            args.workers = mc.default_workers()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -156,15 +156,23 @@ def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None 
     sample_diag_dirichlet, a stack does not hold the states that size
     single draws give.
     """
-    m, count = spec.m, 1 if size is None else size
+    w = linalg.gram(_bartlett_factor(stream, spec, 1 if size is None else size))
+    return DensityMatrix._from_gram(w[0] if size is None else w)
+
+
+def _bartlett_factor(stream: RngStream, spec: EnsembleSpec, count: int) -> np.ndarray:
+    """The (count, m, m) stack of complex Bartlett factors L that
+    sample_mixing_state draws, in its stream order: one gammas call for the
+    diagonals, then one complex_gaussians call for the strict lower
+    triangles."""
+    m = spec.m
     diag = np.arange(m)
     rows, cols = np.tril_indices(m, -1)
     low = np.zeros((count, m, m), dtype=np.complex128)
     g = stream.gammas(np.tile((spec.env_dim - diag).astype(np.float64), count), count * m)
     low[:, diag, diag] = np.sqrt(g).reshape(count, m)
     low[:, rows, cols] = stream.complex_gaussians(count * rows.size).reshape(count, rows.size)
-    w = linalg.gram(low)
-    return DensityMatrix._from_gram(w[0] if size is None else w)
+    return low
 
 
 def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> np.ndarray:

@@ -17,11 +17,19 @@ schedule chunks: the same (master_seed, samples) gives bit-identical
 results for any worker count, on any machine, whether the chunks ran
 inline or in a process pool.  A job of one chunk always runs inline.
 
+Jobs that draw the same stacks form a family: the same sampler (spectra
+for entropy and subentropy, states for coherence and diagonal entropy,
+orbits for the isospectral quantity), spec, master_seed and samples.
+run_comparisons draws each chunk of a family once and evaluates every
+quantity of the family on that one stack, each family through its own
+chunk map; estimate and run_comparison are the family of one job.
+
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF
 live here so the distributional checks need nothing outside the package.
 Both work on arrays: gamma_cdf(x, shape) maps an array x to the array of
 CDF values (a scalar x gives a float), and ks_statistic(values, cdf) calls
-cdf once, on the sorted sample, so cdf must be such an array map.
+cdf once, on the sorted sample or on a stack of samples sorted column by
+column, so cdf must be such an array map.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from . import closedforms, functionals
 # stays listed there although no estimator calls it
 from .ensembles import (  # noqa: F401
     EnsembleSpec,
+    _bartlett_factor,
     sample_diag_dirichlet,
     sample_ginibre,
     sample_isospectral_diagonal,
@@ -194,34 +203,63 @@ def _state_variates(spec: EnsembleSpec) -> int:
     return spec.m * (spec.m + 1) // 2
 
 
-def _chunk_values(config: EstimatorConfig, stream: RngStream, size: int) -> np.ndarray:
-    """Draw size samples from stream and return the configured quantity of each."""
-    if config.quantity == "isospectral_diag_entropy":
-        return functionals.shannon_entropy(sample_isospectral_diagonal(stream, config.fixed_spectrum, size))
-    if config.quantity == "entropy":
-        return functionals.shannon_entropy(sample_mixing_spectrum(stream, config.spec, size))
-    if config.quantity == "subentropy":
-        return functionals.subentropy(sample_mixing_spectrum(stream, config.spec, size))
-    states = sample_mixing_state(stream, config.spec, size)
-    if config.quantity == "diag_entropy":
-        return functionals.shannon_entropy(states.diagonal)
-    return functionals.relative_entropy_of_coherence(states)
+def _draw_key(config: EstimatorConfig) -> tuple:
+    """What the configured job draws; jobs with equal keys draw identical
+    stacks, chunk for chunk.  The sampler is told by the fixed spectrum
+    (orbits when there is one) and, without one, by whether the quantity is
+    spectral (spectra) or not (states)."""
+    return (config.quantity in SPECTRAL_QUANTITIES, config.fixed_spectrum, config.spec,
+            config.master_seed, config.samples)
 
 
-def _run_worker(config: EstimatorConfig, chunk: tuple[int, int]) -> RunningStats:
-    """Statistics of one chunk (index, size) of an estimate."""
+def _draw(config: EstimatorConfig, stream: RngStream, size: int):
+    """Draw a stack of size samples from stream for the configured job: an
+    array of diagonals or spectra, or a DensityMatrix stack."""
+    if config.fixed_spectrum is not None:
+        return sample_isospectral_diagonal(stream, config.fixed_spectrum, size)
+    if config.quantity in SPECTRAL_QUANTITIES:
+        return sample_mixing_spectrum(stream, config.spec, size)
+    return sample_mixing_state(stream, config.spec, size)
+
+
+def _values(quantity: str, draws) -> np.ndarray:
+    """The quantity of each draw of a stack made by _draw."""
+    if quantity in ("entropy", "isospectral_diag_entropy"):
+        return functionals.shannon_entropy(draws)
+    if quantity == "subentropy":
+        return functionals.subentropy(draws)
+    if quantity == "diag_entropy":
+        return functionals.shannon_entropy(draws.diagonal)
+    return functionals.relative_entropy_of_coherence(draws)
+
+
+def _run_worker(family: tuple[EstimatorConfig, ...], chunk: tuple[int, int]) -> list[RunningStats]:
+    """Statistics of one chunk (index, size) of a family of jobs with one
+    draw key: the chunk is drawn once, and each config's quantity is
+    evaluated on it.  One RunningStats per config, in family order."""
     index, size = chunk
-    return RunningStats.of(_chunk_values(config, RngStream(SeedSpec(config.master_seed, index)), size))
+    head = family[0]
+    draws = _draw(head, RngStream(SeedSpec(head.master_seed, index)), size)
+    return [RunningStats.of(_values(config.quantity, draws)) for config in family]
+
+
+def _family_stats(family: tuple[EstimatorConfig, ...]) -> list[RunningStats]:
+    """The merged statistics of each config of a family, from one chunk map
+    on as many workers as any of its configs asks for."""
+    head = family[0]
+    chunks = list(enumerate(chunk_sizes(head.samples, _entries_per_draw(head))))
+    workers = max(config.workers for config in family)
+    merged = [RunningStats() for _ in family]
+    for parts in _map_chunks(partial(_run_worker, family), chunks, workers):
+        for total, part in zip(merged, parts):
+            total.merge(part)
+    return merged
 
 
 def estimate(config: EstimatorConfig) -> RunningStats:
     """Draw config.samples states, evaluate the configured quantity on each,
     and return the merged streaming statistics."""
-    chunks = list(enumerate(chunk_sizes(config.samples, _entries_per_draw(config))))
-    merged = RunningStats()
-    for stats in _map_chunks(partial(_run_worker, config), chunks, config.workers):
-        merged.merge(stats)
-    return merged
+    return _family_stats((config,))[0]
 
 
 def closed_form_for(config: EstimatorConfig) -> float:
@@ -262,12 +300,33 @@ def compare(stats: RunningStats, config: EstimatorConfig, wall_time_ms: float = 
     )
 
 
+def run_comparisons(configs) -> list[ComparisonReport]:
+    """estimate + compare for each config, one report per config in order.
+
+    Configs that draw the same stacks (same sampler, spec, master_seed and
+    samples) form a family, and a family is drawn once: each of its chunks
+    is one stack on which every quantity of the family is evaluated.  The
+    statistics are bit for bit those of separate estimate calls.  Each
+    family runs through its own chunk map, so a family of one chunk runs
+    inline, and every report of a family carries the family's wall time.
+    """
+    configs = list(configs)
+    families: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        families.setdefault(_draw_key(config), []).append(i)
+    reports: list[ComparisonReport | None] = [None] * len(configs)
+    for members in families.values():
+        t0 = time.perf_counter()
+        stats = _family_stats(tuple(configs[i] for i in members))
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        for i, s in zip(members, stats):
+            reports[i] = compare(s, configs[i], wall_time_ms=elapsed_ms)
+    return reports
+
+
 def run_comparison(config: EstimatorConfig) -> ComparisonReport:
     """estimate + compare with wall time attached."""
-    t0 = time.perf_counter()
-    stats = estimate(config)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return compare(stats, config, wall_time_ms=elapsed_ms)
+    return run_comparisons([config])[0]
 
 
 def _concentration_worker(spec: EnsembleSpec, epsilon: float, master_seed: int,
@@ -373,21 +432,25 @@ def _gamma_continued_fraction(x: np.ndarray, a: float) -> np.ndarray:
     return h
 
 
-def ks_statistic(values: np.ndarray, cdf) -> float:
+def ks_statistic(values: np.ndarray, cdf) -> float | np.ndarray:
     """One-sample two-sided Kolmogorov-Smirnov statistic against cdf.
 
-    cdf is called once, on the sorted sample as one array, and must return
-    the array of CDF values.
+    values is one sample of shape (n,), which gives a float, or a stack of
+    samples along axis 0, shape (n, m), which gives the m statistics of its
+    columns.  cdf is called once, on the whole sample sorted along axis 0,
+    and must return the array of CDF values, of the same shape.
     """
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    n = values.size
-    if n < 1:
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 0 or values.shape[0] < 1:
         raise ParameterError("KS statistic needs at least one sample")
+    values = np.sort(values, axis=0)
+    n = values.shape[0]
     f = np.asarray(cdf(values), dtype=np.float64)
     if f.shape != values.shape:
         raise ParameterError(f"cdf must map the {values.shape} sample to an array of that shape, got {f.shape}")
-    grid = np.arange(1, n + 1) / n
-    return float(max((grid - f).max(), (f - (grid - 1.0 / n)).max()))
+    grid = (np.arange(1, n + 1) / n).reshape((n,) + (1,) * (values.ndim - 1))
+    d = np.maximum((grid - f).max(axis=0), (f - (grid - 1.0 / n)).max(axis=0))
+    return float(d) if d.ndim == 0 else d
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
@@ -426,23 +489,25 @@ def gamma_marginal_test(m: int, n: int, samples: int, master_seed: int) -> np.nd
     # W_ii = sum_j |Z_ij|^2, so the diagonals need no Gram matrix
     blocks = (sample_ginibre(stream, m, n, size) for size in chunk_sizes(samples, m * n))
     diags = np.concatenate([np.sum(z.real**2 + z.imag**2, axis=-1) for z in blocks])
-    cdf = lambda x: gamma_cdf(x, float(n))
-    return np.array([ks_statistic(diags[:, i], cdf) for i in range(m)])
+    return ks_statistic(diags, lambda x: gamma_cdf(x, float(n)))
 
 
 def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: int) -> float:
     """Two-sample KS statistic between the first diagonal entry of sampled
     states and the direct Dirichlet marginal sampler.
 
-    The two samples come from distinct substreams (indices 0 and 1) of the
-    same master seed so they are independent.
+    The states are the stacks sample_mixing_state draws, but each entry is
+    read off its Bartlett factor L as |L_0.|^2 / sum_i |L_i.|^2, the first
+    diagonal entry of L L^dagger / tr(L L^dagger), without forming the
+    state.  The two samples come from distinct substreams (indices 0 and 1)
+    of the same master seed so they are independent.
     """
     if samples < 2:
         raise ParameterError(f"samples must be >= 2, got {samples}")
     state_stream = RngStream(SeedSpec(master_seed, 0))
     dir_stream = RngStream(SeedSpec(master_seed, 1))
     from_states = np.concatenate([
-        sample_mixing_state(state_stream, spec, size).diagonal[:, 0]
+        _first_diagonal_entry(_bartlett_factor(state_stream, spec, size))
         for size in chunk_sizes(samples, _state_variates(spec))
     ])
     # a Dirichlet draw is m Gamma variates
@@ -450,6 +515,13 @@ def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: in
         sample_diag_dirichlet(dir_stream, spec, size)[:, 0] for size in chunk_sizes(samples, spec.m)
     ])
     return ks_two_sample(from_states, from_dirichlet)
+
+
+def _first_diagonal_entry(low: np.ndarray) -> np.ndarray:
+    """rho_00 of the state L L^dagger / tr(L L^dagger) for each factor of a
+    (count, m, m) stack: the squared norm of row 0 over that of all rows."""
+    rows = np.sum(low.real**2 + low.imag**2, axis=-1)
+    return rows[:, 0] / rows.sum(axis=-1)
 
 
 def default_workers() -> int:

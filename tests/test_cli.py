@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +113,38 @@ class TestEstimate:
 
 
 class TestVerify:
+    def test_small_verify_starts_no_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk family started a process pool")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        code, out, _ = run_cli(capsys, "verify", "--m", "4", "--n", "8", "--samples", "200", "--seed", "3",
+                               "--workers", "2")
+        assert code == 0
+        assert len(parse_jsonl(out)) == 7
+
+    def test_one_pool_per_family(self, capsys, monkeypatch):
+        # (2, 3): states and spectra are both 3 variates, 1365 draws to a
+        # chunk, so 3000 draws make three chunks in each of the two families
+        started = []
+
+        class Counted(mc.ProcessPoolExecutor):
+            def __enter__(self):
+                started.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", Counted)
+        code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3", "--samples", "3000", "--seed", "4",
+                               "--workers", "2")
+        assert code == 0
+        assert len(started) == 2
+        records = parse_jsonl(out)
+        wall = {name: r["wall_time_ms"] for r in records for name in r["results"]}
+        assert wall["coherence"] == wall["diag_entropy"]
+        assert wall["entropy"] == wall["subentropy"]
+        assert [name for r in records[:4] for name in r["results"]] == [
+            "coherence", "entropy", "diag_entropy", "subentropy"]
+
     def test_small_dimensions_pass(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--m", "2", "--n", "3", "--samples", "6000", "--seed", "1",
@@ -276,19 +310,57 @@ class TestSample:
         assert "--count" in err
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*argv):
+    """python -m randcoh.cli argv in a subprocess that imports this
+    checkout's package, whether or not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-m", "randcoh.cli", *argv], capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "randcoh.cli", "tables", "--m-list", "2", "--n-list", "2"],
-            capture_output=True, text=True,
-        )
+        result = run_module("tables", "--m-list", "2", "--n-list", "2")
         assert result.returncode == 0
         assert result.stdout.startswith("m,n,avg_entropy")
 
     def test_usage_error_exit_code(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "randcoh.cli", "estimate", "--quantity", "nope",
-             "--m", "2", "--n", "2", "--samples", "10", "--seed", "0"],
-            capture_output=True, text=True,
-        )
+        result = run_module("estimate", "--quantity", "nope", "--m", "2", "--n", "2", "--samples", "10",
+                            "--seed", "0")
         assert result.returncode == 1
+        assert result.stderr.startswith("error: argument --quantity: invalid choice")
+
+
+class TestParser:
+    def test_built_once_across_calls(self, capsys, monkeypatch):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        cli.build_parser.cache_clear()
+        try:
+            for _ in range(3):
+                code, out, _ = run_cli(capsys, "tables", "--m-list", "2", "--n-list", "2")
+                assert code == 0 and out.startswith("m,n,")
+            # the parser and its five subcommand parsers, built by the first call only
+            assert len(built) == 6
+        finally:
+            cli.build_parser.cache_clear()
+
+    def test_default_workers_resolve_when_the_command_runs(self, capsys, monkeypatch):
+        argv = ("estimate", "--quantity", "coherence", "--m", "2", "--n", "2", "--samples", "100",
+                "--seed", "5")
+        workers = []
+        for count in (1, 3):
+            monkeypatch.setattr(mc, "default_workers", lambda count=count: count)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            workers.append(parse_jsonl(out)[0]["parameters"]["workers"])
+        assert workers == [1, 3]

@@ -150,7 +150,8 @@ class TestEstimate:
         assert len(chunks) == 3
         inline = mc.RunningStats()
         for chunk in chunks:
-            inline.merge(mc._run_worker(config, chunk))
+            (part,) = mc._run_worker((config,), chunk)
+            inline.merge(part)
         assert (pooled.count, pooled.mean, pooled.m2) == (inline.count, inline.mean, inline.m2)
 
     def test_worker_count_changes_only_stream_assignment(self):
@@ -204,6 +205,91 @@ class TestEstimate:
         small = mc.estimate(mc.EstimatorConfig(samples=4000, workers=1, **base))
         big = mc.estimate(mc.EstimatorConfig(samples=16000, workers=1, **base))
         assert big.stderr * 2.0 == pytest.approx(small.stderr, rel=0.2)
+
+
+VERIFY_QUANTITIES = ("coherence", "entropy", "diag_entropy", "subentropy")
+
+
+class TestRunComparisons:
+    # samples that make at least three chunks of states and of spectra: a
+    # state is m(m+1)/2 variates and a spectrum 2m - 1, so at m = 2 1365
+    # draws of either make a chunk, at m = 4 409 states or 585 spectra, at
+    # m = 8 113 states or 273 spectra
+    SIZES = ((EnsembleSpec(2, 3), 3000), (EnsembleSpec(4, 8), 1300), (EnsembleSpec(8, 8), 600))
+
+    @staticmethod
+    def configs(workers):
+        configs = []
+        for spec, samples in TestRunComparisons.SIZES:
+            configs += [mc.EstimatorConfig(spec, q, samples, master_seed=75, workers=workers)
+                        for q in VERIFY_QUANTITIES]
+        # jobs that must not join a family above: another seed, another
+        # sample count, another spec (k = 2); and an isospectral job
+        spec, samples = TestRunComparisons.SIZES[1]
+        configs += [
+            mc.EstimatorConfig(spec, "coherence", samples, master_seed=76, workers=workers),
+            mc.EstimatorConfig(spec, "diag_entropy", samples + 1, master_seed=75, workers=workers),
+            mc.EstimatorConfig(EnsembleSpec(4, 8, k=2), "entropy", samples, master_seed=75, workers=workers),
+            mc.EstimatorConfig(EnsembleSpec(3, 3), "isospectral_diag_entropy", 1000, master_seed=75,
+                               workers=workers, fixed_spectrum=(0.6, 0.3, 0.1)),
+        ]
+        return configs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bits_are_those_of_separate_estimates(self, workers, monkeypatch):
+        configs = self.configs(workers)
+        for config in configs[:12]:
+            assert len(mc.chunk_sizes(config.samples, mc._entries_per_draw(config))) >= 3
+        seen = {}
+        compare = mc.compare
+
+        def recording_compare(stats, config, wall_time_ms=0.0):
+            seen[config] = (stats.count, stats.mean, stats.m2)
+            return compare(stats, config, wall_time_ms)
+
+        monkeypatch.setattr(mc, "compare", recording_compare)
+        reports = mc.run_comparisons(configs)
+        assert [r.config for r in reports] == configs
+        for config, report in zip(configs, reports):
+            alone = mc.estimate(config)
+            assert seen[config] == (alone.count, alone.mean, alone.m2)
+            assert (report.mc_mean, report.mc_stderr) == (alone.mean, alone.stderr)
+
+    def test_each_chunk_of_a_family_is_drawn_once(self, monkeypatch):
+        configs = self.configs(1)
+        draws = {"state": 0, "spectrum": 0}
+
+        def counted(name, sampler):
+            def draw(*args, **kwargs):
+                draws[name] += 1
+                return sampler(*args, **kwargs)
+            return draw
+
+        monkeypatch.setattr(mc, "sample_mixing_state", counted("state", mc.sample_mixing_state))
+        monkeypatch.setattr(mc, "sample_mixing_spectrum", counted("spectrum", mc.sample_mixing_spectrum))
+        mc.run_comparisons(configs)
+
+        def chunks(config):
+            return len(mc.chunk_sizes(config.samples, mc._entries_per_draw(config)))
+
+        # one draw per chunk of each family: the four verify jobs of a size
+        # are a state family (coherence, diag_entropy at 0 and 2 of each
+        # four) and a spectrum family (entropy, subentropy at 1 and 3); the
+        # jobs after them, 12 and 13 states, 14 spectra, are families of one
+        verify = configs[:12]
+        assert draws["state"] == sum(chunks(c) for c in verify[0::4]) + chunks(configs[12]) \
+            + chunks(configs[13])
+        assert draws["spectrum"] == sum(chunks(c) for c in verify[1::4]) + chunks(configs[14])
+
+    def test_a_family_shares_its_wall_time(self):
+        reports = mc.run_comparisons(
+            [mc.EstimatorConfig(EnsembleSpec(2, 3), q, 200, master_seed=77) for q in VERIFY_QUANTITIES])
+        by_quantity = {r.config.quantity: r.wall_time_ms for r in reports}
+        assert by_quantity["coherence"] == by_quantity["diag_entropy"] > 0.0
+        assert by_quantity["entropy"] == by_quantity["subentropy"] > 0.0
+
+    def test_no_configs_give_no_reports(self):
+        assert mc.run_comparisons([]) == []
 
 
 def laguerre_shapes(spec):
@@ -405,6 +491,31 @@ class TestKolmogorovSmirnov:
         with pytest.raises(ParameterError):
             mc.ks_statistic(np.array([0.2, 0.4, 0.6]), lambda x: 0.5)
 
+    def test_a_stack_gives_exactly_the_statistics_of_its_columns(self):
+        draws = RngStream(SeedSpec(79, 0)).gammas(3.0, 3 * 1500).reshape(1500, 3)
+        for cdf in (lambda x: mc.gamma_cdf(x, 3.0), lambda x: mc.gamma_cdf(x, 4.0)):
+            stacked = mc.ks_statistic(draws, cdf)
+            assert stacked.shape == (3,)
+            assert list(stacked) == [mc.ks_statistic(draws[:, i], cdf) for i in range(3)]
+        assert isinstance(mc.ks_statistic(draws[:, 0], lambda x: mc.gamma_cdf(x, 3.0)), float)
+
+    def test_a_stack_calls_cdf_once(self):
+        calls = []
+
+        def cdf(x):
+            calls.append(x.copy())
+            return np.clip(x, 0.0, 1.0)
+
+        values = np.random.default_rng(8).random((40, 4))
+        mc.ks_statistic(values, cdf)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.sort(values, axis=0))
+
+    @pytest.mark.parametrize("cdf", [lambda x: x[:, 0], lambda x: x.T, lambda x: 0.5])
+    def test_a_stack_rejects_a_cdf_of_the_wrong_shape(self, cdf):
+        with pytest.raises(ParameterError):
+            mc.ks_statistic(np.random.default_rng(9).random((6, 3)), cdf)
+
     def test_two_sample_matches_scipy(self):
         rng = np.random.default_rng(6)
         a, b = rng.random(3000), rng.random(2000) ** 1.1
@@ -450,6 +561,18 @@ class TestGammaMarginal:
         diags = np.array([np.diagonal(sample_wishart(stream, 2, 3)).real for _ in range(1500)])
         expected = [mc.ks_statistic(diags[:, i], lambda x: mc.gamma_cdf(x, 3.0)) for i in range(2)]
         assert mc.gamma_marginal_test(2, 3, 1500, 63) == pytest.approx(expected, abs=1e-12)
+
+    def test_one_cdf_pass_for_every_diagonal_entry(self, monkeypatch):
+        calls = []
+        gamma_cdf = mc.gamma_cdf
+
+        def counted(x, shape):
+            calls.append(np.shape(x))
+            return gamma_cdf(x, shape)
+
+        monkeypatch.setattr(mc, "gamma_cdf", counted)
+        assert mc.gamma_marginal_test(4, 8, 1000, 80).shape == (4,)
+        assert calls == [(1000, 4)]
 
 
 class TestDirichletConsistency:
