@@ -146,8 +146,11 @@ def cmd_verify(args) -> int:
     # distributional checks need a sample floor to mean anything
     ks_samples = max(args.samples, mc.KS_MIN_SAMPLES)
 
+    # both checks read one stack of Wishart diagonals, so both records carry
+    # the time of the pair
     t0 = time.perf_counter()
-    stats = mc.gamma_marginal_test(spec.m, spec.env_dim, ks_samples, args.seed)
+    stats, d = mc.diagonal_ks_tests(spec, ks_samples, args.seed)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
     threshold = mc.ks_critical_value(ks_samples)
     ok = bool((stats < threshold).all())
     all_pass &= ok
@@ -156,10 +159,8 @@ def cmd_verify(args) -> int:
         "threshold": threshold,
         "samples": ks_samples,
         "verdict": "pass" if ok else "fail",
-    }}, args.seed, (time.perf_counter() - t0) * 1000.0), args.out)
+    }}, args.seed, elapsed_ms), args.out)
 
-    t0 = time.perf_counter()
-    d = mc.dirichlet_consistency_test(spec, ks_samples, args.seed)
     threshold = mc.ks_critical_value(ks_samples, n2=ks_samples)
     ok = d < threshold
     all_pass &= ok
@@ -168,7 +169,7 @@ def cmd_verify(args) -> int:
         "threshold": threshold,
         "samples": ks_samples,
         "verdict": "pass" if ok else "fail",
-    }}, args.seed, (time.perf_counter() - t0) * 1000.0), args.out)
+    }}, args.seed, elapsed_ms), args.out)
 
     t0 = time.perf_counter()
     if spec.m == 2:

@@ -7,9 +7,11 @@ block concatenation: one m x (k*n) Ginibre block, so one sampler,
 sample_mixing_state, covers both, and k = 1 is the induced measure.  It
 draws the Wishart matrix from its m x m complex Bartlett factor, and
 sample_mixing_spectrum draws the spectra of the same states from the
-Laguerre bidiagonal model, both at a cost that does not grow with k*n.
-sample_ginibre and sample_wishart keep the Ginibre block itself, the
-reference construction.
+Laguerre bidiagonal model, both at a cost that does not grow with k*n;
+the Wishart diagonals that mc's KS checks test are the row norms of the
+same Bartlett factors (_bartlett_factor).  sample_ginibre and
+sample_wishart keep the Ginibre block itself, the reference construction
+the tests compare those routes against; nothing in mc draws it.
 Direct Dirichlet and Haar-isospectral samplers cover the marginal laws
 that have one.
 """
@@ -164,7 +166,7 @@ def _bartlett_factor(stream: RngStream, spec: EnsembleSpec, count: int) -> np.nd
     """The (count, m, m) stack of complex Bartlett factors L that
     sample_mixing_state draws, in its stream order: one gammas call for the
     diagonals, then one complex_gaussians call for the strict lower
-    triangles."""
+    triangles.  Row i's squared norm is W_ii ~ Gamma(kn)."""
     m = spec.m
     diag = np.arange(m)
     rows, cols = np.tril_indices(m, -1)

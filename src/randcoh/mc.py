@@ -29,7 +29,10 @@ live here so the distributional checks need nothing outside the package.
 Both work on arrays: gamma_cdf(x, shape) maps an array x to the array of
 CDF values (a scalar x gives a float), and ks_statistic(values, cdf) calls
 cdf once, on the sorted sample or on a stack of samples sorted column by
-column, so cdf must be such an array map.
+column, so cdf must be such an array map.  The two KS checks of the
+diagonal law read the Wishart diagonals as the row norms of the Bartlett
+factors sample_mixing_state draws, so their cost does not grow with k*n
+either; diagonal_ks_tests runs both on one draw.
 """
 
 from __future__ import annotations
@@ -46,18 +49,17 @@ import numpy as np
 from . import closedforms, functionals
 # every sampler the estimators use is looked up in this module's namespace,
 # where the traced benchmark run (bench/spans.py) can wrap it; sample_wishart
-# stays listed there although no estimator calls it
+# is imported only to be wrapped there, since nothing in this module calls it
 from .ensembles import (  # noqa: F401
     EnsembleSpec,
     _bartlett_factor,
     sample_diag_dirichlet,
-    sample_ginibre,
     sample_isospectral_diagonal,
     sample_mixing_spectrum,
     sample_mixing_state,
     sample_wishart,
 )
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError
 from .randkit import RngStream, SeedSpec
 
 QUANTITIES = ("entropy", "diag_entropy", "coherence", "subentropy", "isospectral_diag_entropy")
@@ -358,7 +360,11 @@ def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
 # -- incomplete gamma and Kolmogorov-Smirnov machinery ------------------------
 
 _IGAM_EPS = 1e-15
+# iteration cap of the series and the continued fraction: both need a number
+# of terms that grows like sqrt(shape) where x is near the shape (about
+# 8.3 sqrt(shape) series terms at x = shape for a relative step of 1e-15)
 _IGAM_MAX_ITER = 400
+_IGAM_ITER_PER_SQRT_SHAPE = 12
 
 
 def gamma_cdf(x: float | np.ndarray, shape: float) -> float | np.ndarray:
@@ -367,9 +373,11 @@ def gamma_cdf(x: float | np.ndarray, shape: float) -> float | np.ndarray:
     x may be a scalar or an array; an array gives an array of the same
     shape, a scalar a float.  Series expansion where x < shape + 1, Lentz
     continued fraction for the complementary function elsewhere, each run
-    as one masked loop over the entries that have not yet converged.
+    as one loop over all entries that freezes each entry once it has
+    converged, for at most 400 + 12 sqrt(shape) iterations.
     P = 0 for x <= 0 and P = 1 at x = +inf; a NaN x raises DomainError, a
-    shape that is not finite and positive ParameterError.
+    shape that is not finite and positive ParameterError, and an entry that
+    has not converged within the cap NumericalError.
     """
     if not (math.isfinite(shape) and shape > 0):
         raise ParameterError(f"shape must be finite and positive, got {shape}")
@@ -381,54 +389,61 @@ def gamma_cdf(x: float | np.ndarray, shape: float) -> float | np.ndarray:
     xs = xa.ravel()[inner]
     prefactor = np.exp(shape * np.log(xs) - xs - math.lgamma(shape))
     series = xs < shape + 1.0
+    cap = _IGAM_MAX_ITER + math.ceil(_IGAM_ITER_PER_SQRT_SHAPE * math.sqrt(shape))
     result = np.empty(xs.size)
-    result[series] = np.minimum(1.0, _gamma_series(xs[series], shape) * prefactor[series])
+    result[series] = np.minimum(1.0, _gamma_series(xs[series], shape, cap) * prefactor[series])
     cf = ~series
-    result[cf] = np.maximum(0.0, 1.0 - prefactor[cf] * _gamma_continued_fraction(xs[cf], shape))
+    result[cf] = np.maximum(0.0, 1.0 - prefactor[cf] * _gamma_continued_fraction(xs[cf], shape, cap))
     out.ravel()[inner] = result
     return float(out) if out.ndim == 0 else out
 
 
-def _gamma_series(x: np.ndarray, a: float) -> np.ndarray:
+def _gamma_series(x: np.ndarray, a: float, cap: int) -> np.ndarray:
     """sum_{k>=0} x^k / (a (a+1) ... (a+k)), so that P(a, x) = x^a e^-x / Gamma(a) * sum."""
     term = np.full(x.size, 1.0 / a)
     total = term.copy()
-    live = np.arange(x.size)
+    live = np.ones(x.size, dtype=bool)
     ap = a
-    for _ in range(_IGAM_MAX_ITER):
-        if not live.size:
+    for _ in range(cap):
+        if not live.any():
             break
         ap += 1.0
-        t = term[live] * (x[live] / ap)
-        tot = total[live] + t
-        term[live] = t
-        total[live] = tot
-        live = live[~(np.abs(t) < np.abs(tot) * _IGAM_EPS)]
+        t = term * (x / ap)
+        tot = total + t
+        np.copyto(term, t, where=live)
+        np.copyto(total, tot, where=live)
+        live &= ~(np.abs(t) < np.abs(tot) * _IGAM_EPS)
+    if live.any():
+        raise NumericalError(f"incomplete gamma series at shape {a} did not converge in {cap} iterations")
     return total
 
 
-def _gamma_continued_fraction(x: np.ndarray, a: float) -> np.ndarray:
+def _gamma_continued_fraction(x: np.ndarray, a: float, cap: int) -> np.ndarray:
     """1/(x+1-a- 1(1-a)/(x+3-a- ...)) by Lentz, so that Q(a, x) = x^a e^-x / Gamma(a) * cf."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = np.full(x.size, 1.0 / tiny)
     d = 1.0 / b
     h = d.copy()
-    live = np.arange(x.size)
-    for i in range(1, _IGAM_MAX_ITER + 1):
-        if not live.size:
+    live = np.ones(x.size, dtype=bool)
+    for i in range(1, cap + 1):
+        if not live.any():
             break
         an = -i * (i - a)
-        bl = b[live] + 2.0
-        dl = an * d[live] + bl
-        dl[np.abs(dl) < tiny] = tiny
-        cl = bl + an / c[live]
-        cl[np.abs(cl) < tiny] = tiny
-        dl = 1.0 / dl
-        delta = dl * cl
-        b[live], c[live], d[live] = bl, cl, dl
-        h[live] *= delta
-        live = live[~(np.abs(delta - 1.0) < _IGAM_EPS)]
+        b += 2.0
+        dn = an * d + b
+        dn[np.abs(dn) < tiny] = tiny
+        cn = b + an / c
+        cn[np.abs(cn) < tiny] = tiny
+        dn = 1.0 / dn
+        delta = dn * cn
+        np.copyto(c, cn, where=live)
+        np.copyto(d, dn, where=live)
+        np.copyto(h, h * delta, where=live)
+        live &= ~(np.abs(delta - 1.0) < _IGAM_EPS)
+    if live.any():
+        raise NumericalError(f"incomplete gamma continued fraction at shape {a} did not converge "
+                             f"in {cap} iterations")
     return h
 
 
@@ -476,19 +491,21 @@ def ks_critical_value(n: int, alpha: float = 0.01, n2: int | None = None) -> flo
     return c * math.sqrt((n + n2) / (n * n2))
 
 
+def diagonal_ks_tests(spec: EnsembleSpec, samples: int, master_seed: int) -> tuple[np.ndarray, float]:
+    """gamma_marginal_test(m, kn, ...) and dirichlet_consistency_test(spec, ...)
+    together, with the same results, from one draw of the Wishart diagonals
+    that both read."""
+    diags = _wishart_diagonals(spec, samples, master_seed, KS_MIN_SAMPLES)
+    return (ks_statistic(diags, lambda x: gamma_cdf(x, float(spec.env_dim))),
+            _dirichlet_ks(diags, spec, master_seed))
+
+
 def gamma_marginal_test(m: int, n: int, samples: int, master_seed: int) -> np.ndarray:
     """KS statistic of each Wishart diagonal entry against the Gamma(n, 1) CDF.
 
     Returns one statistic per diagonal index i = 0..m-1.
     """
-    if m > n:
-        raise ParameterError(f"requires m <= n, got m={m}, n={n}")
-    if samples < KS_MIN_SAMPLES:
-        raise ParameterError(f"need >= {KS_MIN_SAMPLES} samples for a meaningful KS test, got {samples}")
-    stream = RngStream(SeedSpec(master_seed, 0))
-    # W_ii = sum_j |Z_ij|^2, so the diagonals need no Gram matrix
-    blocks = (sample_ginibre(stream, m, n, size) for size in chunk_sizes(samples, m * n))
-    diags = np.concatenate([np.sum(z.real**2 + z.imag**2, axis=-1) for z in blocks])
+    diags = _wishart_diagonals(EnsembleSpec(m, n), samples, master_seed, KS_MIN_SAMPLES)
     return ks_statistic(diags, lambda x: gamma_cdf(x, float(n)))
 
 
@@ -496,32 +513,39 @@ def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: in
     """Two-sample KS statistic between the first diagonal entry of sampled
     states and the direct Dirichlet marginal sampler.
 
-    The states are the stacks sample_mixing_state draws, but each entry is
-    read off its Bartlett factor L as |L_0.|^2 / sum_i |L_i.|^2, the first
-    diagonal entry of L L^dagger / tr(L L^dagger), without forming the
-    state.  The two samples come from distinct substreams (indices 0 and 1)
-    of the same master seed so they are independent.
+    Each entry is read off the Wishart diagonals as rho_00 = W_00 / tr W,
+    without forming the state.  The two samples come from distinct
+    substreams (indices 0 and 1) of the same master seed so they are
+    independent.
     """
-    if samples < 2:
-        raise ParameterError(f"samples must be >= 2, got {samples}")
-    state_stream = RngStream(SeedSpec(master_seed, 0))
+    return _dirichlet_ks(_wishart_diagonals(spec, samples, master_seed, 2), spec, master_seed)
+
+
+def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int, minimum: int) -> np.ndarray:
+    """The (samples, m) stack of the diagonals W_ii ~ Gamma(kn, 1) of the
+    states sample_mixing_state draws, read as the squared row norms of their
+    Bartlett factors: m(m+1)/2 variates per draw whatever kn is, from
+    substream 0 of master_seed in chunks of at most CHUNK_ENTRIES variates.
+    At least minimum samples are required."""
+    if samples < minimum:
+        raise ParameterError(f"need >= {minimum} samples for a meaningful KS test, got {samples}")
+    stream = RngStream(SeedSpec(master_seed, 0))
+    rows = []
+    for size in chunk_sizes(samples, _state_variates(spec)):
+        low = _bartlett_factor(stream, spec, size)
+        rows.append(np.sum(low.real**2 + low.imag**2, axis=-1))
+    return np.concatenate(rows)
+
+
+def _dirichlet_ks(diags: np.ndarray, spec: EnsembleSpec, master_seed: int) -> float:
+    """Two-sample KS statistic of rho_00 = W_00 / tr W over a diagonal stack
+    against as many direct Dirichlet draws from substream 1 of master_seed."""
     dir_stream = RngStream(SeedSpec(master_seed, 1))
-    from_states = np.concatenate([
-        _first_diagonal_entry(_bartlett_factor(state_stream, spec, size))
-        for size in chunk_sizes(samples, _state_variates(spec))
-    ])
     # a Dirichlet draw is m Gamma variates
     from_dirichlet = np.concatenate([
-        sample_diag_dirichlet(dir_stream, spec, size)[:, 0] for size in chunk_sizes(samples, spec.m)
+        sample_diag_dirichlet(dir_stream, spec, size)[:, 0] for size in chunk_sizes(len(diags), spec.m)
     ])
-    return ks_two_sample(from_states, from_dirichlet)
-
-
-def _first_diagonal_entry(low: np.ndarray) -> np.ndarray:
-    """rho_00 of the state L L^dagger / tr(L L^dagger) for each factor of a
-    (count, m, m) stack: the squared norm of row 0 over that of all rows."""
-    rows = np.sum(low.real**2 + low.imag**2, axis=-1)
-    return rows[:, 0] / rows.sum(axis=-1)
+    return ks_two_sample(diags[:, 0] / diags.sum(axis=-1), from_dirichlet)
 
 
 def default_workers() -> int:

@@ -145,6 +145,28 @@ class TestVerify:
         assert [name for r in records[:4] for name in r["results"]] == [
             "coherence", "entropy", "diag_entropy", "subentropy"]
 
+    @pytest.mark.parametrize("samples,ks_chunks", [(200, [1000]), (3000, [1365, 1365, 270])])
+    def test_one_ks_sample_draw(self, capsys, monkeypatch, samples, ks_chunks):
+        # both KS records read one stack of Bartlett factors: at (2, 3) a
+        # state is 3 variates, so the KS sample comes in chunks of 1365, all
+        # from one stream; the estimators' factors are drawn in ensembles
+        draws = []
+        bartlett = mc._bartlett_factor
+
+        def counted(stream, spec, count):
+            draws.append((stream, count))
+            return bartlett(stream, spec, count)
+
+        monkeypatch.setattr(mc, "_bartlett_factor", counted)
+        code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3", "--samples", str(samples),
+                               "--seed", "6", "--workers", "1")
+        assert code == 0
+        assert [count for _, count in draws] == ks_chunks
+        assert len({id(stream) for stream, _ in draws}) == 1
+        records = parse_jsonl(out)
+        wall = {name: r["wall_time_ms"] for r in records for name in r["results"]}
+        assert wall["wishart_diagonal_gamma_ks"] == wall["diagonal_dirichlet_consistency_ks"]
+
     def test_small_dimensions_pass(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--m", "2", "--n", "3", "--samples", "6000", "--seed", "1",

@@ -11,9 +11,8 @@ from randcoh.ensembles import (
     sample_diag_dirichlet,
     sample_isospectral_diagonal,
     sample_mixing_state,
-    sample_wishart,
 )
-from randcoh.errors import DomainError, ParameterError
+from randcoh.errors import DomainError, NumericalError, ParameterError
 from randcoh.functionals import harmonic
 from randcoh.randkit import RngStream, SeedSpec
 from test_ensembles import bartlett_reference
@@ -459,6 +458,66 @@ class TestIncompleteGamma:
         with pytest.raises(ParameterError):
             mc.gamma_cdf(1.0, 0.0)
 
+    @staticmethod
+    def series_reference(x, a):
+        term = total = 1.0 / a
+        while True:
+            a += 1.0
+            term *= x / a
+            total += term
+            if abs(term) < abs(total) * 1e-15:
+                return total
+
+    @staticmethod
+    def continued_fraction_reference(x, a):
+        tiny = 1e-300
+        b, c = x + 1.0 - a, 1.0 / tiny
+        d = h = 1.0 / b
+        i = 0
+        while True:
+            i += 1
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = tiny if abs(d) < tiny else d
+            c = b + an / c
+            c = tiny if abs(c) < tiny else c
+            d = 1.0 / d
+            h *= d * c
+            if abs(d * c - 1.0) < 1e-15:
+                return h
+
+    @pytest.mark.parametrize("shape", [0.5, 3.0, 8.0, 200.0, 2000.0, 2e4])
+    def test_array_loops_stop_each_entry_where_its_scalar_recurrence_stops(self, shape):
+        # entries converge after different numbers of terms; each must keep
+        # exactly the sum its own recurrence stops at
+        xs = np.abs(shape + np.linspace(-6.0, 6.0, 241) * math.sqrt(shape)) + 1e-3
+        cap = 100_000
+        below = xs[xs < shape + 1.0]
+        above = xs[xs >= shape + 1.0]
+        assert mc._gamma_series(below, shape, cap).tolist() == [self.series_reference(x, shape) for x in below]
+        assert mc._gamma_continued_fraction(above, shape, cap).tolist() == [
+            self.continued_fraction_reference(x, shape) for x in above]
+
+    @pytest.mark.parametrize("shape", [2e3, 2e4, 2e5])
+    def test_large_shapes_against_scipy(self, shape):
+        # the series and the continued fraction need about sqrt(shape) terms
+        # near x = shape, more than a fixed cap of 400 beyond shape ~ 2e3
+        xs = shape + np.linspace(-5.0, 5.0, 1001) * math.sqrt(shape)
+        assert np.abs(mc.gamma_cdf(xs, shape) - special.gammainc(shape, xs)).max() <= 1e-9
+
+    @pytest.mark.parametrize("x", [2e4 - 100.0, 2e4])
+    def test_too_small_a_cap_raises(self, monkeypatch, x):
+        monkeypatch.setattr(mc, "_IGAM_ITER_PER_SQRT_SHAPE", 0)
+        with pytest.raises(NumericalError, match="series"):
+            mc.gamma_cdf(np.array([1.0, x]), 2e4)
+
+    def test_too_small_a_cap_raises_in_the_continued_fraction(self, monkeypatch):
+        monkeypatch.setattr(mc, "_IGAM_MAX_ITER", 2)
+        monkeypatch.setattr(mc, "_IGAM_ITER_PER_SQRT_SHAPE", 0)
+        with pytest.raises(NumericalError, match="continued fraction"):
+            mc.gamma_cdf(40.0, 30.0)
+
     @pytest.mark.parametrize("shape", [math.nan, math.inf])
     def test_rejects_non_finite_shape(self, shape):
         with pytest.raises(ParameterError):
@@ -557,10 +616,62 @@ class TestGammaMarginal:
             mc.gamma_marginal_test(2, 4, samples=10, master_seed=0)
 
     def test_diagonals_are_those_of_the_wishart_draws(self):
-        stream = RngStream(SeedSpec(63, 0))
-        diags = np.array([np.diagonal(sample_wishart(stream, 2, 3)).real for _ in range(1500)])
+        # W = L L^dagger for the Bartlett factors sample_mixing_state draws,
+        # in its stacks of at most CHUNK_ENTRIES variates (3 per state at m = 2)
+        stream, spec = RngStream(SeedSpec(63, 0)), EnsembleSpec(2, 3)
+        diags = np.concatenate([
+            np.diagonal(linalg.gram(mc._bartlett_factor(stream, spec, size)), axis1=-2, axis2=-1).real
+            for size in mc.chunk_sizes(1500, 3)])
         expected = [mc.ks_statistic(diags[:, i], lambda x: mc.gamma_cdf(x, 3.0)) for i in range(2)]
         assert mc.gamma_marginal_test(2, 3, 1500, 63) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    def test_factors_of_the_next_size_fail(self, monkeypatch, seed):
+        # factors drawn at kn + 1 give Gamma(kn + 1) diagonals
+        critical = mc.ks_critical_value(1000)
+        assert (mc.gamma_marginal_test(4, 8, 1000, seed) < critical).all()
+        bartlett = mc._bartlett_factor
+        monkeypatch.setattr(mc, "_bartlett_factor", lambda stream, spec, count: bartlett(
+            stream, EnsembleSpec(spec.m, spec.n + 1, spec.k), count))
+        assert (mc.gamma_marginal_test(4, 8, 1000, seed) > critical).all()
+
+    def test_cost_does_not_grow_with_n(self, monkeypatch):
+        # the Ginibre block would draw 2500 times as many variates at n = 20 000
+        # as at n = 8; the Bartlett factor draws m(m+1)/2 whatever n is, and only
+        # the Gamma rejection rate differs
+        consumed = []
+        uniforms = RngStream.uniforms
+
+        def counted(stream, n):
+            consumed[-1] += n
+            return uniforms(stream, n)
+
+        monkeypatch.setattr(RngStream, "uniforms", counted)
+        for n in (8, 20_000):
+            consumed.append(0)
+            mc.gamma_marginal_test(3, n, 1000, 82)
+        assert consumed[0] < 6 * 1000 * 3
+        assert abs(consumed[1] - consumed[0]) <= 0.01 * consumed[0]
+
+    def test_both_checks_read_one_stack(self, monkeypatch):
+        spec = EnsembleSpec(3, 4, k=2)
+        separate = (mc.gamma_marginal_test(3, 8, 1500, 65), mc.dirichlet_consistency_test(spec, 1500, 65))
+        draws = []
+        diagonals = mc._wishart_diagonals
+
+        def counted(*args):
+            draws.append(args)
+            return diagonals(*args)
+
+        monkeypatch.setattr(mc, "_wishart_diagonals", counted)
+        stats, d = mc.diagonal_ks_tests(spec, 1500, 65)
+        assert [args[:3] for args in draws] == [(spec, 1500, 65)]
+        assert stats.tolist() == separate[0].tolist()
+        assert d == separate[1]
+
+    def test_shared_path_rejects_thin_samples(self):
+        with pytest.raises(ParameterError):
+            mc.diagonal_ks_tests(EnsembleSpec(2, 4), samples=999, master_seed=0)
 
     def test_one_cdf_pass_for_every_diagonal_entry(self, monkeypatch):
         calls = []
