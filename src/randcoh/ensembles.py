@@ -64,11 +64,18 @@ class DensityMatrix:
     not Hermitian within linalg.HERMITIAN_TOL and averages the rest of the
     asymmetry, which is rounding noise, away.
 
-    The diagonal is cached at construction; the spectrum is computed on
-    first access and cached (estimator loops touch one or both per draw).
+    sample_mixing_state reads its states straight off their Bartlett factor
+    L (rho = L L^dagger / tr(L L^dagger), _from_factor): the diagonal is
+    the squared row norms of L over their sum, the spectrum is that of
+    L L^dagger over the same trace, and the matrix is formed only when it
+    is read, with exactly that diagonal.  Estimators read the diagonal, the
+    spectrum or both, never the matrix.
+
+    The diagonal is set at construction; the spectrum and the matrix are
+    computed on first access and cached.
     """
 
-    __slots__ = ("matrix", "diagonal", "_spectrum")
+    __slots__ = ("diagonal", "_matrix", "_spectrum", "_factor", "_trace")
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -96,26 +103,60 @@ class DensityMatrix:
         state._set(w)
         return state
 
+    @classmethod
+    def _from_factor(cls, low: np.ndarray) -> "DensityMatrix":
+        """States L L^dagger / tr(L L^dagger) of square factors L (one or a
+        stack); the diagonal W_ii = sum_j |L_ij|^2 is read without forming
+        L L^dagger."""
+        state = cls.__new__(cls)
+        norms = np.sum(low.real**2 + low.imag**2, axis=-1)
+        state._trace = norms.sum(axis=-1, keepdims=True)
+        state.diagonal = norms / state._trace
+        state._factor = low
+        state._matrix = state._spectrum = None
+        return state
+
     def _set(self, hermitian: np.ndarray) -> None:
-        trace = np.trace(hermitian, axis1=-2, axis2=-1).real[..., None, None]
-        # renormalize componentwise: real-by-real division is exact where
-        # complex division picks up 1-ulp noise (visible at m = 1, where the
-        # diagonal must be exactly 1)
-        self.matrix = hermitian.real / trace + 1j * (hermitian.imag / trace)
-        self.diagonal = np.diagonal(self.matrix, axis1=-2, axis2=-1).real.copy()
-        self._spectrum = None
+        trace = np.trace(hermitian, axis1=-2, axis2=-1).real[..., None]
+        self._matrix = _normalized(hermitian, trace)
+        self.diagonal = np.diagonal(self._matrix, axis1=-2, axis2=-1).real.copy()
+        self._factor = self._trace = self._spectrum = None
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[-1]
+        return self.diagonal.shape[-1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The density matrix (complex, exactly Hermitian), or the stack."""
+        if self._matrix is None:
+            matrix = _normalized(linalg.gram(self._factor), self._trace)
+            diag = np.arange(self.dim)
+            matrix[..., diag, diag] = self.diagonal
+            self._matrix = matrix
+        return self._matrix
 
     @property
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, descending, clamped into [0, 1] and summing to 1."""
         if self._spectrum is None:
-            vals = linalg.hermitian_eigenvalues(self.matrix)
+            if self._factor is None:
+                vals = linalg.hermitian_eigenvalues(self._matrix)
+            else:
+                # L L^dagger is Hermitian to rounding, and the solvers read
+                # one triangle, so it is not averaged first
+                low = self._factor
+                vals = linalg.hermitian_eigenvalues(low @ low.mT.conj()) / self._trace
             self._spectrum = linalg.clamp_spectrum(vals)
         return self._spectrum
+
+
+def _normalized(hermitian: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """hermitian / trace for traces of shape (..., 1), componentwise:
+    real-by-real division is exact where complex division picks up 1-ulp
+    noise (visible at m = 1, where the diagonal must be exactly 1)."""
+    trace = trace[..., None]
+    return hermitian.real / trace + 1j * (hermitian.imag / trace)
 
 
 def sample_ginibre(stream: RngStream, m: int, n: int, size: int | None = None) -> np.ndarray:
@@ -149,7 +190,10 @@ def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None 
     G = L Q, row i's component orthogonal to the earlier rows has squared
     norm Gamma(kn - i), and its coordinates along them are i.i.d.
     CN(0, 1).)  The law of the whole state is that of the Ginibre
-    construction, at m(m+1)/2 variates per draw whatever k*n is.
+    construction, at m(m+1)/2 variates per draw whatever k*n is.  The
+    state is read off L (DensityMatrix._from_factor): its diagonal is the
+    squared row norms of L over their sum, and W itself is formed only for
+    the spectrum (unaveraged) and for the matrix, when they are read.
 
     With size, a DensityMatrix holding a (size, m, m) stack, drawn with one
     gammas call (m variates per draw, draw by draw) and then one
@@ -158,8 +202,8 @@ def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None 
     sample_diag_dirichlet, a stack does not hold the states that size
     single draws give.
     """
-    w = linalg.gram(_bartlett_factor(stream, spec, 1 if size is None else size))
-    return DensityMatrix._from_gram(w[0] if size is None else w)
+    low = _bartlett_factor(stream, spec, 1 if size is None else size)
+    return DensityMatrix._from_factor(low[0] if size is None else low)
 
 
 def _bartlett_factor(stream: RngStream, spec: EnsembleSpec, count: int) -> np.ndarray:

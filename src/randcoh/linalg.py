@@ -1,10 +1,11 @@
 """Dense linear algebra for small Hermitian (complex or real symmetric) problems.
 
-Eigenvalues are delegated to LAPACK (``numpy.linalg.eigvalsh``); the module
-adds the contracts the rest of the package relies on: Hermitian symmetry
-checked within a tolerance and enforced by averaging, descending spectra,
-the tiny-negative eigenvalue clamp, and the Haar phase correction on
-QR-sampled unitaries.
+Eigenvalues of 2 x 2 matrices are solved in closed form, without the
+cancellation of the textbook formula; larger ones are delegated to LAPACK
+(``numpy.linalg.eigvalsh``).  The module adds the contracts the rest of the
+package relies on: Hermitian symmetry checked within a tolerance and
+enforced by averaging, descending spectra, the tiny-negative eigenvalue
+clamp, and the Haar phase correction on QR-sampled unitaries.
 
 Every function takes a single matrix (or vector) or a stack of them along
 leading axes, and treats each member of a stack exactly as it would treat
@@ -38,10 +39,13 @@ def check_hermitian(a: np.ndarray) -> None:
     """Raise ParameterError unless every matrix of the square stack a is
     Hermitian within HERMITIAN_TOL relative to its largest entry (taken
     as at least 1)."""
-    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
     asym = a - _dagger(a)
     # a real stack takes its modulus in place: one temporary instead of two
     asym = np.abs(asym) if np.iscomplexobj(asym) else np.abs(asym, out=asym)
+    if asym.max(initial=0.0) <= HERMITIAN_TOL:
+        # every scale is at least 1, so no matrix needs its own
+        return
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
     if (asym.max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any():
         raise ParameterError("matrix is not Hermitian within tolerance")
 
@@ -57,21 +61,46 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, real, in descending order.
 
     A stack of shape (..., m, m) gives spectra of shape (..., m).  Input must
-    be Hermitian within HERMITIAN_TOL relative to its largest entry; LAPACK
-    then reads one triangle, so the input is not averaged a second time.
-    Real input stays real: a real symmetric stack is solved by the real
-    routine, which is cheaper than the complex one on the same matrices.
+    be finite and Hermitian within HERMITIAN_TOL relative to its largest
+    entry; the solvers then read the diagonal and one triangle, so the
+    input is not averaged a second time.  2 x 2 matrices are solved in
+    closed form (_eigenvalues_2x2), larger ones by LAPACK.  Real input stays
+    real: a real symmetric stack is solved by the real routine, which is
+    cheaper than the complex one on the same matrices.
     """
     a = np.asarray(a)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericalError("matrix has non-finite entries")
     check_hermitian(a)
+    if a.shape[-1] == 2:
+        return _eigenvalues_2x2(a)
     try:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed to converge: {exc}") from exc
     return vals[..., ::-1].copy()
+
+
+def _eigenvalues_2x2(a: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of a stack (..., 2, 2) of Hermitian matrices
+    with diagonal p, q and lower off-diagonal b.
+
+    With h = |p - q|/2 and r = sqrt(h^2 + |b|^2) they are
+    (p + q)/2 +- r = max(p, q) + t and min(p, q) - t, t = r - h, and t is
+    formed as |b|^2 / (h + r), which cancels nothing: the shift is exactly 0
+    on diagonal input, and 0/0 (p = q, b = 0) is read as 0.
+    """
+    p, q = a[..., 0, 0].real, a[..., 1, 1].real
+    off = np.abs(a[..., 1, 0])
+    h = 0.5 * np.abs(p - q)
+    # off * (off / (h + r)) rather than off^2 / (h + r): nothing squared can
+    # overflow or underflow, and the ratio is at most 1
+    s = h + np.hypot(h, off)
+    t = off * np.divide(off, s, out=np.zeros_like(s), where=s > 0.0)
+    return np.stack([np.maximum(p, q) + t, np.minimum(p, q) - t], axis=-1)
 
 
 def clamp_spectrum(values: np.ndarray) -> np.ndarray:

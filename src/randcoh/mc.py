@@ -15,7 +15,8 @@ keyed (master_seed, c), evaluates its draws as one stack and is reduced to
 thus the unit of randomness as well as the unit of work, and workers only
 schedule chunks: the same (master_seed, samples) gives bit-identical
 results for any worker count, on any machine, whether the chunks ran
-inline or in a process pool.  A job of one chunk always runs inline.
+inline or in a process pool.  A job of one chunk always runs inline, and
+the process pool machinery is imported only when a pool starts.
 
 Jobs that draw the same stacks form a family: the same sampler (spectra
 for entropy and subentropy, states for coherence and diagonal entropy,
@@ -32,7 +33,8 @@ cdf once, on the sorted sample or on a stack of samples sorted column by
 column, so cdf must be such an array map.  The two KS checks of the
 diagonal law read the Wishart diagonals as the row norms of the Bartlett
 factors sample_mixing_state draws, so their cost does not grow with k*n
-either; diagonal_ks_tests runs both on one draw.
+either; diagonal_ks_tests runs both on one draw, from substreams that no
+chunk map reaches.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -75,6 +76,13 @@ CHUNK_ENTRIES = 1 << 12
 
 # below this many draws a Kolmogorov-Smirnov test says little
 KS_MIN_SAMPLES = 1000
+
+# substream indices (32 bits) of a seed that no chunk map reaches: the KS
+# checks of the diagonal law draw their Bartlett factors and their direct
+# Dirichlet sample from these, so they share no draw with any estimate;
+# chunk_sizes keeps every chunk index below the lower of the two
+_KS_FACTOR_STREAM = 2**32 - 1
+_KS_DIRICHLET_STREAM = 2**32 - 2
 
 
 def _check_count(name: str, value, minimum: int) -> None:
@@ -171,10 +179,30 @@ class ComparisonReport:
 def chunk_sizes(count: int, entries_per_draw: int) -> list[int]:
     """Split count consecutive draws, each consuming entries_per_draw random
     variates, into chunks of at most CHUNK_ENTRIES variates (at least one
-    draw each), in stream order."""
+    draw each), in stream order.  A split whose chunk indices would reach
+    the substreams reserved for the KS checks raises ParameterError."""
     size = max(1, CHUNK_ENTRIES // entries_per_draw)
     full, rest = divmod(count, size)
+    if full + bool(rest) > _KS_DIRICHLET_STREAM:
+        raise ParameterError(f"{count} draws make more than {_KS_DIRICHLET_STREAM} chunks")
     return [size] * full + ([rest] if rest else [])
+
+
+class ProcessPoolExecutor:
+    """concurrent.futures.ProcessPoolExecutor, imported when the first pool
+    starts, so that importing the package does not load multiprocessing.
+    Entering it starts the real pool and returns it."""
+
+    def __init__(self, **kwargs):
+        from concurrent.futures import ProcessPoolExecutor as pool
+
+        self._pool = pool(**kwargs)
+
+    def __enter__(self):
+        return self._pool.__enter__()
+
+    def __exit__(self, *exc):
+        return self._pool.__exit__(*exc)
 
 
 def _map_chunks(fn, tasks: list, workers: int) -> list:
@@ -365,15 +393,22 @@ _IGAM_EPS = 1e-15
 # 8.3 sqrt(shape) series terms at x = shape for a relative step of 1e-15)
 _IGAM_MAX_ITER = 400
 _IGAM_ITER_PER_SQRT_SHAPE = 12
+# integer shapes up to this one take the finite Poisson sum.  Where e^-x
+# underflows (x > 745) the upper tail at shape 256 is below 1e-90, so the
+# sum's forward recurrence from e^-x loses nothing that shows at 1e-15
+_IGAM_POISSON_MAX_SHAPE = 256
 
 
 def gamma_cdf(x: float | np.ndarray, shape: float) -> float | np.ndarray:
     """Regularized lower incomplete gamma P(shape, x): the Gamma(shape, 1) CDF.
 
     x may be a scalar or an array; an array gives an array of the same
-    shape, a scalar a float.  Series expansion where x < shape + 1, Lentz
-    continued fraction for the complementary function elsewhere, each run
-    as one loop over all entries that freezes each entry once it has
+    shape, a scalar a float.  An integer shape up to 256 takes the finite
+    sum P = 1 - e^-x sum_{j<shape} x^j / j!, within 4e-15 of the exact value
+    (absolutely: where P is tiny it has no relative accuracy).  Any other
+    shape takes the series expansion where x < shape + 1 and the
+    Lentz continued fraction for the complementary function elsewhere, each
+    run as one loop over all entries that freezes each entry once it has
     converged, for at most 400 + 12 sqrt(shape) iterations.
     P = 0 for x <= 0 and P = 1 at x = +inf; a NaN x raises DomainError, a
     shape that is not finite and positive ParameterError, and an entry that
@@ -387,15 +422,35 @@ def gamma_cdf(x: float | np.ndarray, shape: float) -> float | np.ndarray:
     out = np.where(xa > 0.0, 1.0, 0.0)
     inner = np.flatnonzero((xa > 0.0) & (xa < math.inf))
     xs = xa.ravel()[inner]
-    prefactor = np.exp(shape * np.log(xs) - xs - math.lgamma(shape))
-    series = xs < shape + 1.0
-    cap = _IGAM_MAX_ITER + math.ceil(_IGAM_ITER_PER_SQRT_SHAPE * math.sqrt(shape))
-    result = np.empty(xs.size)
-    result[series] = np.minimum(1.0, _gamma_series(xs[series], shape, cap) * prefactor[series])
-    cf = ~series
-    result[cf] = np.maximum(0.0, 1.0 - prefactor[cf] * _gamma_continued_fraction(xs[cf], shape, cap))
-    out.ravel()[inner] = result
+    if shape <= _IGAM_POISSON_MAX_SHAPE and shape == int(shape):
+        out.ravel()[inner] = np.maximum(0.0, 1.0 - _poisson_head(xs, int(shape)))
+    else:
+        out.ravel()[inner] = _gamma_loops(xs, shape)
     return float(out) if out.ndim == 0 else out
+
+
+def _gamma_loops(x: np.ndarray, shape: float) -> np.ndarray:
+    """P(shape, x) for finite x > 0: the series below x = shape + 1, the
+    continued fraction from there."""
+    prefactor = np.exp(shape * np.log(x) - x - math.lgamma(shape))
+    series = x < shape + 1.0
+    cap = _IGAM_MAX_ITER + math.ceil(_IGAM_ITER_PER_SQRT_SHAPE * math.sqrt(shape))
+    result = np.empty(x.size)
+    result[series] = np.minimum(1.0, _gamma_series(x[series], shape, cap) * prefactor[series])
+    cf = ~series
+    result[cf] = np.maximum(0.0, 1.0 - prefactor[cf] * _gamma_continued_fraction(x[cf], shape, cap))
+    return result
+
+
+def _poisson_head(x: np.ndarray, a: int) -> np.ndarray:
+    """e^-x sum_{j<a} x^j / j!, the Poisson(x) probability of fewer than a
+    events, which is Q(a, x) at integer a; each term from the one before."""
+    term = np.exp(-x)
+    total = term.copy()
+    for j in range(1, a):
+        term *= x / j
+        total += term
+    return total
 
 
 def _gamma_series(x: np.ndarray, a: float, cap: int) -> np.ndarray:
@@ -514,9 +569,9 @@ def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: in
     states and the direct Dirichlet marginal sampler.
 
     Each entry is read off the Wishart diagonals as rho_00 = W_00 / tr W,
-    without forming the state.  The two samples come from distinct
-    substreams (indices 0 and 1) of the same master seed so they are
-    independent.
+    without forming the state.  The two samples come from the two
+    substreams of the master seed reserved for the KS checks, so they are
+    independent of each other and of every estimate.
     """
     return _dirichlet_ks(_wishart_diagonals(spec, samples, master_seed, 2), spec, master_seed)
 
@@ -525,11 +580,11 @@ def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int, minim
     """The (samples, m) stack of the diagonals W_ii ~ Gamma(kn, 1) of the
     states sample_mixing_state draws, read as the squared row norms of their
     Bartlett factors: m(m+1)/2 variates per draw whatever kn is, from
-    substream 0 of master_seed in chunks of at most CHUNK_ENTRIES variates.
-    At least minimum samples are required."""
+    substream _KS_FACTOR_STREAM of master_seed in chunks of at most
+    CHUNK_ENTRIES variates.  At least minimum samples are required."""
     if samples < minimum:
         raise ParameterError(f"need >= {minimum} samples for a meaningful KS test, got {samples}")
-    stream = RngStream(SeedSpec(master_seed, 0))
+    stream = RngStream(SeedSpec(master_seed, _KS_FACTOR_STREAM))
     rows = []
     for size in chunk_sizes(samples, _state_variates(spec)):
         low = _bartlett_factor(stream, spec, size)
@@ -539,8 +594,9 @@ def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int, minim
 
 def _dirichlet_ks(diags: np.ndarray, spec: EnsembleSpec, master_seed: int) -> float:
     """Two-sample KS statistic of rho_00 = W_00 / tr W over a diagonal stack
-    against as many direct Dirichlet draws from substream 1 of master_seed."""
-    dir_stream = RngStream(SeedSpec(master_seed, 1))
+    against as many direct Dirichlet draws from substream
+    _KS_DIRICHLET_STREAM of master_seed."""
+    dir_stream = RngStream(SeedSpec(master_seed, _KS_DIRICHLET_STREAM))
     # a Dirichlet draw is m Gamma variates
     from_dirichlet = np.concatenate([
         sample_diag_dirichlet(dir_stream, spec, size)[:, 0] for size in chunk_sizes(len(diags), spec.m)

@@ -208,6 +208,44 @@ class TestMixingState:
             assert abs(rho.matrix.trace().real - 1.0) < 1e-12
 
 
+class TestFactorReadState:
+    """sample_mixing_state reads each state off its Bartlett factor L and
+    forms the matrix only when it is read."""
+
+    @pytest.mark.parametrize("spec", [EnsembleSpec(1, 3), EnsembleSpec(2, 2), EnsembleSpec(2, 2, k=3),
+                                      EnsembleSpec(3, 4, k=3), EnsembleSpec(5, 7), EnsembleSpec(8, 16)])
+    def test_matrix_agrees_with_diagonal_and_spectrum(self, spec):
+        states = sample_mixing_state(stream(90), spec, 300)
+        spectrum, matrix = states.spectrum, states.matrix
+        assert np.array_equal(matrix, matrix.conj().swapaxes(-1, -2))
+        assert np.abs(np.trace(matrix, axis1=-2, axis2=-1) - 1.0).max() <= 1e-14
+        diagonal = np.diagonal(matrix, axis1=-2, axis2=-1)
+        assert np.array_equal(diagonal.real, states.diagonal)
+        assert not diagonal.imag.any()
+        assert np.abs(np.linalg.eigvalsh(matrix)[:, ::-1] - spectrum).max() <= 1e-15
+        single = sample_mixing_state(stream(90), spec)
+        assert np.array_equal(np.diagonal(single.matrix).real, single.diagonal)
+
+    @pytest.mark.parametrize("spec", [EnsembleSpec(2, 3), EnsembleSpec(4, 8, k=2)])
+    def test_diagonal_is_the_row_norms_of_the_factor(self, spec):
+        states = sample_mixing_state(stream(91), spec, 200)
+        low = ensembles._bartlett_factor(stream(91), spec, 200)
+        norms = (np.abs(low) ** 2).sum(axis=-1)
+        np.testing.assert_allclose(states.diagonal, norms / norms.sum(axis=-1, keepdims=True), rtol=1e-15)
+
+    def test_estimators_never_form_the_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an estimator formed a Gram matrix or averaged a stack")
+
+        monkeypatch.setattr(linalg, "gram", refuse)
+        monkeypatch.setattr(linalg, "hermitize", refuse)
+        for quantity in ("coherence", "diag_entropy"):
+            stats = mc.estimate(mc.EstimatorConfig(EnsembleSpec(3, 4), quantity, 1500, master_seed=92))
+            assert stats.count == 1500
+        fraction, _ = mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 1000, master_seed=92)
+        assert 0.0 < fraction < 1.0
+
+
 def bartlett_reference(s, spec, count):
     """count states of spec built one at a time, as the Bartlett sampler lays
     out its variates: one gammas block of the m diagonal variates of every

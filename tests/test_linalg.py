@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,6 +91,105 @@ class TestHermitianEigenvalues:
         linalg.hermitian_eigenvalues(big)
         with pytest.raises(ParameterError):
             linalg.hermitian_eigenvalues(np.stack([big, skewed]))
+
+
+EPS = np.finfo(float).eps
+
+
+def mp_eigenvalues(a):
+    """Descending eigenvalues of one Hermitian matrix, from its float
+    entries, at 50 digits."""
+    with mpmath.workdps(50):
+        vals = mpmath.eighe(mpmath.matrix(np.asarray(a, dtype=complex).tolist()), eigvals_only=True)
+        return np.array(sorted((float(v) for v in vals), reverse=True))
+
+
+def assert_near_reference(a, vals, ulps=4):
+    """vals are the eigenvalues of the 2 x 2 matrix a within ulps * eps of
+    its largest entry, and a wrong sign on the shift t = lambda_1 - max(p, q)
+    would not be."""
+    ref = mp_eigenvalues(a)
+    tol = ulps * EPS * np.abs(a).max()
+    assert np.abs(vals - ref).max() <= tol
+    p, q = a[0, 0].real, a[1, 1].real
+    t = ref[0] - max(p, q)
+    flipped = np.array([max(p, q) - t, min(p, q) + t])
+    assert np.abs(flipped - ref).max() > tol
+
+
+class TestTwoByTwo:
+    """hermitian_eigenvalues solves 2 x 2 matrices in closed form."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_diagonal_input_is_exact(self, dtype):
+        rng = np.random.default_rng(20)
+        pq = rng.standard_normal((200, 2)) * 10.0 ** rng.integers(-12, 3, (200, 1))
+        pq[:20, 1] = pq[:20, 0]
+        a = np.zeros((200, 2, 2), dtype=dtype)
+        a[:, 0, 0], a[:, 1, 1] = pq[:, 0], pq[:, 1]
+        expected = np.stack([pq.max(axis=1), pq.min(axis=1)], axis=1)
+        assert np.array_equal(linalg.hermitian_eigenvalues(a), expected)
+        assert np.array_equal(linalg.hermitian_eigenvalues(a[7]), expected[7])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equal_diagonal_and_no_coupling_is_not_a_zero_division(self, dtype):
+        with np.errstate(all="raise"):
+            assert linalg.hermitian_eigenvalues(np.diag([0.3, 0.3]).astype(dtype)).tolist() == [0.3, 0.3]
+            assert linalg.hermitian_eigenvalues(np.zeros((3, 2, 2), dtype=dtype)).tolist() == [[0.0, 0.0]] * 3
+
+    @pytest.mark.parametrize("b", [0.5, -0.5, 0.3 + 0.4j, -2e-3j])
+    def test_coupling_far_above_the_diagonal_gap(self, b):
+        a = np.array([[0.5, np.conj(b)], [b, 0.5 + 1e-12]])
+        if np.isrealobj(b):
+            a = a.real
+        assert_near_reference(a, linalg.hermitian_eigenvalues(a))
+
+    @pytest.mark.parametrize("phase", [1.0, np.exp(0.7j)])
+    def test_eigenvalue_ratio_near_1e_14(self, phase):
+        c, s = math.cos(0.6), math.sin(0.6) * phase
+        u = np.array([[c, -np.conj(s)], [s, c]])
+        a = u @ np.diag([1.0, 1e-14]) @ u.conj().T
+        a = a.real if phase == 1.0 else a
+        vals = linalg.hermitian_eigenvalues(a)
+        assert_near_reference(a, vals)
+        assert 0.9e-14 < vals[1] / vals[0] < 1.1e-14
+        assert np.abs(vals - np.linalg.eigvalsh(a)[::-1]).max() <= 4 * EPS
+
+    def test_small_eigenvalue_of_a_nearly_diagonal_matrix_keeps_its_digits(self):
+        # the shift is |b|^2 / (h + r), so nothing cancels in lambda_2 here
+        a = np.array([[1.0, 1e-20 - 3e-21j], [1e-20 + 3e-21j, 1e-14]])
+        vals = linalg.hermitian_eigenvalues(a)
+        ref = mp_eigenvalues(a)
+        assert abs(vals[1] - ref[1]) <= EPS * ref[1]
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_stacks_against_lapack_and_mpmath(self, dtype):
+        rng = np.random.default_rng(21 if dtype is float else 22)
+        a = rng.standard_normal((400, 2, 2))
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal((400, 2, 2))
+        a = (a + a.conj().swapaxes(-1, -2)) * 10.0 ** rng.integers(-6, 7, (400, 1, 1))
+        vals = linalg.hermitian_eigenvalues(a)
+        assert vals.dtype == np.float64 and vals.shape == (400, 2)
+        scale = np.abs(a).max(axis=(-2, -1))[:, None]
+        assert (np.abs(vals - np.linalg.eigvalsh(a)[:, ::-1]) <= 8 * EPS * scale).all()
+        for i in range(0, 400, 40):
+            assert_near_reference(a[i], vals[i])
+        singles = [linalg.hermitian_eigenvalues(x) for x in a]
+        assert np.array_equal(vals, singles)
+        assert np.array_equal(linalg.hermitian_eigenvalues(a.reshape(8, 50, 2, 2)), vals.reshape(8, 50, 2))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_finite_input_raises(self, m, bad, dtype):
+        for i, j in ((0, 0), (1, 1), (1, 0)):
+            a = np.tile(np.eye(m, dtype=dtype), (4, 1, 1))
+            a[2, i, j] = a[2, j, i] = bad
+            with pytest.raises(NumericalError, match="non-finite"):
+                linalg.hermitian_eigenvalues(a)
+            with pytest.raises(NumericalError, match="non-finite"):
+                linalg.hermitian_eigenvalues(a[2])
 
 
 class TestClampSpectrum:

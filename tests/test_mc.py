@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special, stats as sps
 
-from randcoh import functionals, linalg, mc
+from randcoh import ensembles, functionals, linalg, mc
 from randcoh.ensembles import (
     DensityMatrix,
     EnsembleSpec,
@@ -28,6 +32,20 @@ class TestChunks:
 
     def test_at_least_one_draw_per_chunk(self):
         assert mc.chunk_sizes(3, mc.CHUNK_ENTRIES * 2) == [1, 1, 1]
+
+    def test_chunks_stop_short_of_the_reserved_substreams(self, monkeypatch):
+        monkeypatch.setattr(mc, "_KS_DIRICHLET_STREAM", 3)
+        assert mc.chunk_sizes(3 * 1024, 4) == [1024] * 3
+        with pytest.raises(ParameterError, match="chunks"):
+            mc.chunk_sizes(3 * 1024 + 1, 4)
+
+    def test_a_job_that_would_reach_the_reserved_substreams_is_refused(self):
+        # (2, 2): 1365 states to a chunk, so these jobs need 2^32 chunks;
+        # the split is refused before any list of that length is made
+        with pytest.raises(ParameterError, match="chunks"):
+            mc.estimate(mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", 1365 * 2**32, master_seed=1))
+        with pytest.raises(ParameterError, match="chunks"):
+            mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 682 * 2**32, master_seed=1)
 
 
 class TestDefaultWorkers:
@@ -499,6 +517,32 @@ class TestIncompleteGamma:
         assert mc._gamma_continued_fraction(above, shape, cap).tolist() == [
             self.continued_fraction_reference(x, shape) for x in above]
 
+    @pytest.mark.parametrize("shape", [1, 2, 3, 8, 12, 30, 64, 100, 255, 256])
+    def test_integer_shapes_take_the_finite_sum(self, monkeypatch, shape):
+        # P = 1 - e^-x sum_{j<a} x^j/j! needs neither loop, and is within a
+        # few ulp of 1 of scipy, also where e^-x is subnormal or underflows
+        def no_loop(*args):
+            raise AssertionError("an integer shape reached a series or continued-fraction loop")
+
+        monkeypatch.setattr(mc, "_gamma_series", no_loop)
+        monkeypatch.setattr(mc, "_gamma_continued_fraction", no_loop)
+        xs = np.concatenate([np.geomspace(1e-9, 3.0 * shape + 40.0, 2001), np.linspace(740.0, 760.0, 401)])
+        assert np.abs(mc.gamma_cdf(xs, float(shape)) - special.gammainc(shape, xs)).max() <= 4e-15
+
+    @pytest.mark.parametrize("shape", [257.0, 30.5, 3.000001])
+    def test_other_shapes_keep_the_loops(self, monkeypatch, shape):
+        calls = []
+        series = mc._gamma_series
+
+        def counted(*args):
+            calls.append(args[1])
+            return series(*args)
+
+        monkeypatch.setattr(mc, "_gamma_series", counted)
+        xs = np.linspace(0.1, 0.9 * shape, 50)
+        assert np.abs(mc.gamma_cdf(xs, shape) - special.gammainc(shape, xs)).max() <= 1e-12
+        assert calls == [shape]
+
     @pytest.mark.parametrize("shape", [2e3, 2e4, 2e5])
     def test_large_shapes_against_scipy(self, shape):
         # the series and the continued fraction need about sqrt(shape) terms
@@ -513,10 +557,11 @@ class TestIncompleteGamma:
             mc.gamma_cdf(np.array([1.0, x]), 2e4)
 
     def test_too_small_a_cap_raises_in_the_continued_fraction(self, monkeypatch):
+        # a non-integer shape: integer ones up to 256 take the finite sum
         monkeypatch.setattr(mc, "_IGAM_MAX_ITER", 2)
         monkeypatch.setattr(mc, "_IGAM_ITER_PER_SQRT_SHAPE", 0)
         with pytest.raises(NumericalError, match="continued fraction"):
-            mc.gamma_cdf(40.0, 30.0)
+            mc.gamma_cdf(40.0, 30.5)
 
     @pytest.mark.parametrize("shape", [math.nan, math.inf])
     def test_rejects_non_finite_shape(self, shape):
@@ -618,7 +663,7 @@ class TestGammaMarginal:
     def test_diagonals_are_those_of_the_wishart_draws(self):
         # W = L L^dagger for the Bartlett factors sample_mixing_state draws,
         # in its stacks of at most CHUNK_ENTRIES variates (3 per state at m = 2)
-        stream, spec = RngStream(SeedSpec(63, 0)), EnsembleSpec(2, 3)
+        stream, spec = RngStream(SeedSpec(63, mc._KS_FACTOR_STREAM)), EnsembleSpec(2, 3)
         diags = np.concatenate([
             np.diagonal(linalg.gram(mc._bartlett_factor(stream, spec, size)), axis1=-2, axis2=-1).real
             for size in mc.chunk_sizes(1500, 3)])
@@ -686,6 +731,24 @@ class TestGammaMarginal:
         assert calls == [(1000, 4)]
 
 
+class TestKsSubstreams:
+    def test_ks_diagonals_are_not_the_coherence_draws(self):
+        # (3, 8): a state is 6 variates, 682 to a chunk; chunk 0 of the
+        # coherence family draws from substream 0 of the seed
+        spec = EnsembleSpec(3, 8)
+        coherence_chunk = sample_mixing_state(RngStream(SeedSpec(5, 0)), spec, 682)
+        low = mc._bartlett_factor(RngStream(SeedSpec(5, 0)), spec, 682)
+        norms = np.sum(low.real**2 + low.imag**2, axis=-1)
+        assert np.array_equal(coherence_chunk.diagonal, norms / norms.sum(axis=-1, keepdims=True))
+        diags = mc._wishart_diagonals(spec, 3000, 5, mc.KS_MIN_SAMPLES)
+        assert not np.isclose(diags[:682], norms, rtol=1e-6, atol=0.0).any()
+
+    def test_reserved_substreams_are_distinct_and_in_range(self):
+        assert mc._KS_FACTOR_STREAM != mc._KS_DIRICHLET_STREAM
+        for index in (mc._KS_FACTOR_STREAM, mc._KS_DIRICHLET_STREAM):
+            RngStream(SeedSpec(1, index))
+
+
 class TestDirichletConsistency:
     def test_small_case_passes(self):
         d = mc.dirichlet_consistency_test(EnsembleSpec(2, 3), samples=20_000, master_seed=51)
@@ -696,7 +759,8 @@ class TestDirichletConsistency:
         # per state, m Gamma variates per Dirichlet draw (at m = 2 the 1100
         # draws are one stack on each side)
         spec = EnsembleSpec(2, 3, k=2)
-        states, direct = RngStream(SeedSpec(64, 0)), RngStream(SeedSpec(64, 1))
+        states = RngStream(SeedSpec(64, mc._KS_FACTOR_STREAM))
+        direct = RngStream(SeedSpec(64, mc._KS_DIRICHLET_STREAM))
         from_states = np.concatenate([sample_mixing_state(states, spec, size).diagonal[:, 0]
                                       for size in mc.chunk_sizes(1100, 3)])
         from_dirichlet = np.concatenate([sample_diag_dirichlet(direct, spec, size)[:, 0]
@@ -706,6 +770,40 @@ class TestDirichletConsistency:
 
     def test_dimension_one_is_exactly_consistent(self):
         assert mc.dirichlet_consistency_test(EnsembleSpec(1, 2), samples=500, master_seed=0) == 0.0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestLazyPool:
+    def test_import_and_one_chunk_jobs_do_not_load_the_process_pool(self):
+        code = ("import sys, randcoh, randcoh.cli\n"
+                "randcoh.estimate(randcoh.EstimatorConfig(randcoh.EnsembleSpec(2, 2), 'coherence', 100, "
+                "master_seed=1, workers=2))\n"
+                "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_two_worker_pool_matches_one_worker_bit_for_bit(self, monkeypatch):
+        # (3, 4): a state is 6 variates, 682 to a chunk, so 2000 draws make
+        # three chunks, and two workers start one real pool
+        started = []
+
+        class Counted(mc.ProcessPoolExecutor):
+            def __enter__(self):
+                started.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", Counted)
+        base = dict(spec=EnsembleSpec(3, 4), quantity="coherence", samples=2000, master_seed=93)
+        one = mc.estimate(mc.EstimatorConfig(workers=1, **base))
+        assert started == []
+        two = mc.estimate(mc.EstimatorConfig(workers=2, **base))
+        assert len(started) == 1
+        assert (two.count, two.mean, two.m2) == (one.count, one.mean, one.m2)
 
 
 class TestEmpiricalConcentration:
