@@ -109,7 +109,7 @@ class DensityMatrix:
         stack); the diagonal W_ii = sum_j |L_ij|^2 is read without forming
         L L^dagger."""
         state = cls.__new__(cls)
-        norms = np.sum(low.real**2 + low.imag**2, axis=-1)
+        norms = _row_norms(low)
         state._trace = norms.sum(axis=-1, keepdims=True)
         state.diagonal = norms / state._trace
         state._factor = low
@@ -143,12 +143,17 @@ class DensityMatrix:
             if self._factor is None:
                 vals = linalg.hermitian_eigenvalues(self._matrix)
             else:
-                # L L^dagger is Hermitian to rounding, and the solvers read
-                # one triangle, so it is not averaged first
-                low = self._factor
-                vals = linalg.hermitian_eigenvalues(low @ low.mT.conj()) / self._trace
+                vals = linalg.factor_gram_eigenvalues(self._factor)
+                vals /= self._trace
             self._spectrum = linalg.clamp_spectrum(vals)
         return self._spectrum
+
+
+def _row_norms(low: np.ndarray) -> np.ndarray:
+    """sum_j |L_ij|^2 for each row i of each factor L of the stack."""
+    sq = low.real**2
+    sq += low.imag**2
+    return sq.sum(axis=-1)
 
 
 def _normalized(hermitian: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -214,10 +219,12 @@ def _bartlett_factor(stream: RngStream, spec: EnsembleSpec, count: int) -> np.nd
     m = spec.m
     diag = np.arange(m)
     rows, cols = np.tril_indices(m, -1)
-    low = np.zeros((count, m, m), dtype=np.complex128)
     g = stream.gammas(np.tile((spec.env_dim - diag).astype(np.float64), count), count * m)
+    z = stream.complex_gaussians(count * rows.size)
+    # the stack is allocated after the draws, which need the most memory
+    low = np.zeros((count, m, m), dtype=np.complex128)
     low[:, diag, diag] = np.sqrt(g).reshape(count, m)
-    low[:, rows, cols] = stream.complex_gaussians(count * rows.size).reshape(count, rows.size)
+    low[:, rows, cols] = z.reshape(count, rows.size)
     return low
 
 
@@ -240,18 +247,29 @@ def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> 
     m, kn = spec.m, spec.env_dim
     shapes = np.concatenate([kn - np.arange(m), m - 1 - np.arange(m - 1)]).astype(np.float64)
     g = stream.gammas(np.tile(shapes, size), size * shapes.size).reshape(size, -1)
+    # T is formed and solved block by block (16 bytes per entry: T and its
+    # Hermitian check), so the whole stack of T is never held at once
+    vals = np.empty((size, m))
+    for rows in linalg.row_blocks(size, m * m, 16):
+        vals[rows] = linalg.hermitian_eigenvalues(_laguerre_tridiagonal(g[rows], m))
+    vals /= g.sum(axis=-1, keepdims=True)
+    return linalg.clamp_spectrum(vals)
+
+
+def _laguerre_tridiagonal(g: np.ndarray, m: int) -> np.ndarray:
+    """The stack of T = B B^T for rows g of Gamma variates, the diagonal
+    of B squared in g[:, :m] and its sub-diagonal squared in g[:, m:]."""
     diag, sub = g[:, :m], g[:, m:]
     # (B B^T)_ii = a_i^2 + b_(i-1)^2 and (B B^T)_(i,i-1) = b_(i-1) a_(i-1);
     # in a flattened m x m matrix the diagonal is every (m+1)-th entry from
     # 0, the sub-diagonal from m and the super-diagonal from 1
-    t = np.zeros((size, m * m))
+    t = np.zeros((len(g), m * m))
     t[:, ::m + 1] = diag
     t[:, m + 1::m + 1] += sub
     off = np.sqrt(sub * diag[:, :-1])
     t[:, m::m + 1] = off
     t[:, 1::m + 1] = off
-    vals = linalg.hermitian_eigenvalues(t.reshape(size, m, m)) / g.sum(axis=-1, keepdims=True)
-    return linalg.clamp_spectrum(vals)
+    return t.reshape(len(g), m, m)
 
 
 def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec, size: int | None = None) -> np.ndarray:

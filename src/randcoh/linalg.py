@@ -9,7 +9,9 @@ clamp, and the Haar phase correction on QR-sampled unitaries.
 
 Every function takes a single matrix (or vector) or a stack of them along
 leading axes, and treats each member of a stack exactly as it would treat
-that member on its own.
+that member on its own.  Stacks are checked, and products of factors
+formed and solved, in blocks of matrices (row_blocks), so that the
+temporaries of a pass stay bounded however large the stack is.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ from .randkit import RngStream
 HERMITIAN_TOL = 1e-10
 EIG_CLAMP = 1e-12
 SPECTRUM_SUM_TOL = 1e-10
+# bound on the working arrays of one pass over a block of a stack of
+# matrices (row_blocks).  The stacks of a chunk of 4096 variates are one
+# block each: 132 real tridiagonal 16 x 16 matrices (16 bytes per entry
+# with their check, 528 KiB), and fewer than 8192 entries of Bartlett
+# factors (40 bytes per entry with their products, 320 KiB) at any m
+_BLOCK_BYTES = 9 << 16
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -35,19 +43,44 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _dagger(a))
 
 
+def row_blocks(count: int, entries: int, bytes_per_entry: int) -> list[slice]:
+    """Consecutive slices of range(count), at least one row each, such that
+    a block of rows of `entries` entries each, with bytes_per_entry bytes
+    of working arrays per entry, takes at most _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (bytes_per_entry * entries or 1))
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _blocks(a: np.ndarray, bytes_per_entry: int):
+    """The stack a of matrices as consecutive sub-stacks (row_blocks)."""
+    flat = a.reshape((-1,) + a.shape[-2:])
+    return (flat[rows] for rows in row_blocks(len(flat), a.shape[-1] ** 2, bytes_per_entry))
+
+
 def check_hermitian(a: np.ndarray) -> None:
     """Raise ParameterError unless every matrix of the square stack a is
     Hermitian within HERMITIAN_TOL relative to its largest entry (taken
-    as at least 1)."""
-    asym = a - _dagger(a)
-    # a real stack takes its modulus in place: one temporary instead of two
-    asym = np.abs(asym) if np.iscomplexobj(asym) else np.abs(asym, out=asym)
+    as at least 1).  The stack is checked block by block, with 8 bytes of
+    temporaries per entry of a real stack and 24 of a complex one."""
+    blocks = _blocks(a, 24 if np.iscomplexobj(a) else 8)
+    if not all(_is_hermitian(block) for block in blocks):
+        raise ParameterError("matrix is not Hermitian within tolerance")
+
+
+def _is_hermitian(a: np.ndarray) -> bool:
+    """check_hermitian's test of one block."""
+    if np.iscomplexobj(a):
+        asym = _dagger(a)
+        np.subtract(a, asym, out=asym)
+        asym = np.abs(asym)
+    else:
+        asym = a - _dagger(a)
+        np.abs(asym, out=asym)
     if asym.max(initial=0.0) <= HERMITIAN_TOL:
         # every scale is at least 1, so no matrix needs its own
-        return
+        return True
     scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
-    if (asym.max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any():
-        raise ParameterError("matrix is not Hermitian within tolerance")
+    return not (asym.max(axis=(-2, -1), initial=0.0) > HERMITIAN_TOL * scale).any()
 
 
 def gram(z: np.ndarray) -> np.ndarray:
@@ -55,6 +88,20 @@ def gram(z: np.ndarray) -> np.ndarray:
     matrix in a stack of shape (..., m, n))."""
     z = np.atleast_2d(np.asarray(z, dtype=np.complex128))
     return hermitize(z @ _dagger(z))
+
+
+def factor_gram_eigenvalues(low: np.ndarray) -> np.ndarray:
+    """hermitian_eigenvalues(L L-dagger) for each square factor L of a
+    stack (..., m, m), with L L-dagger not averaged: it is Hermitian to
+    rounding, and the solvers read one triangle.  The products are formed
+    and solved block by block, 40 bytes of temporaries per entry (the
+    product, its conjugate factor and the check's), so the stack's products
+    are never held at once."""
+    flat = low.reshape((-1,) + low.shape[-2:])
+    vals = np.empty(flat.shape[:-1])
+    for rows in row_blocks(len(flat), low.shape[-1] ** 2, 40):
+        vals[rows] = hermitian_eigenvalues(flat[rows] @ _dagger(flat[rows]))
+    return vals.reshape(low.shape[:-1])
 
 
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -72,7 +119,7 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ParameterError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not all(np.isfinite(block).all() for block in _blocks(a, 1)):
         raise NumericalError("matrix has non-finite entries")
     check_hermitian(a)
     if a.shape[-1] == 2:
@@ -81,7 +128,8 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed to converge: {exc}") from exc
-    return vals[..., ::-1].copy()
+    # a descending view: the callers' scaling or clamp_spectrum makes the copy
+    return vals[..., ::-1]
 
 
 def _eigenvalues_2x2(a: np.ndarray) -> np.ndarray:
@@ -137,11 +185,10 @@ def haar_unitary(stream: RngStream, m: int, size: int | None = None) -> np.ndarr
     if m < 1:
         raise ParameterError(f"dimension must be >= 1, got {m}")
     count = 1 if size is None else size
-    z = stream.complex_gaussians(count * m * m).reshape(count, m, m)
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(stream.complex_gaussians(count * m * m).reshape(count, m, m))
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    u = q * (d / np.abs(d)).conj()[:, None, :]
-    return u[0] if size is None else u
+    q *= (d / np.abs(d)).conj()[:, None, :]
+    return q[0] if size is None else q
 
 
 def unitary_conjugate_diagonal(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -155,4 +202,6 @@ def unitary_conjugate_diagonal(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2] or lam.ndim < 1 or u.shape[-1] != lam.shape[-1]:
         raise ParameterError(f"dimension mismatch: U is {u.shape}, lambda has shape {lam.shape}")
-    return ((u.real**2 + u.imag**2) @ lam[..., None])[..., 0]
+    weights = u.real**2
+    weights += u.imag**2
+    return (weights @ lam[..., None])[..., 0]

@@ -9,8 +9,9 @@ variates each (sample_mixing_spectrum).  Coherence and diagonal entropy
 draw states from their m x m Bartlett factor, m Gamma variates and
 m(m-1)/2 complex Gaussians each (sample_mixing_state), and a draw on a
 fixed-spectrum orbit is one m x m Haar matrix (m^2 entries).  No draw's
-cost grows with k*n.  Chunk c draws from the random stream
-keyed (master_seed, c), evaluates its draws as one stack and is reduced to
+cost grows with k*n.  Chunk c draws from the random stream keyed
+(master_seed, domain, c), where the domain names the sampler
+(STREAM_DOMAINS), evaluates its draws as one stack and is reduced to
 (count, mean, m2); the chunk results merge in chunk order.  The chunk is
 thus the unit of randomness as well as the unit of work, and workers only
 schedule chunks: the same (master_seed, samples) gives bit-identical
@@ -18,12 +19,21 @@ results for any worker count, on any machine, whether the chunks ran
 inline or in a process pool.  A job of one chunk always runs inline, and
 the process pool machinery is imported only when a pool starts.
 
+A chunk's working set grows with its variates, not with its matrix
+stacks: the Gamma and normal samplers hold a few arrays of 8 bytes per
+variate and screen in bounded passes, and the stacks are formed, checked
+and solved in bounded blocks (linalg.row_blocks).  Its tracemalloc peak at
+CHUNK_ENTRIES variates is 1.1-1.3 MB for spectra and states at m = 16,
+states at (4, 8) and orbits at m = 3.
+
 Jobs that draw the same stacks form a family: the same sampler (spectra
 for entropy and subentropy, states for coherence and diagonal entropy,
 orbits for the isospectral quantity), spec, master_seed and samples.
 run_comparisons draws each chunk of a family once and evaluates every
 quantity of the family on that one stack, each family through its own
-chunk map; estimate and run_comparison are the family of one job.
+chunk map; estimate and run_comparison are the family of one job.  Each
+sampler draws in its own stream domain, so the families of one master
+seed share no variate.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF
 live here so the distributional checks need nothing outside the package.
@@ -33,8 +43,7 @@ cdf once, on the sorted sample or on a stack of samples sorted column by
 column, so cdf must be such an array map.  The two KS checks of the
 diagonal law read the Wishart diagonals as the row norms of the Bartlett
 factors sample_mixing_state draws, so their cost does not grow with k*n
-either; diagonal_ks_tests runs both on one draw, from substreams that no
-chunk map reaches.
+either; diagonal_ks_tests runs both on one draw, from the KS domains.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from . import closedforms, functionals
 from .ensembles import (  # noqa: F401
     EnsembleSpec,
     _bartlett_factor,
+    _row_norms,
     sample_diag_dirichlet,
     sample_isospectral_diagonal,
     sample_mixing_spectrum,
@@ -70,19 +80,24 @@ SPECTRAL_QUANTITIES = ("entropy", "subentropy")
 Z_PASS_THRESHOLD = 4.0
 
 # random variates (Gamma variates, complex Gaussians or Ginibre entries) per
-# chunk: bounds the arrays one chunk allocates (normals, the variates, the
-# matrix stack) to a few hundred KiB at any (m, k*n)
-CHUNK_ENTRIES = 1 << 12
+# chunk: bounds the arrays one chunk allocates (the variates, the normals,
+# a Bartlett or Haar stack and the bounded blocks of linalg) to a working
+# set of 1.1-1.3 MB (tracemalloc peak at m = 16), at any k*n
+CHUNK_ENTRIES = 1 << 14
 
 # below this many draws a Kolmogorov-Smirnov test says little
 KS_MIN_SAMPLES = 1000
 
-# substream indices (32 bits) of a seed that no chunk map reaches: the KS
-# checks of the diagonal law draw their Bartlett factors and their direct
-# Dirichlet sample from these, so they share no draw with any estimate;
-# chunk_sizes keeps every chunk index below the lower of the two
-_KS_FACTOR_STREAM = 2**32 - 1
-_KS_DIRICHLET_STREAM = 2**32 - 2
+# the stream domain (SeedSpec.domain) of each sampler: the streams of one
+# master seed are keyed (master_seed, domain, chunk), so no two families of
+# draws share a stream.  States keep domain 0, whose key (master_seed,
+# chunk) keeps their fixed-seed results; the KS checks draw their Bartlett
+# factors and their direct Dirichlet sample each from chunk 0 of their own
+# domain
+STREAM_DOMAINS = {"states": 0, "spectra": 1, "orbits": 2, "ks_factors": 3, "ks_dirichlet": 4}
+
+# chunk indices are the 32-bit stream_index of a SeedSpec
+_MAX_CHUNKS = 2**32
 
 
 def _check_count(name: str, value, minimum: int) -> None:
@@ -179,12 +194,12 @@ class ComparisonReport:
 def chunk_sizes(count: int, entries_per_draw: int) -> list[int]:
     """Split count consecutive draws, each consuming entries_per_draw random
     variates, into chunks of at most CHUNK_ENTRIES variates (at least one
-    draw each), in stream order.  A split whose chunk indices would reach
-    the substreams reserved for the KS checks raises ParameterError."""
+    draw each), in stream order.  A split into more chunks than a stream
+    key can index raises ParameterError before the list is made."""
     size = max(1, CHUNK_ENTRIES // entries_per_draw)
     full, rest = divmod(count, size)
-    if full + bool(rest) > _KS_DIRICHLET_STREAM:
-        raise ParameterError(f"{count} draws make more than {_KS_DIRICHLET_STREAM} chunks")
+    if full + bool(rest) > _MAX_CHUNKS:
+        raise ParameterError(f"{count} draws make more than {_MAX_CHUNKS} chunks")
     return [size] * full + ([rest] if rest else [])
 
 
@@ -233,21 +248,29 @@ def _state_variates(spec: EnsembleSpec) -> int:
     return spec.m * (spec.m + 1) // 2
 
 
+def _sampler(config: EstimatorConfig) -> str:
+    """The sampler of the configured job, named as its stream domain: orbits
+    when there is a fixed spectrum, else spectra for a spectral quantity
+    and states for the others."""
+    if config.fixed_spectrum is not None:
+        return "orbits"
+    return "spectra" if config.quantity in SPECTRAL_QUANTITIES else "states"
+
+
 def _draw_key(config: EstimatorConfig) -> tuple:
     """What the configured job draws; jobs with equal keys draw identical
-    stacks, chunk for chunk.  The sampler is told by the fixed spectrum
-    (orbits when there is one) and, without one, by whether the quantity is
-    spectral (spectra) or not (states)."""
-    return (config.quantity in SPECTRAL_QUANTITIES, config.fixed_spectrum, config.spec,
-            config.master_seed, config.samples)
+    stacks, chunk for chunk."""
+    return (_sampler(config), config.fixed_spectrum, config.spec, config.master_seed, config.samples)
 
 
-def _draw(config: EstimatorConfig, stream: RngStream, size: int):
-    """Draw a stack of size samples from stream for the configured job: an
-    array of diagonals or spectra, or a DensityMatrix stack."""
-    if config.fixed_spectrum is not None:
+def _draw(config: EstimatorConfig, index: int, size: int):
+    """Draw chunk index, of size samples, of the configured job from its
+    stream: an array of diagonals or spectra, or a DensityMatrix stack."""
+    sampler = _sampler(config)
+    stream = RngStream(SeedSpec(config.master_seed, index, STREAM_DOMAINS[sampler]))
+    if sampler == "orbits":
         return sample_isospectral_diagonal(stream, config.fixed_spectrum, size)
-    if config.quantity in SPECTRAL_QUANTITIES:
+    if sampler == "spectra":
         return sample_mixing_spectrum(stream, config.spec, size)
     return sample_mixing_state(stream, config.spec, size)
 
@@ -267,9 +290,7 @@ def _run_worker(family: tuple[EstimatorConfig, ...], chunk: tuple[int, int]) -> 
     """Statistics of one chunk (index, size) of a family of jobs with one
     draw key: the chunk is drawn once, and each config's quantity is
     evaluated on it.  One RunningStats per config, in family order."""
-    index, size = chunk
-    head = family[0]
-    draws = _draw(head, RngStream(SeedSpec(head.master_seed, index)), size)
+    draws = _draw(family[0], *chunk)
     return [RunningStats.of(_values(config.quantity, draws)) for config in family]
 
 
@@ -365,7 +386,7 @@ def _concentration_worker(spec: EnsembleSpec, epsilon: float, master_seed: int,
     (m-1)/2kn by more than epsilon."""
     index, size = chunk
     center = closedforms.avg_coherence(spec.m, spec.n, spec.k)
-    states = sample_mixing_state(RngStream(SeedSpec(master_seed, index)), spec, size)
+    states = sample_mixing_state(RngStream(SeedSpec(master_seed, index, STREAM_DOMAINS["states"])), spec, size)
     c = functionals.relative_entropy_of_coherence(states)
     return int(np.count_nonzero(np.abs(c - center) > epsilon))
 
@@ -569,9 +590,9 @@ def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: in
     states and the direct Dirichlet marginal sampler.
 
     Each entry is read off the Wishart diagonals as rho_00 = W_00 / tr W,
-    without forming the state.  The two samples come from the two
-    substreams of the master seed reserved for the KS checks, so they are
-    independent of each other and of every estimate.
+    without forming the state.  The two samples come from the two KS
+    domains of the master seed, so they are independent of each other and
+    of every estimate.
     """
     return _dirichlet_ks(_wishart_diagonals(spec, samples, master_seed, 2), spec, master_seed)
 
@@ -579,24 +600,21 @@ def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: in
 def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int, minimum: int) -> np.ndarray:
     """The (samples, m) stack of the diagonals W_ii ~ Gamma(kn, 1) of the
     states sample_mixing_state draws, read as the squared row norms of their
-    Bartlett factors: m(m+1)/2 variates per draw whatever kn is, from
-    substream _KS_FACTOR_STREAM of master_seed in chunks of at most
+    Bartlett factors: m(m+1)/2 variates per draw whatever kn is, from one
+    stream of the ks_factors domain of master_seed, in stacks of at most
     CHUNK_ENTRIES variates.  At least minimum samples are required."""
     if samples < minimum:
         raise ParameterError(f"need >= {minimum} samples for a meaningful KS test, got {samples}")
-    stream = RngStream(SeedSpec(master_seed, _KS_FACTOR_STREAM))
-    rows = []
-    for size in chunk_sizes(samples, _state_variates(spec)):
-        low = _bartlett_factor(stream, spec, size)
-        rows.append(np.sum(low.real**2 + low.imag**2, axis=-1))
-    return np.concatenate(rows)
+    stream = RngStream(SeedSpec(master_seed, 0, STREAM_DOMAINS["ks_factors"]))
+    return np.concatenate([_row_norms(_bartlett_factor(stream, spec, size))
+                           for size in chunk_sizes(samples, _state_variates(spec))])
 
 
 def _dirichlet_ks(diags: np.ndarray, spec: EnsembleSpec, master_seed: int) -> float:
     """Two-sample KS statistic of rho_00 = W_00 / tr W over a diagonal stack
-    against as many direct Dirichlet draws from substream
-    _KS_DIRICHLET_STREAM of master_seed."""
-    dir_stream = RngStream(SeedSpec(master_seed, _KS_DIRICHLET_STREAM))
+    against as many direct Dirichlet draws from one stream of the
+    ks_dirichlet domain of master_seed."""
+    dir_stream = RngStream(SeedSpec(master_seed, 0, STREAM_DOMAINS["ks_dirichlet"]))
     # a Dirichlet draw is m Gamma variates
     from_dirichlet = np.concatenate([
         sample_diag_dirichlet(dir_stream, spec, size)[:, 0] for size in chunk_sizes(len(diags), spec.m)

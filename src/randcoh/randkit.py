@@ -3,12 +3,13 @@ sampler in this package is built on.
 
 The generator is Philox-4x64, a counter-based PRNG whose raw 64-bit output
 sequence is a fixed function of its 128-bit key.  Stream derivation is the
-simplest documented rule there is: the key is the pair
-``(master_seed, stream_index)``.  Distinct keys give statistically
-independent counter sequences by construction, so the chunks of a Monte
-Carlo job get independent streams by using their chunk index as
-``stream_index``, and a fixed seed pair reproduces the identical byte
-stream on every platform and numpy version.
+simplest documented rule there is: the key is the pair of 64-bit words
+``(master_seed, domain * 2**32 + stream_index)``.  Distinct keys give
+statistically independent counter sequences by construction, so the chunks
+of a Monte Carlo job get independent streams by using their chunk index as
+``stream_index``, each family of draws gets its own by its ``domain``, and
+a fixed seed reproduces the identical byte stream on every platform and
+numpy version.  Domain 0 gives the key (master_seed, stream_index).
 
 Distributions are implemented as explicit transforms of the uniform stream:
 polar Box-Muller for normals, Marsaglia-Tsang for Gamma, normalized Gamma
@@ -17,13 +18,16 @@ of n draws; one draw is the batch of one, e.g. ``uniforms(1)[0]``.
 
 Uniforms are buffered.  A request that the buffer cannot serve refills
 only its shortfall, at least 4096 raw outputs at a time.  Polar normals
-screen their candidate pairs in one vectorised pass over a lookahead of
-the buffer: need/p + 4 sqrt(need (1-p))/p pairs for need accepted pairs,
-p = pi/4, i.e. the negative-binomial mean plus four standard deviations.
-A call then consumes exactly the uniforms up to the last pair it used, so
-every call leaves the stream exactly where drawing the pairs round by
-round would, and the pairs it looked at but did not use stay buffered for
-the next call.
+screen their candidate pairs in vectorised passes over a lookahead of the
+buffer: need/p + 4 sqrt(need (1-p))/p pairs for need accepted pairs,
+p = pi/4, i.e. the negative-binomial mean plus four standard deviations,
+but at most 8192 pairs a pass, so that a call's working memory beyond its
+output is bounded whatever n is.  Each pass consumes exactly the uniforms
+up to the last pair it used (all of them, if it used every pair), so every
+call leaves the stream exactly where drawing the pairs round by round
+would, and the pairs it looked at but did not use stay buffered for the
+next call.  The Marsaglia-Tsang rounds likewise work in a fixed set of
+buffers per round, reused in place.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ _BLOCK = 4096
 _INV_2_53 = 2.0**-53
 _SQRT_HALF = math.sqrt(0.5)
 _POLAR_ACCEPT = math.pi / 4.0  # P(u^2 + v^2 < 1) for (u, v) uniform on [-1, 1)^2
+# polar pairs screened per pass: the 4096 pairs of 8192 normals (the most a
+# stack of 4096 complex Gaussians asks for) need a lookahead of 5366 pairs,
+# so such a call still takes one pass
+_PAIRS_PER_PASS = 1 << 13
 
 
 def _polar_lookahead(need: int) -> int:
@@ -50,15 +58,18 @@ def _polar_lookahead(need: int) -> int:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed plus substream index identifying one random stream."""
+    """Master seed, substream index and domain identifying one random
+    stream: its Philox key is (master_seed, domain * 2**32 + stream_index)."""
 
     master_seed: int
     stream_index: int = 0
+    domain: int = 0
 
     def __post_init__(self):
         # a float would pass the range test and be truncated by the key cast
         for name, value, bits in (("master_seed", self.master_seed, 64),
-                                  ("stream_index", self.stream_index, 32)):
+                                  ("stream_index", self.stream_index, 32),
+                                  ("domain", self.domain, 32)):
             if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**bits):
                 raise ParameterError(f"{name} must be a {bits}-bit unsigned integer, got {value!r}")
 
@@ -73,7 +84,7 @@ class RngStream:
     """
 
     def __init__(self, seed: SeedSpec):
-        key = np.array([seed.master_seed, seed.stream_index], dtype=np.uint64)
+        key = np.array([seed.master_seed, (int(seed.domain) << 32) | int(seed.stream_index)], dtype=np.uint64)
         self._bitgen = Philox(key=key)
         self._buf = np.empty(0, dtype=np.float64)
         self._pos = 0
@@ -96,11 +107,14 @@ class RngStream:
         The block size only affects buffering: the i-th uniform is always
         derived from the i-th raw output.
         """
-        short = n - (self._buf.size - self._pos)
-        if short > 0:
-            raw = self._bitgen.random_raw(max(_BLOCK, short))
-            self._buf = np.concatenate([self._buf[self._pos:], (raw >> np.uint64(11)) * _INV_2_53])
-            self._pos = 0
+        rest = self._buf.size - self._pos
+        if n > rest:
+            raw = self._bitgen.random_raw(max(_BLOCK, n - rest))
+            raw >>= np.uint64(11)
+            buf = np.empty(rest + raw.size, dtype=np.float64)
+            buf[:rest] = self._buf[self._pos:]
+            np.multiply(raw, _INV_2_53, out=buf[rest:])
+            self._buf, self._pos = buf, 0
         return self._buf[self._pos:self._pos + n]
 
     # -- normal layer -------------------------------------------------------
@@ -113,10 +127,11 @@ class RngStream:
         u*sqrt(-2 ln s / s), v*sqrt(-2 ln s / s).  A single leftover normal
         is cached on the stream and used first by the next call.
 
-        The pairs are screened in one pass over the lookahead described in
-        the module docstring.  In the rare case that it holds too few
-        accepted pairs, the call consumes it all and looks ahead again for
-        the rest.
+        The pairs are screened in passes over the lookahead described in
+        the module docstring, each pass writing its normals straight into
+        the output.  A pass that holds too few accepted pairs (every pass
+        but the last of a large call, and rarely the last one) consumes its
+        whole lookahead and the next pass looks ahead again for the rest.
         """
         if n < 0:
             raise ParameterError(f"n must be nonnegative, got {n}")
@@ -127,26 +142,46 @@ class RngStream:
             self._spare_normal = None
             filled = 1
         while filled < n:
-            need = (n - filled + 1) // 2
-            u = self._lookahead(2 * _polar_lookahead(need)) * 2.0 - 1.0
-            x = u[0::2]
-            y = u[1::2]
-            s = x * x + y * y
-            ok = np.flatnonzero((s > 0.0) & (s < 1.0))[:need]
-            used = ok[-1] + 1 if ok.size == need else x.size
-            self.uniforms(2 * int(used))
-            xs, ys, ss = x[ok], y[ok], s[ok]
-            f = np.sqrt(-2.0 * np.log(ss) / ss)
-            block = np.empty(2 * xs.size, dtype=np.float64)
-            block[0::2] = f * xs
-            block[1::2] = f * ys
-            take = min(block.size, n - filled)
-            out[filled:filled + take] = block[:take]
-            filled += take
-            if take < block.size:
-                # need pairs give at most n - filled + 1 normals: one is left over
-                self._spare_normal = float(block[take])
+            filled = self._polar_pass(out, filled)
         return out
+
+    def _polar_pass(self, out: np.ndarray, filled: int) -> int:
+        """One screening pass of normals: write the normals of the accepted
+        pairs of one lookahead into out from index filled on, consume the
+        uniforms up to the last pair used, and return the new fill level."""
+        n = out.size
+        need = (n - filled + 1) // 2
+        w = self._lookahead(2 * min(_polar_lookahead(need), _PAIRS_PER_PASS)) * 2.0
+        w -= 1.0
+        x = w[0::2]
+        y = w[1::2]
+        s = x * x
+        s += y * y
+        ok = np.flatnonzero((s > 0.0) & (s < 1.0))[:need]
+        used = ok[-1] + 1 if ok.size == need else x.size
+        # f = sqrt(-2 ln s / s) on the accepted pairs; each full-pass array
+        # is dropped as soon as it is read for the last time
+        ss = s[ok]
+        del s
+        f = np.log(ss)
+        f *= -2.0
+        f /= ss
+        del ss
+        np.sqrt(f, out=f)
+        xs, ys = x[ok], y[ok]
+        del w, x, y
+        self.uniforms(2 * int(used))
+        # need pairs give at most n - filled + 1 normals: the last pair may
+        # only fit its first normal, and its second is left over
+        full = min(ok.size, (n - filled) // 2)
+        np.multiply(f[:full], xs[:full], out=out[filled:filled + 2 * full:2])
+        np.multiply(f[:full], ys[:full], out=out[filled + 1:filled + 2 * full:2])
+        filled += 2 * full
+        if full < ok.size:
+            out[filled] = f[full] * xs[full]
+            self._spare_normal = float(f[full] * ys[full])
+            filled += 1
+        return filled
 
     # -- complex Gaussian layer ----------------------------------------------
 
@@ -158,7 +193,9 @@ class RngStream:
         if n < 0:
             raise ParameterError(f"n must be nonnegative, got {n}")
         nrm = self.normals(2 * n)
-        return _SQRT_HALF * (nrm[0::2] + 1j * nrm[1::2])
+        nrm *= _SQRT_HALF
+        # (re, im) pairs are the memory layout of a complex array
+        return nrm.view(np.complex128)
 
     # -- Gamma / Dirichlet layer ----------------------------------------------
 
@@ -183,31 +220,20 @@ class RngStream:
         if not ((shapes > 0.0) & (shapes < math.inf)).all():
             raise ParameterError(f"gamma shapes must be finite and positive, got {shape!r}")
         per_draw = shapes.ndim == 1
-        d = shapes + (shapes < 1.0) - 1.0 / 3.0  # boosted draws run at shape + 1
-        c = 1.0 / np.sqrt(9.0 * d)
+        d = shapes + (shapes < 1.0)
+        d -= 1.0 / 3.0  # boosted draws run at shape + 1
 
-        # the first round runs on the full arrays, later rounds on the few
-        # draws still pending (None until the first round is done)
-        out = np.empty(n, dtype=np.float64)
+        # the first round runs on the full arrays, and its candidates become
+        # the output; later rounds run on the few draws still pending
+        out = np.empty(0, dtype=np.float64)
         pending = None
         k = n
         while k:
-            dk, ck = (d[pending], c[pending]) if per_draw and pending is not None else (d, c)
-            x = self.normals(k)
-            u = self.uniforms(k)
-            t = 1.0 + ck * x
-            v = t * t * t
-            pos = v > 0.0
-            # accept = pos & (squeeze | log test), with the cheap log test
-            # first and the squeeze only where it failed: x**4 of a negative
-            # x costs far more than a log
-            logv = np.log(np.where(pos, v, 1.0))
-            accept = pos & (np.log(u) < 0.5 * x * x + dk * (1.0 - v + logv))
-            retry = np.flatnonzero(pos & ~accept)
-            if retry.size:
-                accept[retry] = u[retry] < 1.0 - 0.0331 * x[retry]**4
+            dk = d[pending] if per_draw and pending is not None else d
+            accept, v = _marsaglia_tsang_round(self.normals(k), self.uniforms(k), dk)
             if pending is None:
-                np.multiply(dk, v, out=out)
+                v *= dk
+                out = v
                 pending = np.flatnonzero(~accept)
             else:
                 out[pending[accept]] = (dk[accept] if per_draw else dk) * v[accept]
@@ -238,3 +264,40 @@ class RngStream:
             raise ParameterError(f"Dirichlet concentration must be finite and positive, got {alpha}")
         g = self.gammas(alpha, m)
         return g / g.sum()
+
+
+def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
+    """One Marsaglia-Tsang round on normals x and uniforms u at d = a - 1/3
+    (one d, or one per candidate): the accept mask and v = (1 + c x)^3,
+    c = 1/sqrt(9d).  A candidate is accepted when v > 0 and the log test
+    or the squeeze passes; the cheap log test runs first and the squeeze
+    only where it failed, since x**4 of a negative x costs far more than a
+    log.  Works in two buffers besides x, u and v, each value computed by
+    the same operations in the same order as the textbook expression."""
+    if np.ndim(d):
+        t = np.multiply(d, 9.0)
+        np.sqrt(t, out=t)
+        np.divide(1.0, t, out=t)
+        t *= x
+    else:
+        t = x * (1.0 / np.sqrt(9.0 * d))
+    t += 1.0
+    v = t * t
+    v *= t
+    pos = v > 0.0
+    # log v where v > 0, log 1 = 0 elsewhere
+    t.fill(0.0)
+    np.log(v, out=t, where=pos)
+    w = np.subtract(1.0, v)
+    w += t
+    w *= d
+    np.multiply(x, 0.5, out=t)
+    t *= x
+    t += w  # 0.5 x^2 + d (1 - v + log v)
+    np.log(u, out=w)
+    accept = w < t
+    accept &= pos
+    retry = np.flatnonzero(pos & ~accept)
+    if retry.size:
+        accept[retry] = u[retry] < 1.0 - 0.0331 * x[retry]**4
+    return accept, v

@@ -41,6 +41,7 @@ def test_named_hooks_are_targets(spans):
         assert ("randcoh.mc", hook) in targets
 
 
+@pytest.mark.usefixtures("chunks_of_4096")
 def test_traced_estimate_runs_and_restores(spans, tmp_path):
     config = mc.EstimatorConfig(EnsembleSpec(2, 3), "coherence", 1500, master_seed=71)
     plain = mc.estimate(config)
@@ -95,6 +96,7 @@ def replay(seed, chunks, m, kn):
     return Counted
 
 
+@pytest.mark.usefixtures("chunks_of_4096")
 def test_traced_uniform_count_is_what_the_oracle_consumes(spans, tmp_path):
     # the one-pass normals consume exactly the uniforms of the round-by-round
     # oracle, so the traced uniforms_per_sample and polar_accept_ratio are exact

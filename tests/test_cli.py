@@ -123,6 +123,7 @@ class TestVerify:
         assert code == 0
         assert len(parse_jsonl(out)) == 7
 
+    @pytest.mark.usefixtures("chunks_of_4096")
     def test_one_pool_per_family(self, capsys, monkeypatch):
         # (2, 3): states and spectra are both 3 variates, 1365 draws to a
         # chunk, so 3000 draws make three chunks in each of the two families
@@ -145,6 +146,7 @@ class TestVerify:
         assert [name for r in records[:4] for name in r["results"]] == [
             "coherence", "entropy", "diag_entropy", "subentropy"]
 
+    @pytest.mark.usefixtures("chunks_of_4096")
     @pytest.mark.parametrize("samples,ks_chunks", [(200, [1000]), (3000, [1365, 1365, 270])])
     def test_one_ks_sample_draw(self, capsys, monkeypatch, samples, ks_chunks):
         # both KS records read one stack of Bartlett factors: at (2, 3) a

@@ -1,7 +1,9 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from test_ensembles import bartlett_reference
 
 
 class TestChunks:
+    @pytest.mark.usefixtures("chunks_of_4096")
     def test_budget_sets_the_chunk_size(self):
         # (2, 2): 4 Ginibre entries per draw, so 1024 draws per chunk
         assert mc.chunk_sizes(2500, 4) == [1024, 1024, 452]
@@ -30,22 +33,39 @@ class TestChunks:
         assert mc.chunk_sizes(1000, 4) == [1000]
         assert mc.chunk_sizes(0, 4) == []
 
+    def test_default_budget(self):
+        # 16 384 variates: 4096 draws of 4 entries, 120 states at m = 16
+        assert mc.CHUNK_ENTRIES == 1 << 14
+        assert mc.chunk_sizes(10_000, 4) == [4096, 4096, 1808]
+        assert mc.chunk_sizes(400, 136) == [120, 120, 120, 40]
+
     def test_at_least_one_draw_per_chunk(self):
         assert mc.chunk_sizes(3, mc.CHUNK_ENTRIES * 2) == [1, 1, 1]
 
-    def test_chunks_stop_short_of_the_reserved_substreams(self, monkeypatch):
-        monkeypatch.setattr(mc, "_KS_DIRICHLET_STREAM", 3)
+    @pytest.mark.usefixtures("chunks_of_4096")
+    def test_chunks_stop_at_the_width_of_the_stream_index(self, monkeypatch):
+        # a chunk index is a SeedSpec's 32-bit stream_index
+        assert mc._MAX_CHUNKS == 2**32
+        SeedSpec(0, mc._MAX_CHUNKS - 1)
+        with pytest.raises(ParameterError):
+            SeedSpec(0, mc._MAX_CHUNKS)
+        monkeypatch.setattr(mc, "_MAX_CHUNKS", 3)
         assert mc.chunk_sizes(3 * 1024, 4) == [1024] * 3
         with pytest.raises(ParameterError, match="chunks"):
             mc.chunk_sizes(3 * 1024 + 1, 4)
 
-    def test_a_job_that_would_reach_the_reserved_substreams_is_refused(self):
-        # (2, 2): 1365 states to a chunk, so these jobs need 2^32 chunks;
-        # the split is refused before any list of that length is made
+    def test_a_job_of_more_chunks_than_stream_indices_is_refused(self):
+        # these jobs need 2^32 + 1 chunks of states; the split is refused
+        # before any list of that length is made
+        def samples(spec):
+            return mc.chunk_sizes(10**6, mc._state_variates(spec))[0] * 2**32 + 1
+
+        spec = EnsembleSpec(2, 2)
         with pytest.raises(ParameterError, match="chunks"):
-            mc.estimate(mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", 1365 * 2**32, master_seed=1))
+            mc.estimate(mc.EstimatorConfig(spec, "coherence", samples(spec), master_seed=1))
+        spec = EnsembleSpec(3, 3)
         with pytest.raises(ParameterError, match="chunks"):
-            mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 682 * 2**32, master_seed=1)
+            mc.empirical_concentration(spec, 0.1, samples(spec), master_seed=1)
 
 
 class TestDefaultWorkers:
@@ -157,6 +177,7 @@ class TestEstimate:
         a, b = mc.estimate(cfg), mc.estimate(cfg)
         assert (a.count, a.mean, a.m2) == (b.count, b.mean, b.m2)
 
+    @pytest.mark.usefixtures("chunks_of_4096")
     def test_inline_and_pooled_agree(self):
         # chunk results depend only on (seed, chunk index, size), not on where
         # they ran.  A (2, 3) state is 3 variates, 1365 draws to a chunk, so
@@ -182,6 +203,7 @@ class TestEstimate:
     # spectrum at m = 4 is 2m - 1 = 7 Gamma variates, 585 to a chunk; an
     # isospectral draw at m = 3 is one 3 x 3 Haar matrix, 455 to a chunk;
     # each size below makes three chunks
+    @pytest.mark.usefixtures("chunks_of_4096")
     @pytest.mark.parametrize("quantity,spec,samples,spectrum", [
         ("entropy", EnsembleSpec(4, 8), 1500, None),
         ("diag_entropy", EnsembleSpec(8, 8), 300, None),
@@ -227,6 +249,7 @@ class TestEstimate:
 VERIFY_QUANTITIES = ("coherence", "entropy", "diag_entropy", "subentropy")
 
 
+@pytest.mark.usefixtures("chunks_of_4096")
 class TestRunComparisons:
     # samples that make at least three chunks of states and of spectra: a
     # state is m(m+1)/2 variates and a spectrum 2m - 1, so at m = 2 1365
@@ -327,7 +350,8 @@ def single_spectrum(g, m):
 
 
 def per_draw_reference(config):
-    """The estimate one draw at a time: chunk c's draws from stream c, the
+    """The estimate one draw at a time: chunk c's draws from stream c of the
+    job's domain, the
     functional on each draw, and a Welford update per value.  Isospectral
     diagonals come from the single-draw sampler.  A chunk of spectra draws
     its Gamma variates in one block, as the spectrum sampler lays them out,
@@ -349,7 +373,7 @@ def per_draw_reference(config):
         entries = spec.m * (spec.m + 1) // 2
     merged = mc.RunningStats()
     for chunk, count in enumerate(mc.chunk_sizes(config.samples, entries)):
-        stream = RngStream(SeedSpec(config.master_seed, chunk))
+        stream = RngStream(SeedSpec(config.master_seed, chunk, mc.STREAM_DOMAINS[mc._sampler(config)]))
         if config.quantity in spectral:
             g = stream.gammas(np.tile(laguerre_shapes(spec), count).astype(float), count * entries)
             values = [spectral[config.quantity](single_spectrum(draw, spec.m))
@@ -367,6 +391,7 @@ def per_draw_reference(config):
     return merged
 
 
+@pytest.mark.usefixtures("chunks_of_4096")
 class TestChunkedEstimateMatchesPerDrawLoop:
     # states and spectra at m = 2 are both 3 variates and come 1365 to a
     # chunk: 1000 and 1024 are one partial chunk, 2500 one full chunk and a
@@ -660,10 +685,12 @@ class TestGammaMarginal:
         with pytest.raises(ParameterError):
             mc.gamma_marginal_test(2, 4, samples=10, master_seed=0)
 
+    @pytest.mark.usefixtures("chunks_of_4096")
     def test_diagonals_are_those_of_the_wishart_draws(self):
         # W = L L^dagger for the Bartlett factors sample_mixing_state draws,
         # in its stacks of at most CHUNK_ENTRIES variates (3 per state at m = 2)
-        stream, spec = RngStream(SeedSpec(63, mc._KS_FACTOR_STREAM)), EnsembleSpec(2, 3)
+        stream = RngStream(SeedSpec(63, 0, mc.STREAM_DOMAINS["ks_factors"]))
+        spec = EnsembleSpec(2, 3)
         diags = np.concatenate([
             np.diagonal(linalg.gram(mc._bartlett_factor(stream, spec, size)), axis1=-2, axis2=-1).real
             for size in mc.chunk_sizes(1500, 3)])
@@ -732,6 +759,7 @@ class TestGammaMarginal:
 
 
 class TestKsSubstreams:
+    @pytest.mark.usefixtures("chunks_of_4096")
     def test_ks_diagonals_are_not_the_coherence_draws(self):
         # (3, 8): a state is 6 variates, 682 to a chunk; chunk 0 of the
         # coherence family draws from substream 0 of the seed
@@ -743,10 +771,146 @@ class TestKsSubstreams:
         diags = mc._wishart_diagonals(spec, 3000, 5, mc.KS_MIN_SAMPLES)
         assert not np.isclose(diags[:682], norms, rtol=1e-6, atol=0.0).any()
 
-    def test_reserved_substreams_are_distinct_and_in_range(self):
-        assert mc._KS_FACTOR_STREAM != mc._KS_DIRICHLET_STREAM
-        for index in (mc._KS_FACTOR_STREAM, mc._KS_DIRICHLET_STREAM):
-            RngStream(SeedSpec(1, index))
+    def test_stream_domains_are_distinct_and_in_range(self):
+        tags = mc.STREAM_DOMAINS
+        assert set(tags) == {"states", "spectra", "orbits", "ks_factors", "ks_dirichlet"}
+        assert len(set(tags.values())) == len(tags)
+        # states keep the key every stream had before domains existed
+        assert tags["states"] == 0
+        for tag in tags.values():
+            RngStream(SeedSpec(1, 2**32 - 1, tag))
+
+
+def drawn_uniforms(monkeypatch, runs):
+    """The uniforms each of the named calls consumes, with each stream's
+    uniforms recorded as they are drawn."""
+    drawn = []
+    uniforms = RngStream.uniforms
+
+    def recorded(stream, n):
+        out = uniforms(stream, n)
+        drawn[-1].append(out)
+        return out
+
+    monkeypatch.setattr(RngStream, "uniforms", recorded)
+    values = {}
+    for name, run in runs.items():
+        drawn.append([])
+        run()
+        values[name] = np.concatenate(drawn[-1])
+    return values
+
+
+class TestStreamDomains:
+    # (2, 3) at 12 000 samples: states and spectra are both 3 variates,
+    # 5461 to a chunk, so each family draws three chunks, and the KS sample
+    # takes three stacks of factors; the isospectral job draws three chunks
+    # of 3 x 3 Haar matrices (1820 to a chunk) at 5000 samples
+    SPEC, SAMPLES, SEED = EnsembleSpec(2, 3), 12_000, 9
+
+    def families(self):
+        spec, samples, seed = self.SPEC, self.SAMPLES, self.SEED
+
+        def estimates(*quantities, **kwargs):
+            return lambda: mc.run_comparisons([mc.EstimatorConfig(spec, q, samples, master_seed=seed, **kwargs)
+                                               for q in quantities])
+
+        return {
+            "states": estimates("coherence", "diag_entropy"),
+            "spectra": estimates("entropy", "subentropy"),
+            "orbits": lambda: mc.estimate(mc.EstimatorConfig(
+                EnsembleSpec(3, 3), "isospectral_diag_entropy", 5000, master_seed=seed,
+                fixed_spectrum=(0.6, 0.3, 0.1))),
+            "ks": lambda: mc.diagonal_ks_tests(spec, samples, seed),
+        }
+
+    def test_verify_families_share_no_variate(self, monkeypatch):
+        for config in (mc.EstimatorConfig(self.SPEC, "coherence", self.SAMPLES, master_seed=self.SEED),
+                       mc.EstimatorConfig(self.SPEC, "entropy", self.SAMPLES, master_seed=self.SEED)):
+            assert len(mc.chunk_sizes(self.SAMPLES, mc._entries_per_draw(config))) == 3
+        values = drawn_uniforms(monkeypatch, self.families())
+        # the KS factors and the direct Dirichlet draws, separately
+        spec, samples, seed = self.SPEC, self.SAMPLES, self.SEED
+        values.update(drawn_uniforms(monkeypatch, {
+            "ks_factors": lambda: mc._wishart_diagonals(spec, samples, seed, mc.KS_MIN_SAMPLES),
+            "ks_dirichlet": lambda: mc._dirichlet_ks(np.ones((samples, spec.m)), spec, seed),
+        }))
+        assert values["ks"].size == values["ks_factors"].size + values["ks_dirichlet"].size
+        del values["ks"]
+        for a, b in itertools.combinations(values, 2):
+            assert values[a].size > 10_000 and values[b].size > 10_000
+            assert np.intersect1d(values[a], values[b]).size == 0, (a, b)
+
+    @pytest.mark.parametrize("shared", [("states", "spectra"), ("states", "ks_factors"),
+                                        ("spectra", "orbits"), ("ks_factors", "ks_dirichlet")])
+    def test_two_domains_with_one_tag_share_variates(self, monkeypatch, shared):
+        # what the test above looks for: give two samplers the same tag and
+        # their streams, chunk for chunk, open with the same uniforms
+        monkeypatch.setitem(mc.STREAM_DOMAINS, shared[1], mc.STREAM_DOMAINS[shared[0]])
+        spec, samples, seed = self.SPEC, self.SAMPLES, self.SEED
+        runs = {
+            "states": self.families()["states"],
+            "spectra": self.families()["spectra"],
+            "orbits": self.families()["orbits"],
+            "ks_factors": lambda: mc._wishart_diagonals(spec, samples, seed, mc.KS_MIN_SAMPLES),
+            "ks_dirichlet": lambda: mc._dirichlet_ks(np.ones((samples, spec.m)), spec, seed),
+        }
+        values = drawn_uniforms(monkeypatch, {name: runs[name] for name in shared})
+        assert np.intersect1d(values[shared[0]], values[shared[1]]).size > 0
+
+
+class TestPinnedStates:
+    # (count, mean.hex(), m2.hex()) of three multi-chunk estimates in the
+    # states domain, which keeps the key every stream had before domains
+    # existed, at the chunk size of 4096 variates they were pinned at
+    PINNED = [
+        ("coherence", EnsembleSpec(2, 3), 3000, 43, 3,
+         (3000, "0x1.4dafb132d29e7p-3", "0x1.9637c47b7df82p+5")),
+        ("diag_entropy", EnsembleSpec(4, 8), 1300, 75, 4,
+         (1300, "0x1.573c34ff758ffp+0", "0x1.76874362107cfp+0")),
+        ("coherence", EnsembleSpec(8, 16, 3), 500, 7, 5,
+         (500, "0x1.25fb86a262b1bp-4", "0x1.211d56d844717p-4")),
+    ]
+
+    @pytest.mark.usefixtures("chunks_of_4096")
+    @pytest.mark.parametrize("quantity,spec,samples,seed,chunks,pinned", PINNED)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_estimates_keep_their_bits(self, quantity, spec, samples, seed, chunks, pinned, workers):
+        config = mc.EstimatorConfig(spec, quantity, samples, master_seed=seed, workers=workers)
+        assert len(mc.chunk_sizes(samples, mc._entries_per_draw(config))) == chunks
+        stats = mc.estimate(config)
+        assert (stats.count, stats.mean.hex(), stats.m2.hex()) == pinned
+
+
+class TestChunkWorkingSet:
+    # the tracemalloc peak of one full chunk stays within BYTES_PER_VARIATE
+    # per random variate plus the chunk's stack of m x m matrices (complex
+    # Bartlett factors or Haar matrices, real Laguerre tridiagonals).  Each
+    # case is a chunk of about 16 000 variates: there, drawing the variates
+    # in whole-array temporaries and checking and solving whole stacks
+    # costs 75-120 bytes per variate over the stack
+    BYTES_PER_VARIATE = 67
+
+    @pytest.mark.parametrize("quantity,spec,spectrum,stack_itemsize", [
+        ("entropy", EnsembleSpec(16, 32), None, 8),
+        ("coherence", EnsembleSpec(16, 32), None, 16),
+        ("coherence", EnsembleSpec(4, 8), None, 16),
+        ("isospectral_diag_entropy", EnsembleSpec(3, 3), (0.6, 0.3, 0.1), 16),
+    ])
+    def test_peak_of_one_chunk(self, quantity, spec, spectrum, stack_itemsize):
+        config = mc.EstimatorConfig(spec, quantity, 10**6, master_seed=3, fixed_spectrum=spectrum)
+        variates = mc._entries_per_draw(config)
+        size = mc.chunk_sizes(config.samples, variates)[0]
+        assert size * variates > mc.CHUNK_ENTRIES - variates
+        mc._run_worker((config,), (0, size))  # first-call allocations are not the chunk's
+        tracemalloc.start()
+        try:
+            mc._run_worker((config,), (1, size))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = len(spectrum) if spectrum else spec.m
+        assert peak <= self.BYTES_PER_VARIATE * size * variates + size * m * m * stack_itemsize
 
 
 class TestDirichletConsistency:
@@ -759,8 +923,8 @@ class TestDirichletConsistency:
         # per state, m Gamma variates per Dirichlet draw (at m = 2 the 1100
         # draws are one stack on each side)
         spec = EnsembleSpec(2, 3, k=2)
-        states = RngStream(SeedSpec(64, mc._KS_FACTOR_STREAM))
-        direct = RngStream(SeedSpec(64, mc._KS_DIRICHLET_STREAM))
+        states = RngStream(SeedSpec(64, 0, mc.STREAM_DOMAINS["ks_factors"]))
+        direct = RngStream(SeedSpec(64, 0, mc.STREAM_DOMAINS["ks_dirichlet"]))
         from_states = np.concatenate([sample_mixing_state(states, spec, size).diagonal[:, 0]
                                       for size in mc.chunk_sizes(1100, 3)])
         from_dirichlet = np.concatenate([sample_diag_dirichlet(direct, spec, size)[:, 0]
@@ -787,6 +951,7 @@ class TestLazyPool:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    @pytest.mark.usefixtures("chunks_of_4096")
     def test_two_worker_pool_matches_one_worker_bit_for_bit(self, monkeypatch):
         # (3, 4): a state is 6 variates, 682 to a chunk, so 2000 draws make
         # three chunks, and two workers start one real pool

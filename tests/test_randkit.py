@@ -19,8 +19,11 @@ def stream(master=2024, index=0):
 
 class RoundByRoundStream(RngStream):
     """Test oracle: polar normals drawn in rejection rounds, each round
-    requesting exactly one pair per normal still needed (the one-pass
-    lookahead in RngStream.normals must reproduce it bit for bit)."""
+    requesting exactly one pair per normal still needed (the screening
+    passes of RngStream.normals must reproduce it bit for bit), and Gamma
+    variates and complex Gaussians computed by the textbook expressions on
+    whole arrays (RngStream works in reused buffers and must give the same
+    bits)."""
 
     def normals(self, n):
         out = np.empty(n, dtype=np.float64)
@@ -48,6 +51,35 @@ class RoundByRoundStream(RngStream):
             filled += take
             if take < block.size:
                 self._spare_normal = float(block[take])
+        return out
+
+    def complex_gaussians(self, n):
+        nrm = self.normals(2 * n)
+        return math.sqrt(0.5) * (nrm[0::2] + 1j * nrm[1::2])
+
+    def gammas(self, shape, n):
+        shapes = np.asarray(shape, dtype=np.float64)
+        per_draw = shapes.ndim == 1
+        d = shapes + (shapes < 1.0) - 1.0 / 3.0
+        c = 1.0 / np.sqrt(9.0 * d)
+        out = np.empty(n, dtype=np.float64)
+        pending = np.arange(n)
+        while pending.size:
+            dk, ck = (d[pending], c[pending]) if per_draw else (d, c)
+            x = self.normals(pending.size)
+            u = self.uniforms(pending.size)
+            t = 1.0 + ck * x
+            v = t * t * t
+            logv = np.log(np.where(v > 0.0, v, 1.0))
+            accept = (v > 0.0) & ((np.log(u) < 0.5 * x * x + dk * (1.0 - v + logv))
+                                  | (u < 1.0 - 0.0331 * x**4))
+            out[pending[accept]] = (dk[accept] if per_draw else dk) * v[accept]
+            pending = pending[~accept]
+        boosted = np.flatnonzero(shapes < 1.0) if per_draw else np.arange(n if shapes < 1.0 else 0)
+        u = self.uniforms(boosted.size)
+        for a in np.unique(shapes[boosted] if per_draw else shapes):
+            sel = (shapes[boosted] == a) if per_draw else slice(None)
+            out[boosted[sel]] *= (1.0 - u[sel]) ** (1.0 / float(a))
         return out
 
 
@@ -93,6 +125,20 @@ class TestSeedSpec:
     def test_accepts_numpy_integers(self):
         a = RngStream(SeedSpec(np.uint64(2**64 - 1), np.int32(7))).uniforms(5)
         assert np.array_equal(a, philox_uniforms(2**64 - 1, 7, 5))
+
+    @pytest.mark.parametrize("master,index,domain", [(0, 0, 1), (2024, 3, 4), (2**64 - 1, 2**32 - 1, 2**32 - 1),
+                                                     (5, 7, np.int32(2))])
+    def test_domain_is_the_high_word_of_the_second_key_half(self, master, index, domain):
+        got = RngStream(SeedSpec(master, index, domain)).uniforms(9)
+        assert np.array_equal(got, philox_uniforms(master, (int(domain) << 32) | index, 9))
+
+    def test_domain_zero_is_the_key_without_a_domain(self):
+        assert np.array_equal(RngStream(SeedSpec(9, 4, 0)).uniforms(9), RngStream(SeedSpec(9, 4)).uniforms(9))
+
+    @pytest.mark.parametrize("domain", [-1, 2**32, 1.0, 2.5])
+    def test_rejects_bad_domains(self, domain):
+        with pytest.raises(ParameterError):
+            SeedSpec(0, 0, domain)
 
 
 class TestDeterminism:
@@ -169,6 +215,38 @@ class TestStreamLayout:
             assert np.array_equal(ours.normals(2), oracle.normals(2))
         assert Counting.consumptions > 3000
         assert np.array_equal(ours.uniforms(5), oracle.uniforms(5))
+
+    # 8192 polar pairs a pass: normals calls from 16 384 on take several
+    # passes, whose lookaheads hold fewer accepted pairs than they need
+    PASS_SIZES = (0, 1, 2, 3, 7, 8190, 16383, 16384, 16385, 40_001, 100_000)
+
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_large_normals_calls_match_the_oracle(self, spare):
+        # with spare, a 1-normal call leaves a normal cached first, so each
+        # size is also drawn at the other parity of its pairs
+        ours, oracle = stream(31, 2), RoundByRoundStream(SeedSpec(31, 2))
+        for size in self.PASS_SIZES:
+            if spare:
+                assert np.array_equal(ours.normals(1), oracle.normals(1))
+            assert np.array_equal(ours.normals(size), oracle.normals(size)), size
+            assert ours._spare_normal == oracle._spare_normal
+        assert np.array_equal(ours.uniforms(5), oracle.uniforms(5))
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.5, 2e4, "mixed"])
+    def test_large_gamma_calls_match_the_oracle(self, shape):
+        # "mixed" is one shape per draw, boosted ones (< 1) among them
+        ours, oracle = stream(32, 1), RoundByRoundStream(SeedSpec(32, 1))
+        for size in (0, 1, 2, 17, 16383, 16385, 40_001):
+            shapes = np.tile([5.0, 0.3, 2.0, 0.7, 1.0], size // 5 + 1)[:size] if shape == "mixed" else shape
+            assert np.array_equal(ours.gammas(shapes, size), oracle.gammas(shapes, size)), size
+            assert ours._spare_normal == oracle._spare_normal
+        assert np.array_equal(ours.uniforms(5), oracle.uniforms(5))
+
+    def test_complex_gaussians_match_the_oracle(self):
+        ours, oracle = stream(33, 0), RoundByRoundStream(SeedSpec(33, 0))
+        for size in (0, 1, 3, 8192, 20_001):
+            assert np.array_equal(ours.complex_gaussians(size), oracle.complex_gaussians(size))
+            assert ours._spare_normal == oracle._spare_normal
 
     @pytest.mark.parametrize("method", ["normals", "complex_gaussians", "uniforms"])
     def test_negative_count_is_a_parameter_error(self, method):
