@@ -246,12 +246,14 @@ def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> 
     """
     m, kn = spec.m, spec.env_dim
     shapes = np.concatenate([kn - np.arange(m), m - 1 - np.arange(m - 1)]).astype(np.float64)
-    g = stream.gammas(np.tile(shapes, size), size * shapes.size).reshape(size, -1)
-    # T is formed and solved block by block (16 bytes per entry: T and its
-    # Hermitian check), so the whole stack of T is never held at once
+    g = stream.gammas(np.tile(shapes, size), size * shapes.size).reshape(size, shapes.size)
+    # T is formed and solved block by block (8 bytes per entry: T itself),
+    # so the whole stack of T is never held at once.  T is finite and
+    # exactly symmetric by construction, so it is solved unchecked;
+    # clamp_spectrum still refuses a non-finite spectrum
     vals = np.empty((size, m))
-    for rows in linalg.row_blocks(size, m * m, 16):
-        vals[rows] = linalg.hermitian_eigenvalues(_laguerre_tridiagonal(g[rows], m))
+    for rows in linalg.row_blocks(size, m * m, 8):
+        vals[rows] = linalg.exact_hermitian_eigenvalues(_laguerre_tridiagonal(g[rows], m))
     vals /= g.sum(axis=-1, keepdims=True)
     return linalg.clamp_spectrum(vals)
 

@@ -26,9 +26,9 @@ EIG_CLAMP = 1e-12
 SPECTRUM_SUM_TOL = 1e-10
 # bound on the working arrays of one pass over a block of a stack of
 # matrices (row_blocks).  The stacks of a chunk of 4096 variates are one
-# block each: 132 real tridiagonal 16 x 16 matrices (16 bytes per entry
-# with their check, 528 KiB), and fewer than 8192 entries of Bartlett
-# factors (40 bytes per entry with their products, 320 KiB) at any m
+# block each: 132 real tridiagonal 16 x 16 matrices (8 bytes per entry,
+# 264 KiB), and fewer than 8192 entries of Bartlett factors (40 bytes per
+# entry with their products, 320 KiB) at any m
 _BLOCK_BYTES = 9 << 16
 
 
@@ -93,10 +93,20 @@ def gram(z: np.ndarray) -> np.ndarray:
 def factor_gram_eigenvalues(low: np.ndarray) -> np.ndarray:
     """hermitian_eigenvalues(L L-dagger) for each square factor L of a
     stack (..., m, m), with L L-dagger not averaged: it is Hermitian to
-    rounding, and the solvers read one triangle.  The products are formed
-    and solved block by block, 40 bytes of temporaries per entry (the
-    product, its conjugate factor and the check's), so the stack's products
-    are never held at once."""
+    rounding, and the solvers read one triangle.  At m = 2 the three
+    entries the closed form reads are formed elementwise, for the whole
+    stack at once; a non-finite factor gives a non-finite spectrum, which
+    clamp_spectrum refuses.  Larger products are formed and solved block by
+    block, 40 bytes of temporaries per entry (the product, its conjugate
+    factor and the check's), so the stack's products are never held at
+    once."""
+    if low.shape[-1] == 2:
+        # a per-matrix product costs far more than these few array passes
+        sq = low.real**2
+        sq += low.imag**2
+        b = low[..., 1, 0] * low[..., 0, 0].conj()
+        b += low[..., 1, 1] * low[..., 0, 1].conj()
+        return _eigenvalues_2x2(sq[..., 0, 0] + sq[..., 0, 1], sq[..., 1, 0] + sq[..., 1, 1], np.abs(b))
     flat = low.reshape((-1,) + low.shape[-2:])
     vals = np.empty(flat.shape[:-1])
     for rows in row_blocks(len(flat), low.shape[-1] ** 2, 40):
@@ -122,8 +132,15 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     if not all(np.isfinite(block).all() for block in _blocks(a, 1)):
         raise NumericalError("matrix has non-finite entries")
     check_hermitian(a)
+    return exact_hermitian_eigenvalues(a)
+
+
+def exact_hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """hermitian_eigenvalues without its checks, for a square float64 or
+    complex128 stack that is finite and exactly Hermitian by construction
+    (the Laguerre tridiagonals of ensembles.sample_mixing_spectrum)."""
     if a.shape[-1] == 2:
-        return _eigenvalues_2x2(a)
+        return _eigenvalues_2x2(a[..., 0, 0].real, a[..., 1, 1].real, np.abs(a[..., 1, 0]))
     try:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
@@ -132,17 +149,15 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     return vals[..., ::-1]
 
 
-def _eigenvalues_2x2(a: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a stack (..., 2, 2) of Hermitian matrices
-    with diagonal p, q and lower off-diagonal b.
+def _eigenvalues_2x2(p: np.ndarray, q: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian 2 x 2 matrices with diagonal
+    p, q and off-diagonal modulus off = |b| (arrays of one shape).
 
     With h = |p - q|/2 and r = sqrt(h^2 + |b|^2) they are
     (p + q)/2 +- r = max(p, q) + t and min(p, q) - t, t = r - h, and t is
     formed as |b|^2 / (h + r), which cancels nothing: the shift is exactly 0
     on diagonal input, and 0/0 (p = q, b = 0) is read as 0.
     """
-    p, q = a[..., 0, 0].real, a[..., 1, 1].real
-    off = np.abs(a[..., 1, 0])
     h = 0.5 * np.abs(p - q)
     # off * (off / (h + r)) rather than off^2 / (h + r): nothing squared can
     # overflow or underflow, and the ratio is at most 1

@@ -58,9 +58,12 @@ def test_traced_estimate_runs_and_restores(spans, tmp_path):
     totals = rec.totals()
     # (2, 3): a state is m(m+1)/2 = 3 variates, so 1365 draws per chunk and
     # 2 chunks; a draw consumes m Gamma variates and m(m-1)/2 complex
-    # Gaussians, whose normals the oracle replay counts
+    # Gaussians, whose normals the oracle replay counts.  The m = 2 spectra
+    # are solved from the factors' entries, without hermitian_eigenvalues,
+    # and clamped once per chunk
     chunks = mc.chunk_sizes(1500, 3)
-    assert totals["linalg.eig"]["calls"] == len(chunks)
+    assert "linalg.eig" not in totals
+    assert totals["linalg.clamp"]["calls"] == len(chunks)
     assert totals["ensembles.state"]["calls"] == len(chunks)
     assert rec.counters["normals"] == replay(71, chunks, 2, 3).normals_drawn
 

@@ -343,6 +343,22 @@ class TestMixingSpectrum:
     def test_dimension_one_is_the_point_mass(self):
         assert np.array_equal(sample_mixing_spectrum(stream(41), EnsembleSpec(1, 4, k=2), 50), np.ones((50, 1)))
 
+    @pytest.mark.parametrize("spec", [EnsembleSpec(1, 2), EnsembleSpec(3, 4), EnsembleSpec(8, 16)])
+    def test_no_draws_is_an_empty_stack(self, spec):
+        s = stream(43)
+        assert sample_mixing_spectrum(s, spec, 0).shape == (0, spec.m)
+        assert sample_mixing_state(s, spec, 0).spectrum.shape == (0, spec.m)
+        assert np.array_equal(s.uniforms(5), stream(43).uniforms(5))
+
+    def test_tridiagonals_are_solved_unchecked(self, monkeypatch):
+        # they are exactly symmetric and finite by construction
+        def refuse(*args):
+            raise AssertionError("a Laguerre tridiagonal was checked")
+
+        monkeypatch.setattr(linalg, "check_hermitian", refuse)
+        lam = sample_mixing_spectrum(stream(44), EnsembleSpec(4, 8), 300)
+        assert lam.shape == (300, 4)
+
     def test_depends_on_the_environment_only_through_kn(self):
         a = sample_mixing_spectrum(stream(42), EnsembleSpec(2, 2, k=3), 300)
         b = sample_mixing_spectrum(stream(42), EnsembleSpec(2, 6), 300)

@@ -192,6 +192,31 @@ class TestTwoByTwo:
                 linalg.hermitian_eigenvalues(a[2])
 
 
+class TestFactorGramEigenvalues:
+    """factor_gram_eigenvalues(L) is the spectrum of L L-dagger; at m = 2 it
+    is formed from L's entries, without the product."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("triangular", [False, True])
+    def test_spectra_of_the_products(self, m, triangular):
+        rng = np.random.default_rng(23 + m)
+        low = rng.standard_normal((300, m, m)) + 1j * rng.standard_normal((300, m, m))
+        if triangular:
+            low = np.tril(low)
+        vals = linalg.factor_gram_eigenvalues(low.reshape(3, 100, m, m))
+        assert vals.shape == (3, 100, m)
+        products = low @ low.conj().swapaxes(-1, -2)
+        scale = np.abs(products).max(axis=(-2, -1))[:, None]
+        expected = linalg.hermitian_eigenvalues(products)
+        assert (np.abs(vals.reshape(300, m) - expected) <= 8 * EPS * scale).all()
+
+    def test_non_finite_factor_gives_a_spectrum_the_clamp_refuses(self):
+        low = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+        low[1, 1, 0] = math.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            linalg.clamp_spectrum(linalg.factor_gram_eigenvalues(low) / 2.0)
+
+
 class TestClampSpectrum:
     def test_rounding_noise_is_clamped_to_zero(self):
         vals = linalg.clamp_spectrum(np.array([1.0 + 5e-13, -5e-13]))

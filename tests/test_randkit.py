@@ -10,7 +10,7 @@ from scipy import stats as sps
 
 from randcoh import mc
 from randcoh.errors import ParameterError
-from randcoh.randkit import RngStream, SeedSpec
+from randcoh.randkit import _ERLANG_MAX_SHAPE, RngStream, SeedSpec
 
 
 def stream(master=2024, index=0):
@@ -20,7 +20,8 @@ def stream(master=2024, index=0):
 class RoundByRoundStream(RngStream):
     """Test oracle: polar normals drawn in rejection rounds, each round
     requesting exactly one pair per normal still needed (the screening
-    passes of RngStream.normals must reproduce it bit for bit), and Gamma
+    passes of RngStream.normals must reproduce it bit for bit), Erlang
+    Gamma variates as a product loop per draw, and Marsaglia-Tsang Gamma
     variates and complex Gaussians computed by the textbook expressions on
     whole arrays (RngStream works in reused buffers and must give the same
     bits)."""
@@ -58,7 +59,28 @@ class RoundByRoundStream(RngStream):
         return math.sqrt(0.5) * (nrm[0::2] + 1j * nrm[1::2])
 
     def gammas(self, shape, n):
+        # integer shapes a <= _ERLANG_MAX_SHAPE: -ln prod (1 - U_j) over a
+        # uniforms per draw, all of them drawn before any other draw's
         shapes = np.asarray(shape, dtype=np.float64)
+        every = np.broadcast_to(shapes, (n,))
+        erlang = [i for i in range(n) if every[i] <= _ERLANG_MAX_SHAPE and every[i] == int(every[i])]
+        u = iter(self.uniforms(sum(int(every[i]) for i in erlang)))
+        products = []
+        for i in erlang:
+            product = 1.0
+            for _ in range(int(every[i])):
+                product *= 1.0 - next(u)
+            products.append(product)
+        out = np.empty(n, dtype=np.float64)
+        out[erlang] = -np.log(np.array(products))
+        rest = np.setdiff1d(np.arange(n), erlang)
+        if shapes.ndim == 1:
+            out[rest] = self._textbook_marsaglia_tsang(shapes[rest], rest.size)
+        elif rest.size:
+            out[:] = self._textbook_marsaglia_tsang(shapes, n)
+        return out
+
+    def _textbook_marsaglia_tsang(self, shapes, n):
         per_draw = shapes.ndim == 1
         d = shapes + (shapes < 1.0) - 1.0 / 3.0
         c = 1.0 / np.sqrt(9.0 * d)
@@ -192,7 +214,7 @@ class TestStreamLayout:
                 elif op == "u":
                     a, b = ours.uniforms(size), oracle.uniforms(size)
                 else:
-                    shape = rnd.choice((0.5, 1.0, 3.5))
+                    shape = rnd.choice((0.5, 1.0, 3.0, 3.5))
                     size = min(size, 8192)
                     a, b = ours.gammas(shape, size), oracle.gammas(shape, size)
                 assert np.array_equal(a, b), (pattern, op, size)
@@ -232,12 +254,18 @@ class TestStreamLayout:
             assert ours._spare_normal == oracle._spare_normal
         assert np.array_equal(ours.uniforms(5), oracle.uniforms(5))
 
-    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.5, 2e4, "mixed"])
+    TILES = {
+        # one shape per draw, boosted ones (< 1) among them
+        "mixed": [5.0, 0.3, 2.0, 0.7, 1.0],
+        # integer shapes on both sides of the Erlang cutoff
+        "spanning": [_ERLANG_MAX_SHAPE + 1.0, _ERLANG_MAX_SHAPE, 3.5, _ERLANG_MAX_SHAPE - 1.0, 1.0],
+    }
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, 3.0, 3.5, 2e4, "mixed", "spanning"])
     def test_large_gamma_calls_match_the_oracle(self, shape):
-        # "mixed" is one shape per draw, boosted ones (< 1) among them
         ours, oracle = stream(32, 1), RoundByRoundStream(SeedSpec(32, 1))
         for size in (0, 1, 2, 17, 16383, 16385, 40_001):
-            shapes = np.tile([5.0, 0.3, 2.0, 0.7, 1.0], size // 5 + 1)[:size] if shape == "mixed" else shape
+            shapes = np.resize(self.TILES[shape], size) if shape in self.TILES else shape
             assert np.array_equal(ours.gammas(shapes, size), oracle.gammas(shapes, size)), size
             assert ours._spare_normal == oracle._spare_normal
         assert np.array_equal(ours.uniforms(5), oracle.uniforms(5))
@@ -256,6 +284,12 @@ class TestStreamLayout:
     def test_negative_gamma_count_is_a_parameter_error(self):
         with pytest.raises(ParameterError):
             stream().gammas(2.0, -1)
+
+    @pytest.mark.parametrize("shape", [2.0, 3.5, np.empty(0)])
+    def test_no_gamma_draws_consume_nothing(self, shape):
+        s = stream(34)
+        assert s.gammas(shape, 0).shape == (0,)
+        assert np.array_equal(s.uniforms(5), stream(34).uniforms(5))
 
 
 class TestStandardNormal:
@@ -321,18 +355,24 @@ class TestGamma:
 
 class TestGammaShapeArray:
     def test_scalar_shape_draws_are_pinned(self):
-        # the draws of a scalar shape, as the stream has always given them
+        # the draws of a scalar shape, at fixed seeds
         pinned = {
             (7, 0, 3.5): ["0x1.26843f754105bp+2", "0x1.42ea06e85883dp+1",
                           "0x1.279c0cfdd41e8p+0", "0x1.d61a3bc5ae671p-1"],
             (8, 3, 0.5): ["0x1.c9f6e62c51e42p-8", "0x1.36b47852be123p-6",
                           "0x1.d621ab389ba0fp-5", "0x1.0262b8d8a81e8p+0"],
+            # Erlang sums at 2, Marsaglia-Tsang at 5, above the cutoff
+            (9, 1, 2.0): ["0x1.3e23c965fbfa3p+1", "0x1.03427cc3bc30ap+0",
+                          "0x1.e3914d0c44b12p+0", "0x1.d664cb5bd031ep-2"],
+            (9, 1, 5.0): ["0x1.1b1a014159655p+1", "0x1.482be00e1b5a8p+2",
+                          "0x1.b2a9b79402b9dp+1", "0x1.a606e1d0c8c4bp+2"],
         }
         for (master, index, shape), values in pinned.items():
             got = stream(master, index).gammas(shape, 4)
             assert [float(x).hex() for x in got] == values
 
-    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.5, 20_000.0])
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0, float(_ERLANG_MAX_SHAPE), float(_ERLANG_MAX_SHAPE + 1),
+                                       3.5, 20_000.0])
     def test_array_of_one_shape_draws_what_the_scalar_draws(self, shape):
         a, b = stream(20), stream(20)
         assert np.array_equal(a.gammas(np.full(3000, shape), 3000), b.gammas(shape, 3000))
@@ -340,9 +380,10 @@ class TestGammaShapeArray:
 
     def test_each_entry_follows_its_own_law(self):
         # shapes N, N-1, ..., 1 interleaved as in one draw of the Laguerre
-        # model; each column must pass KS against its own Gamma CDF at the 1%
-        # level and fail against the CDF of the next shape
-        shapes = np.arange(8, 0, -1, dtype=float)
+        # model, Erlang sums and Marsaglia-Tsang draws among them; each
+        # column must pass KS against its own Gamma CDF at the 1% level and
+        # fail against the CDF of the next shape
+        shapes = np.arange(max(8, 2 * _ERLANG_MAX_SHAPE), 0, -1, dtype=float)
         draws = 10_000
         g = stream(21).gammas(np.tile(shapes, draws), shapes.size * draws).reshape(draws, -1)
         critical = mc.ks_critical_value(draws, alpha=0.01)
