@@ -36,6 +36,8 @@ BATTERY = [
     "concentration --m 3 --n 3 --epsilon 0.2 --samples 200 --seed 4",
     "sample --what spectrum --m 3 --n 4 --count 3 --seed 2",
     "sample --what state --m 2 --n 3 --count 2 --seed 2",
+    "sample --what diag --m 4 --n 8 --count 3 --seed 2",
+    "sample --what diag --m 2 --n 2 --count 3 --seed 2",
 ]
 
 
