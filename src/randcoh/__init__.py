@@ -37,7 +37,6 @@ from .mc import (
     compare,
     empirical_concentration,
     estimate,
-    gamma_marginal_test,
     run_comparison,
     run_comparisons,
 )

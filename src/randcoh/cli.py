@@ -192,6 +192,10 @@ def cmd_verify(args) -> int:
 def cmd_tables(args) -> int:
     m_list = _parse_int_list(args.m_list, "--m-list")
     n_list = _parse_int_list(args.n_list, "--n-list")
+    if min(m_list + n_list) < 1:
+        raise UsageError("every value of --m-list and --n-list must be >= 1")
+    if min(m_list) > max(n_list):
+        raise UsageError("no (m, n) pair of --m-list and --n-list has m <= n")
     print("m,n,avg_entropy,avg_diag_entropy,avg_coherence,avg_subentropy,max_subentropy,rel_err_S,rel_err_Q")
     for m in m_list:
         for n in n_list:

@@ -9,11 +9,12 @@ draws the Wishart matrix from its m x m complex Bartlett factor, and
 sample_mixing_spectrum draws the spectra of the same states from the
 Laguerre bidiagonal model, both at a cost that does not grow with k*n;
 the Wishart diagonals that mc's KS checks test are the row norms of the
-same Bartlett factors (_bartlett_factor).  sample_ginibre and
-sample_wishart keep the Ginibre block itself, the reference construction
-the tests compare those routes against; nothing in mc draws it.
-Direct Dirichlet and Haar-isospectral samplers cover the marginal laws
-that have one.
+same Bartlett factors (_bartlett_factor).  A DensityMatrix is either
+read off such a factor or built from a matrix that its constructor checks
+once.  sample_ginibre and sample_wishart keep the Ginibre block itself,
+the reference construction the tests compare those routes against;
+nothing in mc draws it.  Direct Dirichlet and Haar-isospectral samplers
+cover the marginal laws that have one.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ class DensityMatrix:
     """A sampled mixed state, or a stack of them along leading axes:
     Hermitian, PSD, unit trace.  The constructor refuses a matrix that is
     not Hermitian within linalg.HERMITIAN_TOL and averages the rest of the
-    asymmetry, which is rounding noise, away.
+    asymmetry, which is rounding noise, away; the spectrum of the exactly
+    Hermitian result is then solved without checking it again.
 
     sample_mixing_state reads its states straight off their Bartlett factor
     L (rho = L L^dagger / tr(L L^dagger), _from_factor): the diagonal is
@@ -90,18 +92,10 @@ class DensityMatrix:
         # a non-Hermitian input is refused, not averaged into another state;
         # only rounding noise is averaged away
         linalg.check_hermitian(matrix)
-        self._set(linalg.hermitize(matrix))
-
-    @classmethod
-    def _from_gram(cls, w: np.ndarray) -> "DensityMatrix":
-        """States w / tr(w) from Hermitian PSD matrices w (one or a stack).
-
-        For samplers whose w is exactly Hermitian by construction (a Gram
-        matrix), so the checks of the public constructor are skipped.
-        """
-        state = cls.__new__(cls)
-        state._set(w)
-        return state
+        hermitian = linalg.hermitize(matrix)
+        self._matrix = _normalized(hermitian, np.trace(hermitian, axis1=-2, axis2=-1).real[..., None])
+        self.diagonal = np.diagonal(self._matrix, axis1=-2, axis2=-1).real.copy()
+        self._factor = self._trace = self._spectrum = None
 
     @classmethod
     def _from_factor(cls, low: np.ndarray) -> "DensityMatrix":
@@ -115,12 +109,6 @@ class DensityMatrix:
         state._factor = low
         state._matrix = state._spectrum = None
         return state
-
-    def _set(self, hermitian: np.ndarray) -> None:
-        trace = np.trace(hermitian, axis1=-2, axis2=-1).real[..., None]
-        self._matrix = _normalized(hermitian, trace)
-        self.diagonal = np.diagonal(self._matrix, axis1=-2, axis2=-1).real.copy()
-        self._factor = self._trace = self._spectrum = None
 
     @property
     def dim(self) -> int:
@@ -141,7 +129,9 @@ class DensityMatrix:
         """Eigenvalues, descending, clamped into [0, 1] and summing to 1."""
         if self._spectrum is None:
             if self._factor is None:
-                vals = linalg.hermitian_eigenvalues(self._matrix)
+                # the constructor checked the matrix and made it exactly
+                # Hermitian, so it is not checked again
+                vals = linalg.exact_hermitian_eigenvalues(self._matrix)
             else:
                 vals = linalg.factor_gram_eigenvalues(self._factor)
                 vals /= self._trace

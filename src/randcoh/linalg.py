@@ -138,7 +138,8 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
 def exact_hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """hermitian_eigenvalues without its checks, for a square float64 or
     complex128 stack that is finite and exactly Hermitian by construction
-    (the Laguerre tridiagonals of ensembles.sample_mixing_spectrum)."""
+    (the Laguerre tridiagonals of ensembles.sample_mixing_spectrum, the
+    averaged matrices of ensembles.DensityMatrix)."""
     if a.shape[-1] == 2:
         return _eigenvalues_2x2(a[..., 0, 0].real, a[..., 1, 1].real, np.abs(a[..., 1, 0]))
     try:

@@ -40,10 +40,11 @@ live here so the distributional checks need nothing outside the package.
 Both work on arrays: gamma_cdf(x, shape) maps an array x to the array of
 CDF values (a scalar x gives a float), and ks_statistic(values, cdf) calls
 cdf once, on the sorted sample or on a stack of samples sorted column by
-column, so cdf must be such an array map.  The two KS checks of the
-diagonal law read the Wishart diagonals as the row norms of the Bartlett
-factors sample_mixing_state draws, so their cost does not grow with k*n
-either; diagonal_ks_tests runs both on one draw, from the KS domains.
+column, so cdf must be such an array map.  diagonal_ks_tests is the one
+entry point of the two KS checks of the diagonal law: it reads the Wishart
+diagonals as the row norms of the Bartlett factors sample_mixing_state
+draws, so its cost does not grow with k*n either, and runs both checks on
+that one draw, from the KS domains.
 """
 
 from __future__ import annotations
@@ -124,6 +125,12 @@ class EstimatorConfig:
         if self.quantity == "isospectral_diag_entropy":
             if self.fixed_spectrum is None:
                 raise ParameterError("isospectral_diag_entropy requires fixed_spectrum")
+            lam = np.asarray(self.fixed_spectrum, dtype=np.float64)
+            if lam.ndim != 1:
+                raise DomainError(f"fixed_spectrum must be one probability vector, got shape {lam.shape}")
+            functionals._validated_probabilities(lam)
+            # stored as a tuple: a list or an array would make the draw key unhashable
+            object.__setattr__(self, "fixed_spectrum", tuple(lam.tolist()))
         elif self.fixed_spectrum is not None:
             raise ParameterError("fixed_spectrum is only meaningful for isospectral_diag_entropy")
 
@@ -568,52 +575,35 @@ def ks_critical_value(n: int, alpha: float = 0.01, n2: int | None = None) -> flo
 
 
 def diagonal_ks_tests(spec: EnsembleSpec, samples: int, master_seed: int) -> tuple[np.ndarray, float]:
-    """gamma_marginal_test(m, kn, ...) and dirichlet_consistency_test(spec, ...)
-    together, with the same results, from one draw of the Wishart diagonals
-    that both read."""
-    diags = _wishart_diagonals(spec, samples, master_seed, KS_MIN_SAMPLES)
+    """The two KS checks of the diagonal law, on one draw of samples
+    Wishart diagonals (_wishart_diagonals): the KS statistic of each entry
+    W_ii, i = 0..m-1, against the Gamma(kn, 1) CDF, and the two-sample KS
+    statistic of rho_00 = W_00 / tr W against the direct Dirichlet marginal
+    sampler (_dirichlet_ks).  At least KS_MIN_SAMPLES samples are required."""
+    if samples < KS_MIN_SAMPLES:
+        raise ParameterError(f"need >= {KS_MIN_SAMPLES} samples for a meaningful KS test, got {samples}")
+    diags = _wishart_diagonals(spec, samples, master_seed)
     return (ks_statistic(diags, lambda x: gamma_cdf(x, float(spec.env_dim))),
             _dirichlet_ks(diags, spec, master_seed))
 
 
-def gamma_marginal_test(m: int, n: int, samples: int, master_seed: int) -> np.ndarray:
-    """KS statistic of each Wishart diagonal entry against the Gamma(n, 1) CDF.
-
-    Returns one statistic per diagonal index i = 0..m-1.
-    """
-    diags = _wishart_diagonals(EnsembleSpec(m, n), samples, master_seed, KS_MIN_SAMPLES)
-    return ks_statistic(diags, lambda x: gamma_cdf(x, float(n)))
-
-
-def dirichlet_consistency_test(spec: EnsembleSpec, samples: int, master_seed: int) -> float:
-    """Two-sample KS statistic between the first diagonal entry of sampled
-    states and the direct Dirichlet marginal sampler.
-
-    Each entry is read off the Wishart diagonals as rho_00 = W_00 / tr W,
-    without forming the state.  The two samples come from the two KS
-    domains of the master seed, so they are independent of each other and
-    of every estimate.
-    """
-    return _dirichlet_ks(_wishart_diagonals(spec, samples, master_seed, 2), spec, master_seed)
-
-
-def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int, minimum: int) -> np.ndarray:
+def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int) -> np.ndarray:
     """The (samples, m) stack of the diagonals W_ii ~ Gamma(kn, 1) of the
     states sample_mixing_state draws, read as the squared row norms of their
     Bartlett factors: m(m+1)/2 variates per draw whatever kn is, from one
     stream of the ks_factors domain of master_seed, in stacks of at most
-    CHUNK_ENTRIES variates.  At least minimum samples are required."""
-    if samples < minimum:
-        raise ParameterError(f"need >= {minimum} samples for a meaningful KS test, got {samples}")
+    CHUNK_ENTRIES variates."""
     stream = RngStream(SeedSpec(master_seed, 0, STREAM_DOMAINS["ks_factors"]))
     return np.concatenate([_row_norms(_bartlett_factor(stream, spec, size))
                            for size in chunk_sizes(samples, _state_variates(spec))])
 
 
 def _dirichlet_ks(diags: np.ndarray, spec: EnsembleSpec, master_seed: int) -> float:
-    """Two-sample KS statistic of rho_00 = W_00 / tr W over a diagonal stack
-    against as many direct Dirichlet draws from one stream of the
-    ks_dirichlet domain of master_seed."""
+    """Two-sample KS statistic of rho_00 = W_00 / tr W over a diagonal stack,
+    read without forming the states, against as many direct Dirichlet
+    draws from one stream of the ks_dirichlet domain of master_seed, so
+    that the two samples are independent of each other and of every
+    estimate."""
     dir_stream = RngStream(SeedSpec(master_seed, 0, STREAM_DOMAINS["ks_dirichlet"]))
     # a Dirichlet draw is m Gamma variates
     from_dirichlet = np.concatenate([

@@ -14,9 +14,10 @@ numpy version.  Domain 0 gives the key (master_seed, stream_index).
 Distributions are implemented as explicit transforms of the uniform stream:
 polar Box-Muller for normals; for Gamma, the Erlang sum
 -ln prod_{j<a} (1 - U_j) at integer shapes a <= _ERLANG_MAX_SHAPE and
-Marsaglia-Tsang at every other shape; normalized Gamma variates for the
-symmetric Dirichlet.  Every draw method returns an array of n draws; one
-draw is the batch of one, e.g. ``uniforms(1)[0]``.
+Marsaglia-Tsang at every other shape.  Gamma shapes below 1 are refused:
+every variate the ensembles draw has an integer shape of at least 1.
+Every draw method returns an array of n draws; one draw is the batch of
+one, e.g. ``uniforms(1)[0]``.
 
 Uniforms are buffered.  A request that the buffer cannot serve refills
 only its shortfall, at least 4096 raw outputs at a time.  Polar normals
@@ -207,14 +208,15 @@ class RngStream:
         # (re, im) pairs are the memory layout of a complex array
         return nrm.view(np.complex128)
 
-    # -- Gamma / Dirichlet layer ----------------------------------------------
+    # -- Gamma layer ----------------------------------------------------------
 
     def gammas(self, shape, n: int) -> np.ndarray:
         """Next n draws from Gamma(shape, scale=1).
 
         shape is one shape for all n draws or a length-n array of shapes,
-        one per draw; a scalar shape draws exactly what the array of n
-        copies of it draws.  The method is chosen per draw by its shape:
+        one per draw, each finite and at least 1 (ParameterError
+        otherwise); a scalar shape draws exactly what the array of n copies
+        of it draws.  The method is chosen per draw by its shape:
 
         - an integer shape a <= _ERLANG_MAX_SHAPE is the Erlang sum
           -ln prod_{j<a} (1 - U_j) (Devroye, Non-Uniform Random Variate
@@ -231,8 +233,8 @@ class RngStream:
         shapes = np.asarray(shape, dtype=np.float64)
         if shapes.ndim and shapes.shape != (n,):
             raise ParameterError(f"expected one gamma shape or {n} of them, got shape {shapes.shape}")
-        if not ((shapes > 0.0) & (shapes < math.inf)).all():
-            raise ParameterError(f"gamma shapes must be finite and positive, got {shape!r}")
+        if not ((shapes >= 1.0) & (shapes < math.inf)).all():
+            raise ParameterError(f"gamma shapes must be finite and at least 1, got {shape!r}")
         erlang = np.broadcast_to((shapes <= _ERLANG_MAX_SHAPE) & (shapes == np.floor(shapes)), (n,))
         if not erlang.any():
             return self._marsaglia_tsang(shapes, n)
@@ -264,14 +266,10 @@ class RngStream:
         Each draw runs with its own d = a - 1/3 and c = 1/sqrt(9d).  Each
         rejection round consumes one normal and one uniform per pending
         slot (the uniform is drawn unconditionally; it is independent of
-        the candidate, so discarding it on rejection is harmless).  A draw
-        with shape < 1 is boosted from Gamma(shape + 1) by the factor
-        (1 - U)^(1/shape); the boost uniforms are drawn after all rounds,
-        one per boosted draw, in draw order.
+        the candidate, so discarding it on rejection is harmless).
         """
         per_draw = shapes.ndim == 1
-        d = shapes + (shapes < 1.0)
-        d -= 1.0 / 3.0  # boosted draws run at shape + 1
+        d = shapes - 1.0 / 3.0
 
         # the first round runs on the full arrays, and its candidates become
         # the output; later rounds run on the few draws still pending
@@ -289,31 +287,7 @@ class RngStream:
                 out[pending[accept]] = (dk[accept] if per_draw else dk) * v[accept]
                 pending = pending[~accept]
             k = pending.size
-        boosted = np.flatnonzero(shapes < 1.0) if per_draw else np.arange(n if shapes < 1.0 else 0)
-        if boosted.size:
-            u = self.uniforms(boosted.size)
-            if not per_draw:
-                out *= (1.0 - u) ** (1.0 / float(shapes))
-            else:
-                # one scalar power per distinct shape, as a scalar shape
-                # boosts: numpy special-cases some scalar exponents, so an
-                # array of exponents could differ from them in the last bit
-                for a in np.unique(shapes[boosted]):
-                    sel = shapes[boosted] == a
-                    out[boosted[sel]] *= (1.0 - u[sel]) ** (1.0 / float(a))
         return out
-
-    def sample_symmetric_dirichlet(self, m: int, alpha: float) -> np.ndarray:
-        """One draw from Dirichlet(alpha, ..., alpha) of length m.
-
-        Built as m independent Gamma(alpha) variates normalized by their sum.
-        """
-        if m < 1:
-            raise ParameterError(f"Dirichlet length must be >= 1, got {m}")
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise ParameterError(f"Dirichlet concentration must be finite and positive, got {alpha}")
-        g = self.gammas(alpha, m)
-        return g / g.sum()
 
 
 def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:

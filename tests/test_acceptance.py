@@ -31,6 +31,7 @@ from randcoh.functionals import (
     subentropy,
 )
 from randcoh.randkit import RngStream, SeedSpec
+from test_randkit import dirichlet
 
 GRID = [(2, 2), (3, 4), (4, 4), (4, 8)]
 N_GRID = 20_000
@@ -132,7 +133,7 @@ def test_criterion_07_wishart_diagonal_law():
     details = []
     ok = True
     for m, n in ((2, 4), (3, 5)):
-        stats = mc.gamma_marginal_test(m, n, samples, SEED + 7)
+        stats = mc.diagonal_ks_tests(EnsembleSpec(m, n), samples, SEED + 7)[0]
         ok &= bool((stats < critical).all())
         details.append(f"({m},{n}) max_KS={stats.max():.5f}")
     assert report(7, ok, f"Wishart diagonals vs Gamma(n,1), 1% critical value {critical:.5f} [{'; '.join(details)}]")
@@ -191,7 +192,7 @@ def test_criterion_08_ginibre_spectra_follow_the_joint_law():
     # the reference construction: Gram matrices of explicit 2 x n Ginibre blocks
     def larger(n, samples):
         w = linalg.gram(sample_ginibre(RngStream(SeedSpec(SEED + 8, n)), 2, n, samples))
-        return DensityMatrix._from_gram(w).spectrum[:, 0]
+        return linalg.hermitian_eigenvalues(w)[:, 0] / np.trace(w, axis1=-2, axis2=-1).real
 
     ok, detail = joint_law_ks(larger)
     assert report(8, ok, f"Ginibre-block m=2 larger eigenvalue vs the joint law, {detail}")
@@ -224,7 +225,7 @@ def test_criterion_10_property_suites():
     ok = True
     dims = (2, 3, 4, 6, 8)
     for i in range(10_000):
-        lam = stream.sample_symmetric_dirichlet(dims[i % len(dims)], 1.0)
+        lam = dirichlet(stream, 1.0, dims[i % len(dims)])
         q, s = subentropy(lam), shannon_entropy(lam)
         ok &= 0.0 <= q <= s + 1e-12 <= math.log(lam.size) + 2e-12
     checks["a:sandwich"] = ok
@@ -232,7 +233,7 @@ def test_criterion_10_property_suites():
     # (b) confluent path vs 1e-9 perturbation
     ok = True
     for _ in range(200):
-        lam = stream.sample_symmetric_dirichlet(4, 1.0)
+        lam = dirichlet(stream, 1.0, 4)
         bumped = lam.copy()
         bumped[0] += 1e-9
         bumped /= bumped.sum()
@@ -252,7 +253,7 @@ def test_criterion_10_property_suites():
     for _ in range(1000):
         ok &= relative_entropy_of_coherence(sample_mixing_state(stream, spec)) >= 0.0
     for _ in range(50):
-        diag = stream.sample_symmetric_dirichlet(4, 1.0)
+        diag = dirichlet(stream, 1.0, 4)
         ok &= relative_entropy_of_coherence(DensityMatrix(np.diag(diag).astype(complex))) == 0.0
     checks["d:coherence"] = ok
 
@@ -287,7 +288,7 @@ def test_criterion_10_property_suites():
         twice(lambda s: linalg.haar_unitary(s, 4)),
         twice(lambda s: np.concatenate([s.normals(1), s.gammas(2.5, 1)])),
         twice(lambda s: s.complex_gaussians(1)),
-        twice(lambda s: s.sample_symmetric_dirichlet(5, 2.0)),
+        twice(lambda s: dirichlet(s, 2.0, 5)),
     ]
     checks["f:reproducible"] = all(np.array_equal(a, b) for a, b in pairs)
 

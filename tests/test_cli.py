@@ -248,6 +248,17 @@ class TestTables:
         assert code == 1
         assert "m-list" in err
 
+    def test_dimension_below_one_prints_nothing(self, capsys):
+        # the (2, 3) row is valid, and still not printed
+        code, out, err = run_cli(capsys, "tables", "--m-list", "2,0", "--n-list", "3")
+        assert (code, out) == (1, "")
+        assert ">= 1" in err
+
+    def test_no_pair_with_m_at_most_n_prints_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "tables", "--m-list", "3", "--n-list", "2")
+        assert (code, out) == (1, "")
+        assert "m <= n" in err
+
 
 class TestConcentration:
     def test_desk_scale_run_passes_with_vacuous_bound(self, capsys):

@@ -17,6 +17,7 @@ from randcoh.ensembles import (
 )
 from randcoh.errors import ParameterError
 from randcoh.randkit import RngStream, SeedSpec
+from test_randkit import dirichlet
 
 H2 = 1.5
 H4 = 25.0 / 12.0
@@ -91,6 +92,19 @@ class TestDensityMatrix:
         assert np.array_equal(rho.diagonal, [[0.7, 0.3], [0.2, 0.8]])
         assert np.array_equal(rho.spectrum, [[0.7, 0.3], [0.8, 0.2]])
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_spectrum_checks_the_matrix_once(self, monkeypatch, m):
+        # the constructor checks the matrix and makes it exactly Hermitian;
+        # its spectrum is solved without a second check, to the same bits
+        matrix = sample_mixing_state(stream(14), EnsembleSpec(m, m + 1), 50).matrix
+        checked = []
+        check = linalg.check_hermitian
+        monkeypatch.setattr(linalg, "check_hermitian", lambda a: checked.append(a.shape) or check(a))
+        rho = DensityMatrix(matrix)
+        spectrum = rho.spectrum
+        assert checked == [(50, m, m)]
+        assert np.array_equal(spectrum, linalg.clamp_spectrum(linalg.hermitian_eigenvalues(rho.matrix)))
+
     def test_caches_diagonal_and_spectrum(self):
         rho = sample_mixing_state(stream(), EnsembleSpec(3, 3))
         assert np.array_equal(rho.diagonal, np.real(np.diagonal(rho.matrix)))
@@ -135,10 +149,10 @@ class TestWishart:
         assert abs(np.mean(traces) - 6.0) < 0.15
 
     def test_diagonal_entry_is_gamma_n(self):
-        # diagonal marginals of the Wishart ensemble are Gamma(n, 1)
+        # diagonal marginals of the Wishart ensemble are Gamma(n, 1); the
+        # stack holds the Ginibre blocks of 100 000 sample_wishart calls
         n = 4
-        s = stream(3)
-        w11 = np.array([sample_wishart(s, 2, n)[0, 0].real for _ in range(100_000)])
+        w11 = linalg.gram(sample_ginibre(stream(3), 2, n, size=100_000))[:, 0, 0].real
         d, _ = sps.kstest(w11, lambda x: sps.gamma.cdf(x, n))
         assert d < 0.01
 
@@ -267,13 +281,19 @@ def bartlett_reference(s, spec, count):
     return np.array(states)
 
 
-def ginibre_states(spec, size, seed, statistic):
-    """statistic(rho) of size states of spec, each the trace-normalised Gram
-    matrix of an explicit m x kn Ginibre block: the reference construction."""
+def ginibre_grams(spec, size, seed):
+    """The Gram matrices W of size explicit m x kn Ginibre blocks of spec,
+    the reference construction, and their traces, in chunks."""
     s = RngStream(seed)
-    return np.concatenate([
-        statistic(DensityMatrix._from_gram(linalg.gram(sample_ginibre(s, spec.m, spec.env_dim, c))))
-        for c in mc.chunk_sizes(size, spec.m * spec.env_dim)])
+    for c in mc.chunk_sizes(size, spec.m * spec.env_dim):
+        w = linalg.gram(sample_ginibre(s, spec.m, spec.env_dim, c))
+        yield w, np.trace(w, axis1=-2, axis2=-1).real[:, None]
+
+
+def ginibre_states(spec, size, seed, statistic):
+    """statistic(rho) of size states W / tr W of spec (ginibre_grams)."""
+    return np.concatenate([statistic(DensityMatrix(w / trace[..., None]))
+                           for w, trace in ginibre_grams(spec, size, seed)])
 
 
 def bartlett_states(spec, size, s, statistic):
@@ -285,7 +305,8 @@ def bartlett_states(spec, size, s, statistic):
 
 def ginibre_spectra(spec, size, seed):
     """size spectra of spec's states drawn as Ginibre states."""
-    return ginibre_states(spec, size, seed, lambda rho: rho.spectrum)
+    return np.concatenate([linalg.hermitian_eigenvalues(w) / trace
+                           for w, trace in ginibre_grams(spec, size, seed)])
 
 
 def laguerre_spectra(spec, size, seed):
@@ -393,7 +414,7 @@ class TestDiagDirichlet:
     def test_single_draw_is_the_stack_of_one(self):
         spec = EnsembleSpec(3, 4, k=2)
         single = sample_diag_dirichlet(stream(12), spec)
-        assert np.array_equal(single, stream(12).sample_symmetric_dirichlet(3, 8.0))
+        assert np.array_equal(single, dirichlet(stream(12), 8.0, 3))
         assert np.array_equal(sample_diag_dirichlet(stream(12), spec, size=1), single[None])
 
     def test_stack_rows_follow_the_dirichlet_law(self):

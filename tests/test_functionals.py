@@ -19,6 +19,7 @@ from randcoh.functionals import (
     von_neumann_entropy,
 )
 from randcoh.randkit import RngStream, SeedSpec
+from test_randkit import dirichlet
 
 LN2 = math.log(2.0)
 
@@ -33,8 +34,7 @@ Q_ORACLE = {
 def random_spectra(count, seed=101, dims=(2, 3, 4, 6, 8)):
     stream = RngStream(SeedSpec(seed, 0))
     for i in range(count):
-        m = dims[i % len(dims)]
-        yield stream.sample_symmetric_dirichlet(m, 1.0)
+        yield dirichlet(stream, 1.0, dims[i % len(dims)])
 
 
 def induced_spectra(m, count, seed):

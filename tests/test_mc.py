@@ -170,6 +170,23 @@ class TestEstimatorConfig:
             mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", samples=10, master_seed=0,
                                fixed_spectrum=(0.5, 0.5))
 
+    def test_spectrum_as_list_array_or_tuple_gives_one_report(self):
+        # each is stored as the same tuple of floats, which the draw key hashes
+        reports = [mc.run_comparison(mc.EstimatorConfig(EnsembleSpec(3, 3), "isospectral_diag_entropy", 2000,
+                                                        master_seed=5, fixed_spectrum=lam))
+                   for lam in ([0.6, 0.3, 0.1], np.array([0.6, 0.3, 0.1]), (0.6, 0.3, 0.1))]
+        for report in reports:
+            assert report.config.fixed_spectrum == (0.6, 0.3, 0.1)
+            assert type(report.config.fixed_spectrum[0]) is float
+            report.wall_time_ms = 0.0
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("spectrum", [(0.5, 0.6), (1.5, -0.5), (math.nan, 1.0), [[0.5, 0.5]], ()])
+    def test_spectrum_must_be_one_probability_vector(self, spectrum):
+        with pytest.raises(DomainError):
+            mc.EstimatorConfig(EnsembleSpec(2, 2), "isospectral_diag_entropy", samples=10, master_seed=0,
+                               fixed_spectrum=spectrum)
+
 
 class TestEstimate:
     def test_bit_reproducible_for_fixed_worker_count(self):
@@ -663,7 +680,7 @@ class TestKolmogorovSmirnov:
 
 class TestGammaMarginal:
     def test_wishart_diagonals_pass(self):
-        stats = mc.gamma_marginal_test(2, 4, samples=100_000, master_seed=48)
+        stats = mc.diagonal_ks_tests(EnsembleSpec(2, 4), samples=100_000, master_seed=48)[0]
         band = 1.95 / math.sqrt(100_000) * 1.5
         assert stats.shape == (2,)
         assert (stats < band).all()
@@ -683,7 +700,7 @@ class TestGammaMarginal:
 
     def test_rejects_thin_samples(self):
         with pytest.raises(ParameterError):
-            mc.gamma_marginal_test(2, 4, samples=10, master_seed=0)
+            mc.diagonal_ks_tests(EnsembleSpec(2, 4), samples=10, master_seed=0)
 
     @pytest.mark.usefixtures("chunks_of_4096")
     def test_diagonals_are_those_of_the_wishart_draws(self):
@@ -695,17 +712,17 @@ class TestGammaMarginal:
             np.diagonal(linalg.gram(mc._bartlett_factor(stream, spec, size)), axis1=-2, axis2=-1).real
             for size in mc.chunk_sizes(1500, 3)])
         expected = [mc.ks_statistic(diags[:, i], lambda x: mc.gamma_cdf(x, 3.0)) for i in range(2)]
-        assert mc.gamma_marginal_test(2, 3, 1500, 63) == pytest.approx(expected, abs=1e-12)
+        assert mc.diagonal_ks_tests(spec, 1500, 63)[0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [81, 82, 83])
     def test_factors_of_the_next_size_fail(self, monkeypatch, seed):
         # factors drawn at kn + 1 give Gamma(kn + 1) diagonals
         critical = mc.ks_critical_value(1000)
-        assert (mc.gamma_marginal_test(4, 8, 1000, seed) < critical).all()
+        assert (mc.diagonal_ks_tests(EnsembleSpec(4, 8), 1000, seed)[0] < critical).all()
         bartlett = mc._bartlett_factor
         monkeypatch.setattr(mc, "_bartlett_factor", lambda stream, spec, count: bartlett(
             stream, EnsembleSpec(spec.m, spec.n + 1, spec.k), count))
-        assert (mc.gamma_marginal_test(4, 8, 1000, seed) > critical).all()
+        assert (mc.diagonal_ks_tests(EnsembleSpec(4, 8), 1000, seed)[0] > critical).all()
 
     def test_cost_does_not_grow_with_n(self, monkeypatch):
         # the Ginibre block would draw 2500 times as many variates at n = 20 000
@@ -721,13 +738,12 @@ class TestGammaMarginal:
         monkeypatch.setattr(RngStream, "uniforms", counted)
         for n in (8, 20_000):
             consumed.append(0)
-            mc.gamma_marginal_test(3, n, 1000, 82)
+            mc._wishart_diagonals(EnsembleSpec(3, n), 1000, 82)
         assert consumed[0] < 6 * 1000 * 3
         assert abs(consumed[1] - consumed[0]) <= 0.01 * consumed[0]
 
     def test_both_checks_read_one_stack(self, monkeypatch):
         spec = EnsembleSpec(3, 4, k=2)
-        separate = (mc.gamma_marginal_test(3, 8, 1500, 65), mc.dirichlet_consistency_test(spec, 1500, 65))
         draws = []
         diagonals = mc._wishart_diagonals
 
@@ -736,10 +752,8 @@ class TestGammaMarginal:
             return diagonals(*args)
 
         monkeypatch.setattr(mc, "_wishart_diagonals", counted)
-        stats, d = mc.diagonal_ks_tests(spec, 1500, 65)
-        assert [args[:3] for args in draws] == [(spec, 1500, 65)]
-        assert stats.tolist() == separate[0].tolist()
-        assert d == separate[1]
+        mc.diagonal_ks_tests(spec, 1500, 65)
+        assert draws == [(spec, 1500, 65)]
 
     def test_shared_path_rejects_thin_samples(self):
         with pytest.raises(ParameterError):
@@ -754,7 +768,7 @@ class TestGammaMarginal:
             return gamma_cdf(x, shape)
 
         monkeypatch.setattr(mc, "gamma_cdf", counted)
-        assert mc.gamma_marginal_test(4, 8, 1000, 80).shape == (4,)
+        assert mc.diagonal_ks_tests(EnsembleSpec(4, 8), 1000, 80)[0].shape == (4,)
         assert calls == [(1000, 4)]
 
 
@@ -768,7 +782,7 @@ class TestKsSubstreams:
         low = mc._bartlett_factor(RngStream(SeedSpec(5, 0)), spec, 682)
         norms = np.sum(low.real**2 + low.imag**2, axis=-1)
         assert np.array_equal(coherence_chunk.diagonal, norms / norms.sum(axis=-1, keepdims=True))
-        diags = mc._wishart_diagonals(spec, 3000, 5, mc.KS_MIN_SAMPLES)
+        diags = mc._wishart_diagonals(spec, 3000, 5)
         assert not np.isclose(diags[:682], norms, rtol=1e-6, atol=0.0).any()
 
     def test_stream_domains_are_distinct_and_in_range(self):
@@ -832,7 +846,7 @@ class TestStreamDomains:
         # the KS factors and the direct Dirichlet draws, separately
         spec, samples, seed = self.SPEC, self.SAMPLES, self.SEED
         values.update(drawn_uniforms(monkeypatch, {
-            "ks_factors": lambda: mc._wishart_diagonals(spec, samples, seed, mc.KS_MIN_SAMPLES),
+            "ks_factors": lambda: mc._wishart_diagonals(spec, samples, seed),
             "ks_dirichlet": lambda: mc._dirichlet_ks(np.ones((samples, spec.m)), spec, seed),
         }))
         assert values["ks"].size == values["ks_factors"].size + values["ks_dirichlet"].size
@@ -852,7 +866,7 @@ class TestStreamDomains:
             "states": self.families()["states"],
             "spectra": self.families()["spectra"],
             "orbits": self.families()["orbits"],
-            "ks_factors": lambda: mc._wishart_diagonals(spec, samples, seed, mc.KS_MIN_SAMPLES),
+            "ks_factors": lambda: mc._wishart_diagonals(spec, samples, seed),
             "ks_dirichlet": lambda: mc._dirichlet_ks(np.ones((samples, spec.m)), spec, seed),
         }
         values = drawn_uniforms(monkeypatch, {name: runs[name] for name in shared})
@@ -917,7 +931,7 @@ class TestChunkWorkingSet:
 
 class TestDirichletConsistency:
     def test_small_case_passes(self):
-        d = mc.dirichlet_consistency_test(EnsembleSpec(2, 3), samples=20_000, master_seed=51)
+        d = mc.diagonal_ks_tests(EnsembleSpec(2, 3), samples=20_000, master_seed=51)[1]
         assert d < mc.ks_critical_value(20_000, n2=20_000)
 
     def test_samples_are_those_of_the_single_draw_samplers(self):
@@ -932,10 +946,12 @@ class TestDirichletConsistency:
         from_dirichlet = np.concatenate([sample_diag_dirichlet(direct, spec, size)[:, 0]
                                          for size in mc.chunk_sizes(1100, spec.m)])
         expected = mc.ks_two_sample(from_states, from_dirichlet)
-        assert mc.dirichlet_consistency_test(spec, 1100, 64) == expected
+        assert mc.diagonal_ks_tests(spec, 1100, 64)[1] == expected
 
     def test_dimension_one_is_exactly_consistent(self):
-        assert mc.dirichlet_consistency_test(EnsembleSpec(1, 2), samples=500, master_seed=0) == 0.0
+        # below the KS_MIN_SAMPLES that diagonal_ks_tests asks for
+        spec = EnsembleSpec(1, 2)
+        assert mc._dirichlet_ks(mc._wishart_diagonals(spec, 500, 0), spec, 0) == 0.0
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
