@@ -38,6 +38,7 @@ BATTERY = [
     "sample --what state --m 2 --n 3 --count 2 --seed 2",
     "sample --what diag --m 4 --n 8 --count 3 --seed 2",
     "sample --what diag --m 2 --n 2 --count 3 --seed 2",
+    "verify --m 3 --n 300 --samples 200 --seed 13",
 ]
 
 
