@@ -15,9 +15,10 @@ cost grows with k*n.  Chunk c draws from the random stream keyed
 (count, mean, m2); the chunk results merge in chunk order.  The chunk is
 thus the unit of randomness as well as the unit of work, and workers only
 schedule chunks: the same (master_seed, samples) gives bit-identical
-results for any worker count, on any machine, whether the chunks ran
-inline or in a process pool.  A job of one chunk always runs inline, and
-the process pool machinery is imported only when a pool starts.
+results for any worker count, whether the chunks ran inline or in a
+process pool; across BLAS kernels, coherence can move in its last bit.  A
+job of one chunk always runs inline, and the process pool machinery is
+imported only when a pool starts.
 
 A chunk's working set grows with its variates, not with its matrix
 stacks: the Gamma and normal samplers hold a few arrays of 8 bytes per
@@ -35,16 +36,17 @@ chunk map; estimate and run_comparison are the family of one job.  Each
 sampler draws in its own stream domain, so the families of one master
 seed share no variate.
 
-The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF
-live here so the distributional checks need nothing outside the package.
-Both work on arrays: gamma_cdf(x, shape) maps an array x to the array of
-CDF values (a scalar x gives a float), and ks_statistic(values, cdf) calls
-cdf once, on the sorted sample or on a stack of samples sorted column by
-column, so cdf must be such an array map.  diagonal_ks_tests is the one
-entry point of the two KS checks of the diagonal law: it reads the Wishart
-diagonals as the row norms of the Bartlett factors sample_mixing_state
-draws, so its cost does not grow with k*n either, and runs both checks on
-that one draw, from the KS domains.
+The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
+integer shapes (those of the Wishart diagonals) live here so the
+distributional checks need nothing outside the package.  Both work on
+arrays: gamma_cdf(x, shape) maps an array x to the array of CDF values (a
+scalar x gives a float), and ks_statistic(values, cdf) calls cdf once, on
+the sorted sample or on a stack of samples sorted column by column, so cdf
+must be such an array map.  diagonal_ks_tests is the one entry point of
+the two KS checks of the diagonal law: it reads the Wishart diagonals as
+the row norms of the Bartlett factors sample_mixing_state draws, so its
+cost does not grow with k*n either, and runs both checks on that one draw,
+from the KS domains.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .ensembles import (  # noqa: F401
     sample_mixing_state,
     sample_wishart,
 )
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, ParameterError
 from .randkit import RngStream, SeedSpec
 
 QUANTITIES = ("entropy", "diag_entropy", "coherence", "subentropy", "isospectral_diag_entropy")
@@ -129,6 +131,8 @@ class EstimatorConfig:
             if lam.ndim != 1:
                 raise DomainError(f"fixed_spectrum must be one probability vector, got shape {lam.shape}")
             functionals._validated_probabilities(lam)
+            if lam.size != self.spec.m:
+                raise ParameterError(f"fixed_spectrum has {lam.size} entries, spec.m is {self.spec.m}")
             # stored as a tuple: a list or an array would make the draw key unhashable
             object.__setattr__(self, "fixed_spectrum", tuple(lam.tolist()))
         elif self.fixed_spectrum is not None:
@@ -416,58 +420,39 @@ def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
 # -- incomplete gamma and Kolmogorov-Smirnov machinery ------------------------
 
 _IGAM_EPS = 1e-15
-# iteration cap of the series and the continued fraction: both need a number
-# of terms that grows like sqrt(shape) where x is near the shape (about
-# 8.3 sqrt(shape) series terms at x = shape for a relative step of 1e-15)
-_IGAM_MAX_ITER = 400
-_IGAM_ITER_PER_SQRT_SHAPE = 12
 # integer shapes up to this one take the finite Poisson sum.  Where e^-x
 # underflows (x > 745) the upper tail at shape 256 is below 1e-90, so the
 # sum's forward recurrence from e^-x loses nothing that shows at 1e-15
 _IGAM_POISSON_MAX_SHAPE = 256
 
 
-def gamma_cdf(x: float | np.ndarray, shape: float) -> float | np.ndarray:
-    """Regularized lower incomplete gamma P(shape, x): the Gamma(shape, 1) CDF.
+def gamma_cdf(x: float | np.ndarray, shape: int) -> float | np.ndarray:
+    """Regularized lower incomplete gamma P(shape, x), the Gamma(shape, 1)
+    CDF, at an integer shape: the Poisson(x) probability of at least shape
+    events (Abramowitz & Stegun 6.5.13).
 
     x may be a scalar or an array; an array gives an array of the same
-    shape, a scalar a float.  An integer shape up to 256 takes the finite
-    sum P = 1 - e^-x sum_{j<shape} x^j / j!, within 4e-15 of the exact value
-    (absolutely: where P is tiny it has no relative accuracy).  Any other
-    shape takes the series expansion where x < shape + 1 and the
-    Lentz continued fraction for the complementary function elsewhere, each
-    run as one loop over all entries that freezes each entry once it has
-    converged, for at most 400 + 12 sqrt(shape) iterations.
-    P = 0 for x <= 0 and P = 1 at x = +inf; a NaN x raises DomainError, a
-    shape that is not finite and positive ParameterError, and an entry that
-    has not converged within the cap NumericalError.
+    shape whose entries are exactly their scalar calls, a scalar a float.
+    A shape up to 256 takes the finite sum P = 1 - e^-x sum_{j<shape} x^j/j!,
+    within 4e-15 of the exact value (absolutely: where P is tiny it has no
+    relative accuracy), a larger one the far-side tail (_poisson_far_tail).
+    P = 0 for x <= 0 and P = 1 at x = +inf; a NaN x raises DomainError, and
+    a shape that is not an integer >= 1 (3.0 is one) ParameterError.
     """
-    if not (math.isfinite(shape) and shape > 0):
-        raise ParameterError(f"shape must be finite and positive, got {shape}")
+    if not (math.isfinite(shape) and shape >= 1 and shape == int(shape)):
+        raise ParameterError(f"shape must be an integer >= 1, got {shape!r}")
+    a = int(shape)
     xa = np.asarray(x, dtype=np.float64)
     if np.isnan(xa).any():
         raise DomainError("gamma_cdf is undefined at x = NaN")
     out = np.where(xa > 0.0, 1.0, 0.0)
     inner = np.flatnonzero((xa > 0.0) & (xa < math.inf))
     xs = xa.ravel()[inner]
-    if shape <= _IGAM_POISSON_MAX_SHAPE and shape == int(shape):
-        out.ravel()[inner] = np.maximum(0.0, 1.0 - _poisson_head(xs, int(shape)))
+    if a <= _IGAM_POISSON_MAX_SHAPE:
+        out.ravel()[inner] = np.maximum(0.0, 1.0 - _poisson_head(xs, a))
     else:
-        out.ravel()[inner] = _gamma_loops(xs, shape)
+        out.ravel()[inner] = _poisson_far_tail(xs, a)
     return float(out) if out.ndim == 0 else out
-
-
-def _gamma_loops(x: np.ndarray, shape: float) -> np.ndarray:
-    """P(shape, x) for finite x > 0: the series below x = shape + 1, the
-    continued fraction from there."""
-    prefactor = np.exp(shape * np.log(x) - x - math.lgamma(shape))
-    series = x < shape + 1.0
-    cap = _IGAM_MAX_ITER + math.ceil(_IGAM_ITER_PER_SQRT_SHAPE * math.sqrt(shape))
-    result = np.empty(x.size)
-    result[series] = np.minimum(1.0, _gamma_series(x[series], shape, cap) * prefactor[series])
-    cf = ~series
-    result[cf] = np.maximum(0.0, 1.0 - prefactor[cf] * _gamma_continued_fraction(x[cf], shape, cap))
-    return result
 
 
 def _poisson_head(x: np.ndarray, a: int) -> np.ndarray:
@@ -481,53 +466,35 @@ def _poisson_head(x: np.ndarray, a: int) -> np.ndarray:
     return total
 
 
-def _gamma_series(x: np.ndarray, a: float, cap: int) -> np.ndarray:
-    """sum_{k>=0} x^k / (a (a+1) ... (a+k)), so that P(a, x) = x^a e^-x / Gamma(a) * sum."""
-    term = np.full(x.size, 1.0 / a)
+def _poisson_far_tail(x: np.ndarray, a: int) -> np.ndarray:
+    """P(a, x) for finite x > 0 from the smaller Poisson(x) tail, the one on
+    the far side of a: P = sum_{j>=a} pmf(j) where x < a, and 1 - Q with
+    Q = sum_{j<a} pmf(j) elsewhere.  Each tail starts at its largest term,
+    pmf(a) or pmf(a-1), and only decreases, so nothing overflows, a term
+    that underflows leaves a tail below float resolution, and the Q sum
+    ends at j = 0.  Each entry stops at its first term at or below
+    _IGAM_EPS times its sum, and its sum is frozen there, so an entry of an
+    array holds exactly what it holds alone."""
+    below = x < a
+    xp, xq = x[below], x[~below]
+    n = xp.size
+    # pmf(j) = e^-x x^j / j!; the P terms first, then the Q terms
+    term = np.exp(np.concatenate([a * np.log(xp) - xp - math.lgamma(a + 1),
+                                  (a - 1) * np.log(xq) - xq - math.lgamma(a)]))
     total = term.copy()
+    ratio = np.empty(x.size)
     live = np.ones(x.size, dtype=bool)
-    ap = a
-    for _ in range(cap):
-        if not live.any():
-            break
-        ap += 1.0
-        t = term * (x / ap)
-        tot = total + t
-        np.copyto(term, t, where=live)
-        np.copyto(total, tot, where=live)
-        live &= ~(np.abs(t) < np.abs(tot) * _IGAM_EPS)
-    if live.any():
-        raise NumericalError(f"incomplete gamma series at shape {a} did not converge in {cap} iterations")
-    return total
-
-
-def _gamma_continued_fraction(x: np.ndarray, a: float, cap: int) -> np.ndarray:
-    """1/(x+1-a- 1(1-a)/(x+3-a- ...)) by Lentz, so that Q(a, x) = x^a e^-x / Gamma(a) * cf."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = np.full(x.size, 1.0 / tiny)
-    d = 1.0 / b
-    h = d.copy()
-    live = np.ones(x.size, dtype=bool)
-    for i in range(1, cap + 1):
-        if not live.any():
-            break
-        an = -i * (i - a)
-        b += 2.0
-        dn = an * d + b
-        dn[np.abs(dn) < tiny] = tiny
-        cn = b + an / c
-        cn[np.abs(cn) < tiny] = tiny
-        dn = 1.0 / dn
-        delta = dn * cn
-        np.copyto(c, cn, where=live)
-        np.copyto(d, dn, where=live)
-        np.copyto(h, h * delta, where=live)
-        live &= ~(np.abs(delta - 1.0) < _IGAM_EPS)
-    if live.any():
-        raise NumericalError(f"incomplete gamma continued fraction at shape {a} did not converge "
-                             f"in {cap} iterations")
-    return h
+    k = 0
+    while live.any():
+        k += 1
+        np.divide(xp, a + k, out=ratio[:n])  # pmf(a+k) = pmf(a+k-1) x/(a+k)
+        np.divide(a - k, xq, out=ratio[n:])  # pmf(a-1-k) = pmf(a-k) (a-k)/x
+        term *= ratio
+        live &= term > total * _IGAM_EPS
+        np.add(total, term, out=total, where=live)
+    out = np.empty(x.size)
+    out[below], out[~below] = total[:n], 1.0 - total[n:]
+    return out
 
 
 def ks_statistic(values: np.ndarray, cdf) -> float | np.ndarray:
@@ -583,7 +550,7 @@ def diagonal_ks_tests(spec: EnsembleSpec, samples: int, master_seed: int) -> tup
     if samples < KS_MIN_SAMPLES:
         raise ParameterError(f"need >= {KS_MIN_SAMPLES} samples for a meaningful KS test, got {samples}")
     diags = _wishart_diagonals(spec, samples, master_seed)
-    return (ks_statistic(diags, lambda x: gamma_cdf(x, float(spec.env_dim))),
+    return (ks_statistic(diags, lambda x: gamma_cdf(x, spec.env_dim)),
             _dirichlet_ks(diags, spec, master_seed))
 
 
