@@ -39,6 +39,10 @@ BATTERY = [
     "sample --what diag --m 4 --n 8 --count 3 --seed 2",
     "sample --what diag --m 2 --n 2 --count 3 --seed 2",
     "verify --m 3 --n 300 --samples 200 --seed 13",
+    "estimate --quantity coherence --m 2 --n 2 --k 3 --samples 1000 --seed 5",
+    "estimate --quantity diag-entropy --m 2 --n 2 --k 3 --samples 1000 --seed 5",
+    "estimate --quantity entropy --m 2 --n 3 --k 3 --samples 1000 --seed 5",
+    "estimate --quantity subentropy --m 2 --n 3 --k 3 --samples 1000 --seed 5",
 ]
 
 

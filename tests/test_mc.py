@@ -855,6 +855,25 @@ class TestPinnedStates:
         stats = mc.estimate(config)
         assert (stats.count, stats.mean.hex(), stats.m2.hex()) == pinned
 
+    # the same for m = 2 diagonals (states domain, Bartlett shapes 6 and 5,
+    # drawn by Marsaglia-Tsang) and m = 2 spectra (spectra domain, Laguerre
+    # shapes 3, 2 and 1, drawn as Erlang sums), three chunks each
+    PINNED_QUBITS = [
+        ("diag_entropy", EnsembleSpec(2, 2, 3), 3000, 21,
+         (3000, "0x1.4e47d1567d8a2p-1", "0x1.05859556a3ebap+3")),
+        ("entropy", EnsembleSpec(2, 3), 3000, 22,
+         (3000, "0x1.ce06f9556166fp-2", "0x1.0480257537387p+6")),
+    ]
+
+    @pytest.mark.usefixtures("chunks_of_4096")
+    @pytest.mark.parametrize("quantity,spec,samples,seed,pinned", PINNED_QUBITS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_qubit_estimates_keep_their_bits(self, quantity, spec, samples, seed, pinned, workers):
+        config = mc.EstimatorConfig(spec, quantity, samples, master_seed=seed, workers=workers)
+        assert len(mc.chunk_sizes(samples, mc._entries_per_draw(config))) == 3
+        stats = mc.estimate(config)
+        assert (stats.count, stats.mean.hex(), stats.m2.hex()) == pinned
+
 
 class TestChunkWorkingSet:
     # the tracemalloc peak of one full chunk stays within BYTES_PER_VARIATE
