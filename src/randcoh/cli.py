@@ -23,7 +23,7 @@ from .ensembles import (
     sample_diag_dirichlet,
     sample_mixing_state,
 )
-from .errors import NumericalError, RandcohError
+from .errors import NumericalError, ParameterError, RandcohError
 from .randkit import RngStream, SeedSpec
 
 SCHEMA_VERSION = 1
@@ -127,6 +127,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = EnsembleSpec(args.m, args.n, args.k)
+    # refused before anything is drawn or printed: the KS check's Gamma(kn)
+    # CDF takes no larger shape
+    if spec.env_dim > mc.GAMMA_CDF_MAX_SHAPE:
+        raise ParameterError(f"verify needs k*n <= {mc.GAMMA_CDF_MAX_SHAPE}, got {spec.env_dim}")
     parameters = {"m": args.m, "n": args.n, "k": args.k, "samples": args.samples, "workers": args.workers}
     all_pass = True
 

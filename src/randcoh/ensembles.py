@@ -11,7 +11,10 @@ Laguerre bidiagonal model, both at a cost that does not grow with k*n;
 the Wishart diagonals that mc's KS checks test are the row norms of the
 same Bartlett factors (_bartlett_factor).  A DensityMatrix is either
 read off such a factor or built from a matrix that its constructor checks
-once.  sample_ginibre and sample_wishart keep the Ginibre block itself,
+once.  At m = 2 neither sampler forms a stack of matrices: a state is read
+off its factor's three variates and a spectrum off its tridiagonal's
+three entries, elementwise, with the arithmetic of the matrix routes.
+sample_ginibre and sample_wishart keep the Ginibre block itself,
 the reference construction the tests compare those routes against;
 nothing in mc draws it.  Direct Dirichlet and Haar-isospectral samplers
 cover the marginal laws that have one.
@@ -70,14 +73,16 @@ class DensityMatrix:
     L (rho = L L^dagger / tr(L L^dagger), _from_factor): the diagonal is
     the squared row norms of L over their sum, the spectrum is that of
     L L^dagger over the same trace, and the matrix is formed only when it
-    is read, with exactly that diagonal.  Estimators read the diagonal, the
-    spectrum or both, never the matrix.
+    is read, with exactly that diagonal.  At m = 2 not even L is stacked
+    (_from_qubit): the three entries of L L^dagger that the closed-form
+    eigenvalues read are formed from L's three variates, elementwise.
+    Estimators read the diagonal, the spectrum or both, never the matrix.
 
     The diagonal is set at construction; the spectrum and the matrix are
     computed on first access and cached.
     """
 
-    __slots__ = ("diagonal", "_matrix", "_spectrum", "_factor", "_trace")
+    __slots__ = ("diagonal", "_matrix", "_spectrum", "_factor", "_trace", "_qubit")
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -95,7 +100,7 @@ class DensityMatrix:
         hermitian = linalg.hermitize(matrix)
         self._matrix = _normalized(hermitian, np.trace(hermitian, axis1=-2, axis2=-1).real[..., None])
         self.diagonal = np.diagonal(self._matrix, axis1=-2, axis2=-1).real.copy()
-        self._factor = self._trace = self._spectrum = None
+        self._factor = self._trace = self._spectrum = self._qubit = None
 
     @classmethod
     def _from_factor(cls, low: np.ndarray) -> "DensityMatrix":
@@ -107,7 +112,26 @@ class DensityMatrix:
         state._trace = norms.sum(axis=-1, keepdims=True)
         state.diagonal = norms / state._trace
         state._factor = low
-        state._matrix = state._spectrum = None
+        state._matrix = state._spectrum = state._qubit = None
+        return state
+
+    @classmethod
+    def _from_qubit(cls, root: np.ndarray, z: np.ndarray) -> "DensityMatrix":
+        """m = 2 states read off the Bartlett variates of their factors
+        L = [[root_0, 0], [z_0, root_1]] (stacks (..., 2) and (..., 1)),
+        without a stack of L: W_00 = root_0^2 and W_11 = |z_0|^2 + root_1^2,
+        formed with the operations _row_norms applies to L, so the diagonal
+        and the trace are those of _from_factor, bit for bit.  L itself is
+        built only when the matrix is read."""
+        state = cls.__new__(cls)
+        w00 = root[..., 0] ** 2
+        w11 = z[..., 0].real ** 2
+        w11 += z[..., 0].imag ** 2
+        w11 += root[..., 1] ** 2
+        state._trace = (w00 + w11)[..., None]
+        state.diagonal = np.stack([w00, w11], axis=-1) / state._trace
+        state._qubit = (root, z, w00, w11)
+        state._factor = state._matrix = state._spectrum = None
         return state
 
     @property
@@ -118,6 +142,8 @@ class DensityMatrix:
     def matrix(self) -> np.ndarray:
         """The density matrix (complex, exactly Hermitian), or the stack."""
         if self._matrix is None:
+            if self._factor is None:
+                self._factor = _lower_factor(*self._qubit[:2])
             matrix = _normalized(linalg.gram(self._factor), self._trace)
             diag = np.arange(self.dim)
             matrix[..., diag, diag] = self.diagonal
@@ -128,7 +154,12 @@ class DensityMatrix:
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, descending, clamped into [0, 1] and summing to 1."""
         if self._spectrum is None:
-            if self._factor is None:
+            if self._qubit is not None:
+                # |W_10| = |z_0 root_0|: L L^dagger's off-diagonal entry
+                root, z, w00, w11 = self._qubit
+                vals = linalg._eigenvalues_2x2(w00, w11, np.abs(z[..., 0] * root[..., 0]))
+                vals /= self._trace
+            elif self._factor is None:
                 # the constructor checked the matrix and made it exactly
                 # Hermitian, so it is not checked again
                 vals = linalg.exact_hermitian_eigenvalues(self._matrix)
@@ -188,34 +219,56 @@ def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None 
     construction, at m(m+1)/2 variates per draw whatever k*n is.  The
     state is read off L (DensityMatrix._from_factor): its diagonal is the
     squared row norms of L over their sum, and W itself is formed only for
-    the spectrum (unaveraged) and for the matrix, when they are read.
+    the spectrum (unaveraged) and for the matrix, when they are read.  At
+    m = 2 the state is read off L's variates (DensityMatrix._from_qubit),
+    and L is formed only for the matrix.
 
-    With size, a DensityMatrix holding a (size, m, m) stack, drawn with one
+    With size, a DensityMatrix holding a stack of size states, drawn with one
     gammas call (m variates per draw, draw by draw) and then one
     complex_gaussians call (the strict lower triangles, row-major, draw by
     draw).  A single state is the stack of one; as for
     sample_diag_dirichlet, a stack does not hold the states that size
     single draws give.
     """
-    low = _bartlett_factor(stream, spec, 1 if size is None else size)
+    count = 1 if size is None else size
+    if spec.m == 2:
+        root, z = _bartlett_variates(stream, spec, count)
+        if size is None:
+            root, z = root[0], z[0]
+        return DensityMatrix._from_qubit(root, z)
+    low = _bartlett_factor(stream, spec, count)
     return DensityMatrix._from_factor(low[0] if size is None else low)
+
+
+def _bartlett_variates(stream: RngStream, spec: EnsembleSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Bartlett variates of count factors L, in sample_mixing_state's
+    stream order: one gammas call for the diagonals, whose square roots
+    make the (count, m) diagonals of L, then one complex_gaussians call for
+    the (count, m(m-1)/2) strict lower triangles, row-major."""
+    m = spec.m
+    g = stream.gammas(np.tile((spec.env_dim - np.arange(m)).astype(np.float64), count), count * m)
+    z = stream.complex_gaussians(count * m * (m - 1) // 2)
+    return np.sqrt(g).reshape(count, m), z.reshape(count, m * (m - 1) // 2)
+
+
+def _lower_factor(root: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The stack of lower triangular L with diagonals root (..., m) and
+    strict lower triangles z (..., m(m-1)/2), row-major."""
+    m = root.shape[-1]
+    diag = np.arange(m)
+    rows, cols = np.tril_indices(m, -1)
+    low = np.zeros(root.shape + (m,), dtype=np.complex128)
+    low[..., diag, diag] = root
+    low[..., rows, cols] = z
+    return low
 
 
 def _bartlett_factor(stream: RngStream, spec: EnsembleSpec, count: int) -> np.ndarray:
     """The (count, m, m) stack of complex Bartlett factors L that
-    sample_mixing_state draws, in its stream order: one gammas call for the
-    diagonals, then one complex_gaussians call for the strict lower
-    triangles.  Row i's squared norm is W_ii ~ Gamma(kn)."""
-    m = spec.m
-    diag = np.arange(m)
-    rows, cols = np.tril_indices(m, -1)
-    g = stream.gammas(np.tile((spec.env_dim - diag).astype(np.float64), count), count * m)
-    z = stream.complex_gaussians(count * rows.size)
+    sample_mixing_state draws, in its stream order.  Row i's squared norm
+    is W_ii ~ Gamma(kn)."""
     # the stack is allocated after the draws, which need the most memory
-    low = np.zeros((count, m, m), dtype=np.complex128)
-    low[:, diag, diag] = np.sqrt(g).reshape(count, m)
-    low[:, rows, cols] = z.reshape(count, rows.size)
-    return low
+    return _lower_factor(*_bartlett_variates(stream, spec, count))
 
 
 def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> np.ndarray:
@@ -232,18 +285,24 @@ def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> 
     the stack draws all of them in one gammas call, draw by draw.  The
     states' eigenbasis is Haar and independent of the spectrum, so this
     covers every quantity of the spectrum alone; sample_mixing_state stays
-    the sampler of the states.
+    the sampler of the states.  At m = 2 the three entries of T are passed
+    to the closed-form eigenvalues elementwise, with no stack of T.
     """
     m, kn = spec.m, spec.env_dim
     shapes = np.concatenate([kn - np.arange(m), m - 1 - np.arange(m - 1)]).astype(np.float64)
     g = stream.gammas(np.tile(shapes, size), size * shapes.size).reshape(size, shapes.size)
-    # T is formed and solved block by block (8 bytes per entry: T itself),
-    # so the whole stack of T is never held at once.  T is finite and
-    # exactly symmetric by construction, so it is solved unchecked;
-    # clamp_spectrum still refuses a non-finite spectrum
-    vals = np.empty((size, m))
-    for rows in linalg.row_blocks(size, m * m, 8):
-        vals[rows] = linalg.exact_hermitian_eigenvalues(_laguerre_tridiagonal(g[rows], m))
+    # T is finite and exactly symmetric by construction, so it is solved
+    # unchecked; clamp_spectrum still refuses a non-finite spectrum
+    if m == 2:
+        # T = [[g_0, sqrt(g_2 g_0)], [sqrt(g_2 g_0), g_1 + g_2]], the
+        # entries _laguerre_tridiagonal writes
+        vals = linalg._eigenvalues_2x2(g[:, 0], g[:, 1] + g[:, 2], np.sqrt(g[:, 2] * g[:, 0]))
+    else:
+        # formed and solved block by block (8 bytes per entry: T itself),
+        # so the whole stack of T is never held at once
+        vals = np.empty((size, m))
+        for rows in linalg.row_blocks(size, m * m, 8):
+            vals[rows] = linalg.exact_hermitian_eigenvalues(_laguerre_tridiagonal(g[rows], m))
     vals /= g.sum(axis=-1, keepdims=True)
     return linalg.clamp_spectrum(vals)
 

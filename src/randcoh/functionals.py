@@ -75,9 +75,15 @@ def shannon_entropy(p):
     summed in sorted order, so any permutation of p gives the same value to
     the bit (a diagonal state's diagonal and spectrum, for one).
     """
-    p = np.sort(_validated_probabilities(p), axis=-1)
+    return _scalar_or_stack(_ascending_entropy(np.sort(_validated_probabilities(p), axis=-1)))
+
+
+def _ascending_entropy(p: np.ndarray) -> np.ndarray:
+    """shannon_entropy's sum, unchecked, over rows p already sorted
+    ascending (a C-contiguous array, so that the terms are summed in the
+    order shannon_entropy sums them)."""
     log_p = np.log(p, out=np.zeros_like(p), where=p > 0.0)
-    return _scalar_or_stack(np.maximum(0.0, -(p * log_p).sum(axis=-1)))
+    return np.maximum(0.0, -(p * log_p).sum(axis=-1))
 
 
 def von_neumann_entropy(rho):
@@ -86,8 +92,19 @@ def von_neumann_entropy(rho):
 
 
 def relative_entropy_of_coherence(rho):
-    """S(rho_diag) - S(rho), clamped at 0; zero exactly for diagonal states."""
-    c = np.asarray(shannon_entropy(rho.diagonal) - von_neumann_entropy(rho))
+    """S(rho_diag) - S(rho), clamped at 0; zero exactly for diagonal states.
+
+    Equal to shannon_entropy(rho.diagonal) - von_neumann_entropy(rho) bit
+    for bit, in one pass over each vector, with neither validated again:
+    a DensityMatrix's diagonal sums to 1 by construction, and
+    clamp_spectrum has checked the spectrum.  A broken draw, or a matrix
+    with a negative diagonal entry, fails there with NumericalError (the
+    smallest eigenvalue is at most the smallest diagonal entry).  The
+    diagonal is sorted once; the spectrum is descending, so its reverse is
+    its ascending sort.
+    """
+    diag = _ascending_entropy(np.sort(rho.diagonal, axis=-1))
+    c = np.asarray(diag - _ascending_entropy(np.ascontiguousarray(rho.spectrum[..., ::-1])))
     if (c < _COHERENCE_FLOOR).any():
         raise DomainError(f"coherence {float(c.min())!r} below the numerical floor; "
                           "sampler or solver is broken")

@@ -93,20 +93,11 @@ def gram(z: np.ndarray) -> np.ndarray:
 def factor_gram_eigenvalues(low: np.ndarray) -> np.ndarray:
     """hermitian_eigenvalues(L L-dagger) for each square factor L of a
     stack (..., m, m), with L L-dagger not averaged: it is Hermitian to
-    rounding, and the solvers read one triangle.  At m = 2 the three
-    entries the closed form reads are formed elementwise, for the whole
-    stack at once; a non-finite factor gives a non-finite spectrum, which
-    clamp_spectrum refuses.  Larger products are formed and solved block by
-    block, 40 bytes of temporaries per entry (the product, its conjugate
-    factor and the check's), so the stack's products are never held at
-    once."""
-    if low.shape[-1] == 2:
-        # a per-matrix product costs far more than these few array passes
-        sq = low.real**2
-        sq += low.imag**2
-        b = low[..., 1, 0] * low[..., 0, 0].conj()
-        b += low[..., 1, 1] * low[..., 0, 1].conj()
-        return _eigenvalues_2x2(sq[..., 0, 0] + sq[..., 0, 1], sq[..., 1, 0] + sq[..., 1, 1], np.abs(b))
+    rounding, and the solvers read one triangle.  The products are formed
+    and solved block by block, 40 bytes of temporaries per entry (the
+    product, its conjugate factor and the check's), so the stack's
+    products are never held at once.  (ensembles solves its m = 2 states
+    from their factors' variates, without this function.)"""
     flat = low.reshape((-1,) + low.shape[-2:])
     vals = np.empty(flat.shape[:-1])
     for rows in row_blocks(len(flat), low.shape[-1] ** 2, 40):

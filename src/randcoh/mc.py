@@ -37,7 +37,8 @@ sampler draws in its own stream domain, so the families of one master
 seed share no variate.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
-integer shapes (those of the Wishart diagonals) live here so the
+integer shapes up to GAMMA_CDF_MAX_SHAPE (those of the Wishart diagonals
+that verify tests) live here so the
 distributional checks need nothing outside the package.  Both work on
 arrays: gamma_cdf(x, shape) maps an array x to the array of CDF values (a
 scalar x gives a float), and ks_statistic(values, cdf) calls cdf once, on
@@ -424,6 +425,11 @@ _IGAM_EPS = 1e-15
 # underflows (x > 745) the upper tail at shape 256 is below 1e-90, so the
 # sum's forward recurrence from e^-x loses nothing that shows at 1e-15
 _IGAM_POISSON_MAX_SHAPE = 256
+# the largest shape gamma_cdf takes.  Up to it the far-side tail is within
+# 1e-9 of scipy.special.gammainc on a +- 8 sqrt(a) (7.8e-10 at 10^6, 1.4e-9
+# at 2*10^6, 2.7e-8 at 10^7), and a call costs about 8 sqrt(a) passes over
+# x; near 2^53, a + k rounds and the loop need never end
+GAMMA_CDF_MAX_SHAPE = 10**6
 
 
 def gamma_cdf(x: float | np.ndarray, shape: int) -> float | np.ndarray:
@@ -437,10 +443,11 @@ def gamma_cdf(x: float | np.ndarray, shape: int) -> float | np.ndarray:
     within 4e-15 of the exact value (absolutely: where P is tiny it has no
     relative accuracy), a larger one the far-side tail (_poisson_far_tail).
     P = 0 for x <= 0 and P = 1 at x = +inf; a NaN x raises DomainError, and
-    a shape that is not an integer >= 1 (3.0 is one) ParameterError.
+    a shape that is not an integer in [1, GAMMA_CDF_MAX_SHAPE] (3.0 is one)
+    ParameterError.
     """
-    if not (math.isfinite(shape) and shape >= 1 and shape == int(shape)):
-        raise ParameterError(f"shape must be an integer >= 1, got {shape!r}")
+    if not (math.isfinite(shape) and 1 <= shape <= GAMMA_CDF_MAX_SHAPE and shape == int(shape)):
+        raise ParameterError(f"shape must be an integer in [1, {GAMMA_CDF_MAX_SHAPE}], got {shape!r}")
     a = int(shape)
     xa = np.asarray(x, dtype=np.float64)
     if np.isnan(xa).any():

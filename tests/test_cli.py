@@ -113,6 +113,26 @@ class TestEstimate:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("n,k", [(mc.GAMMA_CDF_MAX_SHAPE + 1, 1), (mc.GAMMA_CDF_MAX_SHAPE // 2 + 1, 2)])
+    def test_refuses_kn_above_the_gamma_cdf_bound_before_drawing(self, capsys, monkeypatch, n, k):
+        def refuse(*args):
+            raise AssertionError("verify drew samples for a kn it cannot test")
+
+        monkeypatch.setattr(mc, "run_comparisons", refuse)
+        monkeypatch.setattr(mc, "diagonal_ks_tests", refuse)
+        code, out, err = run_cli(capsys, "verify", "--m", "3", "--n", str(n), "--k", str(k),
+                                 "--samples", "10", "--seed", "1", "--workers", "1")
+        assert (code, out) == (1, "")
+        assert f"k*n <= {mc.GAMMA_CDF_MAX_SHAPE}" in err
+
+    def test_accepts_kn_at_the_gamma_cdf_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--m", "3", "--n", str(mc.GAMMA_CDF_MAX_SHAPE),
+                               "--samples", "10", "--seed", "1", "--workers", "1")
+        assert code in (0, 2)
+        records = parse_jsonl(out)
+        assert len(records) == 7
+        assert records[4]["results"]["wishart_diagonal_gamma_ks"]["samples"] == mc.KS_MIN_SAMPLES
+
     def test_small_verify_starts_no_pool(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-chunk family started a process pool")

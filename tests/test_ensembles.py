@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from randcoh import ensembles, functionals, linalg, mc
@@ -258,6 +260,66 @@ class TestFactorReadState:
             assert stats.count == 1500
         fraction, _ = mc.empirical_concentration(EnsembleSpec(3, 3), 0.1, 1000, master_seed=92)
         assert 0.0 < fraction < 1.0
+
+    @pytest.mark.usefixtures("chunks_of_4096")
+    @pytest.mark.parametrize("quantity", ["coherence", "diag_entropy", "entropy", "subentropy"])
+    def test_qubit_estimates_form_no_matrix_stack(self, monkeypatch, quantity):
+        # at m = 2 states and spectra are solved from their variates alone
+        def refuse(*args):
+            raise AssertionError("an m = 2 estimate formed a stack of matrices")
+
+        for owner, name in [(ensembles, "_lower_factor"), (ensembles, "_bartlett_factor"),
+                            (ensembles, "_laguerre_tridiagonal"), (linalg, "gram"), (linalg, "hermitize"),
+                            (linalg, "factor_gram_eigenvalues"), (linalg, "hermitian_eigenvalues"),
+                            (linalg, "exact_hermitian_eigenvalues")]:
+            monkeypatch.setattr(owner, name, refuse)
+        config = mc.EstimatorConfig(EnsembleSpec(2, 3, k=2), quantity, 3000, master_seed=93)
+        assert len(mc.chunk_sizes(3000, mc._entries_per_draw(config))) == 3
+        assert mc.estimate(config).count == 3000
+
+
+class TestQubitDraws:
+    """At m = 2 the states are read off their Bartlett variates and the
+    spectra off their Laguerre variates, elementwise, with the arithmetic
+    of the matrix routes."""
+
+    draws = dict(
+        seed=st.integers(0, 2**64 - 1),
+        kn=st.integers(2, 10**4),
+        size=st.integers(1, 50),
+    )
+
+    @given(**draws)
+    @example(seed=0, kn=2, size=1)
+    @example(seed=2**64 - 1, kn=10**4, size=50)
+    @settings(max_examples=60, deadline=None)
+    def test_states_are_those_of_their_factors(self, seed, kn, size):
+        spec = EnsembleSpec(2, kn)
+        states = sample_mixing_state(RngStream(SeedSpec(seed)), spec, size)
+        low = ensembles._bartlett_factor(RngStream(SeedSpec(seed)), spec, size)
+        norms = ensembles._row_norms(low)
+        trace = norms.sum(axis=-1, keepdims=True)
+        assert np.array_equal(states.diagonal, norms / trace)
+        products = low @ low.conj().swapaxes(-1, -2)
+        expected = linalg.hermitian_eigenvalues(products) / trace
+        scale = np.abs(products).max(axis=(-2, -1))[:, None] / trace
+        assert (np.abs(states.spectrum - expected) <= 8 * np.finfo(float).eps * scale).all()
+        # a single state is the stack of one
+        single = sample_mixing_state(RngStream(SeedSpec(seed)), spec)
+        one = sample_mixing_state(RngStream(SeedSpec(seed)), spec, 1)
+        assert np.array_equal(single.diagonal, one.diagonal[0])
+        assert np.array_equal(single.spectrum, one.spectrum[0])
+        assert np.array_equal(single.matrix, one.matrix[0])
+
+    @given(**draws)
+    @example(seed=0, kn=2, size=1)
+    @example(seed=2**64 - 1, kn=10**4, size=50)
+    @settings(max_examples=60, deadline=None)
+    def test_spectra_are_those_of_their_tridiagonals(self, seed, kn, size):
+        spectra = sample_mixing_spectrum(RngStream(SeedSpec(seed)), EnsembleSpec(2, kn), size)
+        g = RngStream(SeedSpec(seed)).gammas(np.tile([kn, kn - 1, 1.0], size), 3 * size).reshape(size, 3)
+        vals = linalg.exact_hermitian_eigenvalues(ensembles._laguerre_tridiagonal(g, 2))
+        assert np.array_equal(spectra, linalg.clamp_spectrum(vals / g.sum(axis=-1, keepdims=True)))
 
 
 def bartlett_reference(s, spec, count):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 
 from randcoh import linalg
 from randcoh.ensembles import DensityMatrix, EnsembleSpec, sample_mixing_state
-from randcoh.errors import DomainError, ParameterError
+from randcoh.errors import DomainError, NumericalError, ParameterError
 from randcoh.functionals import (
     _CLUSTER_GAP,
     _ZERO_NODE,
@@ -193,9 +194,46 @@ class TestVonNeumannEntropy:
 
 
 class TestCoherence:
-    def test_diagonal_state_has_none(self):
-        rho = DensityMatrix(np.diag([0.3, 0.5, 0.2]).astype(complex))
-        assert relative_entropy_of_coherence(rho) == 0.0
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_diagonal_state_has_none(self, m):
+        # the diagonal and the spectrum hold the same numbers in different
+        # orders, so their entropies must agree to the bit in every order
+        weights = np.array([0.3, 0.5, 0.2, 0.15])[:m]
+        for order in itertools.permutations(weights / weights.sum()):
+            rho = DensityMatrix(np.diag(order).astype(complex))
+            assert relative_entropy_of_coherence(rho) == 0.0
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 5), (3, 4), (4, 8), (16, 32)])
+    def test_equals_the_two_entropies_to_the_bit(self, m, n):
+        rhos = sample_mixing_state(RngStream(SeedSpec(1011, m)), EnsembleSpec(m, n), 400)
+        reference = np.maximum(shannon_entropy(rhos.diagonal) - von_neumann_entropy(rhos), 0.0)
+        assert np.array_equal(relative_entropy_of_coherence(rhos), reference)
+        single = sample_mixing_state(RngStream(SeedSpec(1011, m)), EnsembleSpec(m, n))
+        assert relative_entropy_of_coherence(single) == max(
+            shannon_entropy(single.diagonal) - von_neumann_entropy(single), 0.0)
+
+    def test_a_negative_diagonal_entry_raises(self):
+        rho = DensityMatrix(np.array([[1.1, 0.05], [0.05, -0.1]], dtype=complex))
+        with pytest.raises(NumericalError):
+            relative_entropy_of_coherence(rho)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("variates", ["gammas", "complex_gaussians"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_variate_raises(self, monkeypatch, m, variates, bad):
+        # the diagonal is not validated again, so the spectrum must refuse
+        # the draw; one bad variate in the middle of the stack
+        draw = getattr(RngStream, variates)
+
+        def spoiled(stream, *args):
+            out = draw(stream, *args)
+            out[out.size // 2] = bad
+            return out
+
+        monkeypatch.setattr(RngStream, variates, spoiled)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            relative_entropy_of_coherence(
+                sample_mixing_state(RngStream(SeedSpec(1012, 0)), EnsembleSpec(m, m + 1), 100))
 
     def test_uniform_superposition(self):
         v = np.array([1.0, 1.0]) / math.sqrt(2.0)

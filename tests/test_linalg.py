@@ -193,8 +193,8 @@ class TestTwoByTwo:
 
 
 class TestFactorGramEigenvalues:
-    """factor_gram_eigenvalues(L) is the spectrum of L L-dagger; at m = 2 it
-    is formed from L's entries, without the product."""
+    """factor_gram_eigenvalues(L) is the spectrum of L L-dagger, at m = 2
+    as at any other m."""
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("triangular", [False, True])

@@ -568,6 +568,14 @@ class TestIncompleteGamma:
         with pytest.raises(ParameterError):
             mc.gamma_cdf(np.array([1.0, 2.0]), shape)
 
+    def test_largest_shape_is_accurate_and_the_next_is_refused(self):
+        shape = mc.GAMMA_CDF_MAX_SHAPE
+        xs = shape + np.linspace(-8.0, 8.0, 41) * math.sqrt(shape)
+        assert np.abs(mc.gamma_cdf(xs, shape) - special.gammainc(shape, xs)).max() <= 1e-9
+        for above in (shape + 1, float(shape + 1), 2**53):
+            with pytest.raises(ParameterError, match="integer in"):
+                mc.gamma_cdf(xs, above)
+
 
 class TestKolmogorovSmirnov:
     def test_one_sample_matches_scipy(self):
