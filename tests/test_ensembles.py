@@ -292,7 +292,7 @@ class TestQubitDraws:
     @given(**draws)
     @example(seed=0, kn=2, size=1)
     @example(seed=2**64 - 1, kn=10**4, size=50)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_states_are_those_of_their_factors(self, seed, kn, size):
         spec = EnsembleSpec(2, kn)
         states = sample_mixing_state(RngStream(SeedSpec(seed)), spec, size)
@@ -314,7 +314,7 @@ class TestQubitDraws:
     @given(**draws)
     @example(seed=0, kn=2, size=1)
     @example(seed=2**64 - 1, kn=10**4, size=50)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     def test_spectra_are_those_of_their_tridiagonals(self, seed, kn, size):
         spectra = sample_mixing_spectrum(RngStream(SeedSpec(seed)), EnsembleSpec(2, kn), size)
         g = RngStream(SeedSpec(seed)).gammas(np.tile([kn, kn - 1, 1.0], size), 3 * size).reshape(size, 3)
