@@ -43,6 +43,9 @@ BATTERY = [
     "estimate --quantity diag-entropy --m 2 --n 2 --k 3 --samples 1000 --seed 5",
     "estimate --quantity entropy --m 2 --n 3 --k 3 --samples 1000 --seed 5",
     "estimate --quantity subentropy --m 2 --n 3 --k 3 --samples 1000 --seed 5",
+    "estimate --quantity entropy --m 7 --n 7 --samples 3000 --seed 8",
+    "estimate --quantity subentropy --m 8 --n 8 --samples 3000 --seed 8",
+    "estimate --quantity coherence --m 4 --n 4 --k 2 --samples 5000 --seed 6",
 ]
 
 

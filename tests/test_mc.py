@@ -882,6 +882,34 @@ class TestPinnedStates:
         stats = mc.estimate(config)
         assert (stats.count, stats.mean.hex(), stats.m2.hex()) == pinned
 
+    # the same at the row widths where summing and sorting change method:
+    # spectra of 7 entries (the widest that numpy sums left to right) and of
+    # 8 (the first it sums its own way), 3-entry diagonals, 4-entry
+    # diagonals and factor rows, and the (5, 5) Laguerre shapes 5, 4, 3, 2,
+    # 1, 4, 3, 2, 1, which mix Marsaglia-Tsang and Erlang variates; three
+    # chunks each
+    PINNED_ROW_WIDTHS = [
+        ("entropy", EnsembleSpec(7, 7), 900, 31,
+         (900, "0x1.7539405b75ccdp+0", "0x1.2a8ada8601d52p+2")),
+        ("entropy", EnsembleSpec(8, 8), 800, 32,
+         (800, "0x1.96e1ae428688ap+0", "0x1.7f06a0b08bbd4p+1")),
+        ("diag_entropy", EnsembleSpec(3, 4), 2000, 33,
+         (2000, "0x1.059a34b113053p+0", "0x1.50d1d06825accp+3")),
+        ("coherence", EnsembleSpec(4, 4, 2), 1000, 34,
+         (1000, "0x1.7beab3f87b6f8p-3", "0x1.01c206464d32ep+2")),
+        ("entropy", EnsembleSpec(5, 5), 1200, 35,
+         (1200, "0x1.226d55a632b69p+0", "0x1.48f62da020eb0p+3")),
+    ]
+
+    @pytest.mark.usefixtures("chunks_of_4096")
+    @pytest.mark.parametrize("quantity,spec,samples,seed,pinned", PINNED_ROW_WIDTHS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_width_estimates_keep_their_bits(self, quantity, spec, samples, seed, pinned, workers):
+        config = mc.EstimatorConfig(spec, quantity, samples, master_seed=seed, workers=workers)
+        assert len(mc.chunk_sizes(samples, mc._entries_per_draw(config))) == 3
+        stats = mc.estimate(config)
+        assert (stats.count, stats.mean.hex(), stats.m2.hex()) == pinned
+
 
 class TestChunkWorkingSet:
     # the tracemalloc peak of one full chunk stays within BYTES_PER_VARIATE
