@@ -27,6 +27,13 @@ from .errors import NumericalError, ParameterError, RandcohError
 from .randkit import RngStream, SeedSpec
 
 SCHEMA_VERSION = 1
+# the largest k*n at which verify's derivative_principle_m2 check compares
+# two numbers at each of its 50 grid points: up to it, both m = 2 densities
+# are normal floats on the whole grid.  Above it the ends of the grid
+# underflow on both sides (to 0.0 from about k*n = 300), from about 500 the
+# normaliser of eigen_density_m2 loses its digits, and from 537 one of the
+# densities divides by an underflowed Beta function
+M2_DENSITY_MAX_ENV_DIM = 163
 _LN2 = math.log(2.0)
 
 
@@ -176,7 +183,12 @@ def cmd_verify(args) -> int:
     }}, args.seed, elapsed_ms), args.out)
 
     t0 = time.perf_counter()
-    if spec.m == 2:
+    if spec.m != 2:
+        entry = {"verdict": "skip", "reason": "m != 2"}
+    elif spec.env_dim > M2_DENSITY_MAX_ENV_DIM:
+        entry = {"verdict": "skip",
+                 "reason": f"k*n > {M2_DENSITY_MAX_ENV_DIM}: the m = 2 densities underflow on the grid"}
+    else:
         xs = np.linspace(0.01, 0.99, 50)
         diffs = [abs(closedforms.eigen_density_m2(spec.env_dim, float(x))
                      - closedforms.derivative_principle_density_m2(spec.env_dim, float(x)))
@@ -185,8 +197,6 @@ def cmd_verify(args) -> int:
         ok = max_diff < 1e-10
         all_pass &= ok
         entry = {"max_abs_diff": max_diff, "grid_points": 50, "verdict": "pass" if ok else "fail"}
-    else:
-        entry = {"verdict": "skip", "reason": "m != 2"}
     _emit(_record("verify", parameters, {"derivative_principle_m2": entry},
                   args.seed, (time.perf_counter() - t0) * 1000.0), args.out)
 

@@ -109,7 +109,7 @@ class DensityMatrix:
         L L^dagger."""
         state = cls.__new__(cls)
         norms = _row_norms(low)
-        state._trace = norms.sum(axis=-1, keepdims=True)
+        state._trace = linalg.row_sum(norms, keepdims=True)
         state.diagonal = norms / state._trace
         state._factor = low
         state._matrix = state._spectrum = state._qubit = None
@@ -128,8 +128,11 @@ class DensityMatrix:
         w11 = z[..., 0].real ** 2
         w11 += z[..., 0].imag ** 2
         w11 += root[..., 1] ** 2
-        state._trace = (w00 + w11)[..., None]
-        state.diagonal = np.stack([w00, w11], axis=-1) / state._trace
+        trace = w00 + w11
+        state._trace = trace[..., None]
+        state.diagonal = np.empty(np.shape(trace) + (2,))
+        np.divide(w00, trace, out=state.diagonal[..., 0])
+        np.divide(w11, trace, out=state.diagonal[..., 1])
         state._qubit = (root, z, w00, w11)
         state._factor = state._matrix = state._spectrum = None
         return state
@@ -174,7 +177,7 @@ def _row_norms(low: np.ndarray) -> np.ndarray:
     """sum_j |L_ij|^2 for each row i of each factor L of the stack."""
     sq = low.real**2
     sq += low.imag**2
-    return sq.sum(axis=-1)
+    return linalg.row_sum(sq)
 
 
 def _normalized(hermitian: np.ndarray, trace: np.ndarray) -> np.ndarray:
@@ -246,7 +249,7 @@ def _bartlett_variates(stream: RngStream, spec: EnsembleSpec, count: int) -> tup
     make the (count, m) diagonals of L, then one complex_gaussians call for
     the (count, m(m-1)/2) strict lower triangles, row-major."""
     m = spec.m
-    g = stream.gammas(np.tile((spec.env_dim - np.arange(m)).astype(np.float64), count), count * m)
+    g = stream.gammas((spec.env_dim - np.arange(m)).astype(np.float64), count * m)
     z = stream.complex_gaussians(count * m * (m - 1) // 2)
     return np.sqrt(g).reshape(count, m), z.reshape(count, m * (m - 1) // 2)
 
@@ -290,7 +293,7 @@ def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> 
     """
     m, kn = spec.m, spec.env_dim
     shapes = np.concatenate([kn - np.arange(m), m - 1 - np.arange(m - 1)]).astype(np.float64)
-    g = stream.gammas(np.tile(shapes, size), size * shapes.size).reshape(size, shapes.size)
+    g = stream.gammas(shapes, size * shapes.size).reshape(size, shapes.size)
     # T is finite and exactly symmetric by construction, so it is solved
     # unchecked; clamp_spectrum still refuses a non-finite spectrum
     if m == 2:
@@ -303,7 +306,7 @@ def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> 
         vals = np.empty((size, m))
         for rows in linalg.row_blocks(size, m * m, 8):
             vals[rows] = linalg.exact_hermitian_eigenvalues(_laguerre_tridiagonal(g[rows], m))
-    vals /= g.sum(axis=-1, keepdims=True)
+    vals /= linalg.row_sum(g, keepdims=True)
     return linalg.clamp_spectrum(vals)
 
 
@@ -333,7 +336,7 @@ def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec, size: int | Non
     the vectors that size single draws give.
     """
     g = stream.gammas(float(spec.env_dim), spec.m * (1 if size is None else size)).reshape(-1, spec.m)
-    d = g / g.sum(axis=-1, keepdims=True)
+    d = g / linalg.row_sum(g, keepdims=True)
     return d[0] if size is None else d
 
 

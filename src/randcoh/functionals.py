@@ -8,7 +8,10 @@ divided difference of g(x) = x^m ln x, with near-coincident nodes merged
 and handled confluently through the exact derivatives of g.
 
 Each functional takes one vector (or state) and returns a float, or a
-stack of them along leading axes and returns an array of values.
+stack of them along leading axes and returns an array of values.  The
+row sums and sorts of a stack go through linalg.row_sum and
+linalg.row_sort, which give numpy's values at a cost per column on the
+short rows of small systems.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .linalg import row_sort, row_sum
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -56,7 +60,7 @@ def _validated_probabilities(p) -> np.ndarray:
         raise DomainError("probabilities must be finite")
     if p.size and p.min() < -_NEG_TOL:
         raise DomainError(f"negative probability {p.min():.3e} beyond tolerance")
-    sums = p.sum(axis=-1)
+    sums = row_sum(p)
     unnormalized = np.abs(sums - 1.0) > _SUM_TOL
     if unnormalized.any():
         raise DomainError(f"probabilities sum to {float(sums[unnormalized].flat[0])!r}, expected 1")
@@ -75,7 +79,7 @@ def shannon_entropy(p):
     summed in sorted order, so any permutation of p gives the same value to
     the bit (a diagonal state's diagonal and spectrum, for one).
     """
-    return _scalar_or_stack(_ascending_entropy(np.sort(_validated_probabilities(p), axis=-1)))
+    return _scalar_or_stack(_ascending_entropy(row_sort(_validated_probabilities(p))))
 
 
 def _ascending_entropy(p: np.ndarray) -> np.ndarray:
@@ -83,7 +87,8 @@ def _ascending_entropy(p: np.ndarray) -> np.ndarray:
     ascending (a C-contiguous array, so that the terms are summed in the
     order shannon_entropy sums them)."""
     log_p = np.log(p, out=np.zeros_like(p), where=p > 0.0)
-    return np.maximum(0.0, -(p * log_p).sum(axis=-1))
+    log_p *= p
+    return np.maximum(0.0, -row_sum(log_p))
 
 
 def von_neumann_entropy(rho):
@@ -103,7 +108,7 @@ def relative_entropy_of_coherence(rho):
     diagonal is sorted once; the spectrum is descending, so its reverse is
     its ascending sort.
     """
-    diag = _ascending_entropy(np.sort(rho.diagonal, axis=-1))
+    diag = _ascending_entropy(row_sort(rho.diagonal))
     c = np.asarray(diag - _ascending_entropy(np.ascontiguousarray(rho.spectrum[..., ::-1])))
     if (c < _COHERENCE_FLOOR).any():
         raise DomainError(f"coherence {float(c.min())!r} below the numerical floor; "
@@ -130,7 +135,7 @@ def _clustered_nodes(lam: np.ndarray) -> np.ndarray:
     """Sort each row of lam (rows, m) ascending, snap near-zeros to 0, and
     merge clusters of nodes closer than the confluence gap to their common
     mean.  A cluster is a maximal run of consecutive gaps <= _CLUSTER_GAP."""
-    nodes = np.sort(lam, axis=-1)
+    nodes = row_sort(lam)
     nodes[nodes < _ZERO_NODE] = 0.0
     starts = np.ones(nodes.shape, dtype=bool)
     starts[:, 1:] = np.diff(nodes, axis=-1) > _CLUSTER_GAP

@@ -12,6 +12,14 @@ leading axes, and treats each member of a stack exactly as it would treat
 that member on its own.  Stacks are checked, and products of factors
 formed and solved, in blocks of matrices (row_blocks), so that the
 temporaries of a pass stay bounded however large the stack is.
+
+Two row kernels serve the package's short rows (spectra, diagonals and
+factor rows of a few entries), where numpy's reductions and sorts along
+the last axis cost per row rather than per entry: row_sum adds the
+columns of a narrow stack left to right, which is the order numpy sums
+fewer than 8 entries in, so it gives numpy's bits; row_sort sorts rows of
+up to 4 entries by a compare-exchange network on column views, which only
+permutes each row.  Wider rows go to numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +38,50 @@ SPECTRUM_SUM_TOL = 1e-10
 # 264 KiB), and fewer than 8192 entries of Bartlett factors (40 bytes per
 # entry with their products, 320 KiB) at any m
 _BLOCK_BYTES = 9 << 16
+# rows narrower than this are summed by columns (row_sum): numpy sums a row
+# of fewer than 8 entries left to right from 0.0, and unrolls 8 partial
+# sums, in another order, from 8 entries on
+_ROW_SUM_COLUMNS = 8
+# widest row sorted by a compare-exchange network (row_sort): on 1000 rows
+# of 2-4 entries np.sort takes about 40 us and the network of 1, 3 or 5
+# comparators 5-25 us; each comparator is two ufunc calls, so the 9 of a
+# 5-entry network would cost about what np.sort does
+_ROW_SORT_COLUMNS = 4
+_SORT_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
+                  4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
+
+def row_sum(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=keepdims) for a float64 stack of rows
+    (..., m), bit for bit.  Below _ROW_SUM_COLUMNS columns the columns are
+    added left to right from 0.0, which is numpy's own order there, at a
+    cost per column where numpy's reduction pays per row; wider rows are
+    summed by numpy."""
+    m = a.shape[-1]
+    if not 0 < m < _ROW_SUM_COLUMNS:
+        return a.sum(axis=-1, keepdims=keepdims)
+    out = a[..., 0] + 0.0
+    for j in range(1, m):
+        out += a[..., j]
+    return out[..., None] if keepdims else out
+
+
+def row_sort(a: np.ndarray) -> np.ndarray:
+    """np.sort(a, axis=-1) for a NaN-free float64 stack of rows (..., m),
+    as a new C-contiguous array.  Rows of 2 to _ROW_SORT_COLUMNS entries
+    are sorted by a fixed compare-exchange network on column views, the
+    rest by np.sort.  A sort only permutes each row, so both give the same
+    values (only 0.0 and -0.0, which compare equal, may trade places)."""
+    m = a.shape[-1]
+    if not 1 < m <= _ROW_SORT_COLUMNS:
+        return np.sort(a, axis=-1)
+    cols = [a[..., j] for j in range(m)]
+    for i, j in _SORT_NETWORKS[m]:
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    out = np.empty(a.shape)
+    for j, col in enumerate(cols):
+        out[..., j] = col
+    return out
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -155,7 +207,10 @@ def _eigenvalues_2x2(p: np.ndarray, q: np.ndarray, off: np.ndarray) -> np.ndarra
     # overflow or underflow, and the ratio is at most 1
     s = h + np.hypot(h, off)
     t = off * np.divide(off, s, out=np.zeros_like(s), where=s > 0.0)
-    return np.stack([np.maximum(p, q) + t, np.minimum(p, q) - t], axis=-1)
+    vals = np.empty(np.shape(t) + (2,))
+    np.add(np.maximum(p, q), t, out=vals[..., 0])
+    np.subtract(np.minimum(p, q), t, out=vals[..., 1])
+    return vals
 
 
 def clamp_spectrum(values: np.ndarray) -> np.ndarray:
@@ -172,7 +227,7 @@ def clamp_spectrum(values: np.ndarray) -> np.ndarray:
     if vals.size and vals.min() < -EIG_CLAMP:
         raise NumericalError(f"eigenvalue {vals.min():.3e} below clamp tolerance -{EIG_CLAMP:.0e}")
     np.clip(vals, 0.0, None, out=vals)
-    sums = vals.sum(axis=-1)
+    sums = row_sum(vals)
     bad = np.abs(sums - 1.0) > SPECTRUM_SUM_TOL
     if bad.any():
         raise NumericalError(f"spectrum sums to {float(np.asarray(sums)[bad].flat[0])!r}, expected 1")

@@ -75,6 +75,7 @@ from .ensembles import (  # noqa: F401
     sample_wishart,
 )
 from .errors import DomainError, ParameterError
+from .linalg import row_sum
 from .randkit import RngStream, SeedSpec
 
 QUANTITIES = ("entropy", "diag_entropy", "coherence", "subentropy", "isospectral_diag_entropy")
@@ -160,7 +161,9 @@ class RunningStats:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return cls()
-        mean = float(values.mean())
+        # what values.mean() computes (the same pairwise sum over the same
+        # count), without its Python wrapper
+        mean = float(values.sum()) / values.size
         return cls(values.size, mean, float(np.square(values - mean).sum()))
 
     def merge(self, other: "RunningStats") -> "RunningStats":
@@ -583,7 +586,7 @@ def _dirichlet_ks(diags: np.ndarray, spec: EnsembleSpec, master_seed: int) -> fl
     from_dirichlet = np.concatenate([
         sample_diag_dirichlet(dir_stream, spec, size)[:, 0] for size in chunk_sizes(len(diags), spec.m)
     ])
-    return ks_two_sample(diags[:, 0] / diags.sum(axis=-1), from_dirichlet)
+    return ks_two_sample(diags[:, 0] / row_sum(diags), from_dirichlet)
 
 
 def default_workers() -> int:

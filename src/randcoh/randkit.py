@@ -15,9 +15,11 @@ Distributions are implemented as explicit transforms of the uniform stream:
 polar Box-Muller for normals; for Gamma, the Erlang sum
 -ln prod_{j<a} (1 - U_j) at integer shapes a <= _ERLANG_MAX_SHAPE and
 Marsaglia-Tsang at every other shape.  Gamma shapes below 1 are refused:
-every variate the ensembles draw has an integer shape of at least 1.
-Every draw method returns an array of n draws; one draw is the batch of
-one, e.g. ``uniforms(1)[0]``.
+every variate the ensembles draw has an integer shape of at least 1.  A
+gammas call takes the pattern of shapes that its draws repeat (the m or
+2m - 1 shapes of one sampled matrix), and splits and prepares that pattern
+once, however many draws repeat it.  Every draw method returns an array of
+n draws; one draw is the batch of one, e.g. ``uniforms(1)[0]``.
 
 Uniforms are buffered.  A request that the buffer cannot serve refills
 only its shortfall, at least 4096 raw outputs at a time.  Polar normals
@@ -213,10 +215,13 @@ class RngStream:
     def gammas(self, shape, n: int) -> np.ndarray:
         """Next n draws from Gamma(shape, scale=1).
 
-        shape is one shape for all n draws or a length-n array of shapes,
-        one per draw, each finite and at least 1 (ParameterError
-        otherwise); a scalar shape draws exactly what the array of n copies
-        of it draws.  The method is chosen per draw by its shape:
+        shape is a pattern of p shapes that the n draws repeat n/p times:
+        draw i has shape shape[i % p].  One shape (a scalar, or p = 1) is
+        drawn n times, and n shapes (p = n) give one to each draw; p must
+        divide n, and each shape must be finite and at least 1
+        (ParameterError otherwise).  A pattern draws exactly what the array
+        of its n/p copies draws.  The method is chosen per pattern entry by
+        its shape:
 
         - an integer shape a <= _ERLANG_MAX_SHAPE is the Erlang sum
           -ln prod_{j<a} (1 - U_j) (Devroye, Non-Uniform Random Variate
@@ -226,85 +231,101 @@ class RngStream:
 
         The Erlang draws take their uniforms first, in draw order, a
         consecutive uniforms for a draw of shape a; the Marsaglia-Tsang
-        rounds then run on the other draws, in draw order.
+        rounds then run on the other draws, in draw order.  The pattern is
+        checked and split once, and each group fills its columns of the
+        (n/p, p) table of draws.
         """
         if n < 0:
             raise ParameterError(f"n must be nonnegative, got {n}")
-        shapes = np.asarray(shape, dtype=np.float64)
-        if shapes.ndim and shapes.shape != (n,):
-            raise ParameterError(f"expected one gamma shape or {n} of them, got shape {shapes.shape}")
-        if not ((shapes >= 1.0) & (shapes < math.inf)).all():
+        pattern = np.asarray(shape, dtype=np.float64).reshape(np.shape(shape) or 1)
+        p = pattern.size
+        # an empty pattern only fits an empty call
+        if pattern.ndim != 1 or (n % p if p else n):
+            raise ParameterError(f"expected a pattern of gamma shapes whose length divides {n}, "
+                                 f"got shape {pattern.shape}")
+        if not ((pattern >= 1.0) & (pattern < math.inf)).all():
             raise ParameterError(f"gamma shapes must be finite and at least 1, got {shape!r}")
-        erlang = np.broadcast_to((shapes <= _ERLANG_MAX_SHAPE) & (shapes == np.floor(shapes)), (n,))
-        if not erlang.any():
-            return self._marsaglia_tsang(shapes, n)
+        if n == 0:
+            return np.empty(0, dtype=np.float64)
+        rows = n // p
+        erlang = (pattern <= _ERLANG_MAX_SHAPE) & (pattern == np.floor(pattern))
         if erlang.all():
-            return self._erlang(np.broadcast_to(shapes, (n,)))
-        out = np.empty(n, dtype=np.float64)
-        out[erlang] = self._erlang(shapes[erlang])
-        rest = ~erlang
-        out[rest] = self._marsaglia_tsang(shapes[rest], int(rest.sum()))
-        return out
+            return self._erlang(pattern, rows).ravel()
+        if not erlang.any():
+            return self._marsaglia_tsang(pattern, rows).ravel()
+        out = np.empty((rows, p), dtype=np.float64)
+        out[:, _columns(erlang)] = self._erlang(pattern[erlang], rows)
+        out[:, _columns(~erlang)] = self._marsaglia_tsang(pattern[~erlang], rows)
+        return out.ravel()
 
-    def _erlang(self, shapes: np.ndarray) -> np.ndarray:
-        """Gamma variates of the integer shapes a (at least one): -ln of
-        the product of a consecutive factors 1 - U each, from one block of
-        sum(a) uniforms.  Each factor lies in (0, 1], so the product is
-        positive and finite, and its log too."""
+    def _erlang(self, shapes: np.ndarray, rows: int) -> np.ndarray:
+        """A (rows, p) table of Gamma variates of the integer shapes a
+        (p >= 1 of them) in each row: -ln of the product of a consecutive
+        factors 1 - U each, from one block of rows * sum(a) uniforms.  Each
+        factor lies in (0, 1], so the product is positive and finite, and
+        its log too."""
         counts = shapes.astype(np.intp)
         ends = np.cumsum(counts)
         # a new array: an array that uniforms() returned is never overwritten
-        factors = np.subtract(1.0, self.uniforms(int(ends[-1])))
-        out = np.multiply.reduceat(factors, ends - counts)
+        factors = np.subtract(1.0, self.uniforms(rows * int(ends[-1]))).reshape(rows, -1)
+        out = np.multiply.reduceat(factors, ends - counts, axis=1)
         np.log(out, out=out)
         np.negative(out, out=out)
         return out
 
-    def _marsaglia_tsang(self, shapes: np.ndarray, n: int) -> np.ndarray:
-        """n Gamma variates by Marsaglia-Tsang, for one shape or n of them.
+    def _marsaglia_tsang(self, shapes: np.ndarray, rows: int) -> np.ndarray:
+        """A (rows, p) table of Gamma variates by Marsaglia-Tsang, column j
+        of shape shapes[j].
 
-        Each draw runs with its own d = a - 1/3 and c = 1/sqrt(9d).  Each
-        rejection round consumes one normal and one uniform per pending
-        slot (the uniform is drawn unconditionally; it is independent of
-        the candidate, so discarding it on rejection is harmless).
+        Each column runs with its own d = a - 1/3 and c = 1/sqrt(9d),
+        computed once.  Each rejection round consumes one normal and one
+        uniform per pending slot (the uniform is drawn unconditionally; it
+        is independent of the candidate, so discarding it on rejection is
+        harmless).
         """
-        per_draw = shapes.ndim == 1
+        p = shapes.size
         d = shapes - 1.0 / 3.0
+        c = 1.0 / np.sqrt(9.0 * d)
 
-        # the first round runs on the full arrays, and its candidates become
-        # the output; later rounds run on the few draws still pending
-        out = np.empty(0, dtype=np.float64)
-        pending = None
-        k = n
-        while k:
-            dk = d[pending] if per_draw and pending is not None else d
-            accept, v = _marsaglia_tsang_round(self.normals(k), self.uniforms(k), dk)
-            if pending is None:
-                v *= dk
-                out = v
-                pending = np.flatnonzero(~accept)
-            else:
-                out[pending[accept]] = (dk[accept] if per_draw else dk) * v[accept]
-                pending = pending[~accept]
-            k = pending.size
-        return out
+        # the first round runs on the whole table, and its candidates become
+        # the output; later rounds run on the few draws still pending, the
+        # flat index of each giving its column
+        k = rows * p
+        accept, v = _marsaglia_tsang_round(self.normals(k).reshape(rows, p),
+                                           self.uniforms(k).reshape(rows, p), d, c)
+        v *= d
+        out = v.ravel()
+        pending = np.flatnonzero(~accept)
+        while pending.size:
+            col = pending % p
+            dk = d[col]
+            accept, v = _marsaglia_tsang_round(self.normals(pending.size), self.uniforms(pending.size),
+                                               dk, c[col])
+            out[pending[accept]] = dk[accept] * v[accept]
+            pending = pending[~accept]
+        return out.reshape(rows, p)
 
 
-def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
-    """One Marsaglia-Tsang round on normals x and uniforms u at d = a - 1/3
-    (one d, or one per candidate): the accept mask and v = (1 + c x)^3,
-    c = 1/sqrt(9d).  A candidate is accepted when v > 0 and the log test
-    or the squeeze passes; the cheap log test runs first and the squeeze
-    only where it failed, since x**4 of a negative x costs far more than a
-    log.  Works in two buffers besides x, u and v, each value computed by
-    the same operations in the same order as the textbook expression."""
-    if np.ndim(d):
-        t = np.multiply(d, 9.0)
-        np.sqrt(t, out=t)
-        np.divide(1.0, t, out=t)
-        t *= x
-    else:
-        t = x * (1.0 / np.sqrt(9.0 * d))
+def _columns(mask: np.ndarray):
+    """The columns where mask holds: a slice when they are one run (as in
+    every pattern the ensembles draw), else their indices."""
+    cols = np.flatnonzero(mask)
+    if cols[-1] - cols[0] + 1 == cols.size:
+        return slice(int(cols[0]), int(cols[-1]) + 1)
+    return cols
+
+
+def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d: np.ndarray,
+                           c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Marsaglia-Tsang round on normals x and uniforms u at
+    d = a - 1/3 and c = 1/sqrt(9d) (arrays that broadcast against x): the
+    accept mask and v = (1 + c x)^3.  A candidate is accepted when v > 0
+    and the log test or the squeeze passes; the cheap log test runs first
+    and the squeeze only where it failed, since x**4 of a negative x costs
+    far more than a log.  Works in two buffers besides x, u and v, each
+    value computed by the same operations in the same order as the
+    textbook expression."""
+    t = x * c
     t += 1.0
     v = t * t
     v *= t
@@ -321,7 +342,7 @@ def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d) -> tuple[np.ndarray,
     np.log(u, out=w)
     accept = w < t
     accept &= pos
-    retry = np.flatnonzero(pos & ~accept)
-    if retry.size:
+    retry = np.nonzero(pos & ~accept)
+    if retry[0].size:
         accept[retry] = u[retry] < 1.0 - 0.0331 * x[retry]**4
     return accept, v

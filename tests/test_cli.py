@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from randcoh import cli, mc
+from randcoh import cli, closedforms, mc
 from randcoh.cli import main
 from randcoh.errors import NumericalError
 
@@ -229,6 +230,33 @@ class TestVerify:
         entry = [r["results"]["derivative_principle_m2"] for r in records
                  if "derivative_principle_m2" in r["results"]]
         assert entry == [{"verdict": "skip", "reason": "m != 2"}]
+
+    def test_m2_density_bound_is_the_last_kn_with_normal_values_on_the_grid(self):
+        def normal_on_the_grid(kn):
+            return min(f(kn, float(x)) for x in np.linspace(0.01, 0.99, 50)
+                       for f in (closedforms.eigen_density_m2,
+                                 closedforms.derivative_principle_density_m2)) >= sys.float_info.min
+
+        assert normal_on_the_grid(cli.M2_DENSITY_MAX_ENV_DIM)
+        assert not normal_on_the_grid(cli.M2_DENSITY_MAX_ENV_DIM + 1)
+
+    @pytest.mark.parametrize("n", [cli.M2_DENSITY_MAX_ENV_DIM, cli.M2_DENSITY_MAX_ENV_DIM + 1, 10**6])
+    def test_derivative_check_skipped_above_its_kn_bound(self, capsys, n):
+        # from k*n = 537 on the densities divide by zero; a skipped check
+        # leaves the exit code to the other checks
+        code, out, err = run_cli(capsys, "verify", "--m", "2", "--n", str(n), "--samples", "10",
+                                 "--seed", "1", "--workers", "1")
+        assert code in (0, 2) and err == ""
+        records = parse_jsonl(out)
+        assert len(records) == 7
+        entry = records[-1]["results"]["derivative_principle_m2"]
+        if n <= cli.M2_DENSITY_MAX_ENV_DIM:
+            assert entry["grid_points"] == 50 and entry["verdict"] in ("pass", "fail")
+        else:
+            assert entry == {"verdict": "skip", "reason": f"k*n > {cli.M2_DENSITY_MAX_ENV_DIM}: "
+                                                          "the m = 2 densities underflow on the grid"}
+            others = [v["verdict"] for r in records[:-1] for v in r["results"].values()]
+            assert code == (0 if all(v == "pass" for v in others) else 2)
 
 
 class TestTables:

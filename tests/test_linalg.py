@@ -3,6 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from randcoh import linalg
 from randcoh.errors import NumericalError, ParameterError
@@ -215,6 +218,64 @@ class TestFactorGramEigenvalues:
         low[1, 1, 0] = math.nan
         with pytest.raises(NumericalError, match="non-finite"):
             linalg.clamp_spectrum(linalg.factor_gram_eigenvalues(low) / 2.0)
+
+
+def bits(a) -> bytes:
+    """The bytes of a float64 array: equal bits, signed zeros included."""
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# leading shapes (N,) and (N, K) of a stack of rows
+LEADING = st.one_of(st.tuples(st.integers(0, 40)), st.tuples(st.integers(1, 6), st.integers(1, 6)))
+
+
+class TestRowKernels:
+    """row_sum and row_sort give numpy's bits at any width: by columns on
+    narrow rows, by numpy itself on wide ones."""
+
+    # signed zeros, subnormals, magnitudes up to 1e+-300 and mixtures of them
+    VALUES = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0]),
+        st.floats(-1e300, 1e300, allow_nan=False),
+    )
+
+    @given(leading=LEADING, m=st.integers(1, 16), layout=st.sampled_from(["C", "F", "reversed"]),
+           data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_row_sum_is_numpys_sum(self, leading, m, layout, data):
+        a = data.draw(arrays(np.float64, leading + (m,), elements=self.VALUES))
+        a = {"C": a, "F": np.asfortranarray(a), "reversed": a[..., ::-1]}[layout]
+        assert bits(linalg.row_sum(a)) == bits(a.sum(axis=-1))
+        kept = linalg.row_sum(a, keepdims=True)
+        assert kept.shape == a.shape[:-1] + (1,)
+        assert bits(kept) == bits(a.sum(axis=-1, keepdims=True))
+
+    def test_numpy_sums_seven_columns_left_to_right(self):
+        # the premise of row_sum's column sweep, on a row whose sum depends
+        # on the order: left to right from 1.0 each 2^-53 is half an ulp and
+        # rounds to even, back to 1.0; adding any two of them together first
+        # leaves a sum above 1.0
+        row = np.array([[1.0] + [2.0**-53] * 6])
+        assert row.sum(axis=-1)[0] == 1.0
+        assert linalg.row_sum(row)[0] == 1.0
+
+    def test_signed_zeros_and_single_rows(self):
+        # numpy's sum starts from 0.0, so a row of -0.0 sums to 0.0
+        for m in range(1, 8):
+            assert bits(linalg.row_sum(np.full((2, m), -0.0))) == bits([0.0, 0.0])
+        assert linalg.row_sum(np.array([0.25, 0.5])) == 0.75
+        assert np.array_equal(linalg.row_sort(np.array([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
+
+    @given(leading=LEADING, m=st.integers(1, 8), data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_row_sort_is_numpys_sort(self, leading, m, data):
+        # few distinct values, so that rows hold ties; 0.0 and -0.0 compare
+        # equal and may trade places, so zeros are compared without their sign
+        ties = st.sampled_from([0.0, -0.0, 1e-300, 0.25, 0.5, 1.0, -1.0])
+        a = data.draw(arrays(np.float64, leading + (m,), elements=st.one_of(ties, self.VALUES)))
+        got = linalg.row_sort(a)
+        assert got.flags.c_contiguous
+        assert bits(got + 0.0) == bits(np.sort(a, axis=-1) + 0.0)
 
 
 class TestClampSpectrum:

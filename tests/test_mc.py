@@ -137,6 +137,15 @@ class TestRunningStats:
         assert batch.m2 == pytest.approx(serial.m2, rel=1e-12)
         assert mc.RunningStats.of([]) == mc.RunningStats()
 
+    def test_batch_mean_is_numpys_mean_bit_for_bit(self):
+        # the sum divided by the count is the division np.mean makes, after
+        # the same pairwise sum, on both sides of its 8-entry unrolling and
+        # of its 128-entry blocks
+        rng = np.random.default_rng(17)
+        for size in (1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097, 20_000):
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+            assert mc.RunningStats.of(values).mean.hex() == float(values.mean()).hex(), size
+
     def test_merge_with_empty_is_identity(self):
         s = mc.RunningStats()
         s.update(1.0)

@@ -392,6 +392,42 @@ class TestGammaShapeArray:
             assert mc.ks_statistic(column, lambda x: mc.gamma_cdf(x, shape)) < critical
             assert mc.ks_statistic(column, lambda x: mc.gamma_cdf(x, shape + 1.0)) > critical
 
+    PATTERNS = {
+        "erlang": [3.0, 2.0, 1.0, float(_ERLANG_MAX_SHAPE)],
+        "marsaglia_tsang": [6.0, 1.5, 20_000.0],
+        # the Laguerre shapes of (5, 5): one Marsaglia-Tsang column, then
+        # eight Erlang columns
+        "mixed": [5.0, 4.0, 3.0, 2.0, 1.0, 4.0, 3.0, 2.0, 1.0],
+        # groups that are not one run of columns each
+        "interleaved": [1.5, 2.0, 7.0, 1.0, 3.5],
+    }
+
+    @pytest.mark.parametrize("spare", [False, True])
+    @pytest.mark.parametrize("name", PATTERNS)
+    def test_pattern_draws_what_its_tiling_draws(self, name, spare):
+        # row counts whose Marsaglia-Tsang normals fall on both sides of an
+        # 8192-pair polar pass; with spare, a 1-normal call leaves a normal
+        # cached before each draw
+        pattern = np.array(self.PATTERNS[name])
+        tsang = int(np.count_nonzero((pattern > _ERLANG_MAX_SHAPE) | (pattern != np.floor(pattern))))
+        passes = (2 * 8192 // tsang + e for e in (-1, 0, 1)) if tsang else ()
+        streams = stream(40, 2), stream(40, 2), RoundByRoundStream(SeedSpec(40, 2))
+        for rows in (0, 1, 2, 17, 1000, *passes):
+            tiled = np.tile(pattern, rows)
+            if spare:
+                normals = [s.normals(1) for s in streams]
+                assert all(np.array_equal(x, normals[0]) for x in normals)
+            draws = [streams[0].gammas(pattern, tiled.size)] + [s.gammas(tiled, tiled.size) for s in streams[1:]]
+            assert all(np.array_equal(x, draws[0]) for x in draws), rows
+            assert len({s._spare_normal for s in streams}) == 1
+        after = [s.uniforms(5) for s in streams]
+        assert all(np.array_equal(x, after[0]) for x in after)
+
+    @pytest.mark.parametrize("p,n", [(2, 3), (4, 6), (5, 12), (3, 1), (0, 3)])
+    def test_pattern_must_divide_the_count(self, p, n):
+        with pytest.raises(ParameterError, match="divides"):
+            stream().gammas(np.full(p, 2.0), n)
+
     @pytest.mark.parametrize("shapes", [
         [2.0, math.nan, 1.0],
         [2.0, math.inf, 1.0],
