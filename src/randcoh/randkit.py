@@ -237,7 +237,7 @@ class RngStream:
         """
         if n < 0:
             raise ParameterError(f"n must be nonnegative, got {n}")
-        pattern = np.asarray(shape, dtype=np.float64).reshape(np.shape(shape) or 1)
+        pattern = np.atleast_1d(np.asarray(shape, dtype=np.float64))
         p = pattern.size
         # an empty pattern only fits an empty call
         if pattern.ndim != 1 or (n % p if p else n):
