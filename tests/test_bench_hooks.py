@@ -114,3 +114,35 @@ def test_traced_uniform_count_is_what_the_oracle_consumes(spans, tmp_path):
     assert rec.counters["uniforms"] == oracle.uniforms_consumed
     assert rec.counters["polar_attempted_pairs"] == oracle.attempted_pairs
     assert rec.counters["polar_accepted_pairs"] == oracle.accepted_pairs
+
+
+def counted(monkeypatch, name):
+    """Replace mc.name by a wrapper that records each chunk it is given."""
+    calls = []
+    worker = getattr(mc, name)
+
+    def wrapper(*args):
+        calls.append(args[-1])
+        return worker(*args)
+
+    monkeypatch.setattr(mc, name, wrapper)
+    return calls
+
+
+# the traced run times each worker span at these names, so every chunk of a
+# job must pass through them; a job of several chunks at workers = 1 runs
+# them inline, where the wrappers can count them
+def test_concentration_runs_its_worker_once_per_chunk(monkeypatch):
+    calls = counted(monkeypatch, "_concentration_worker")
+    spec = EnsembleSpec(3, 3)
+    mc.empirical_concentration(spec, 0.1, 6000, master_seed=5)
+    assert calls == list(enumerate(mc.chunk_sizes(6000, spec.m * (spec.m + 1) // 2)))
+    assert len(calls) == 3
+
+
+def test_estimate_runs_its_worker_once_per_chunk(monkeypatch):
+    calls = counted(monkeypatch, "_run_worker")
+    mc.estimate(mc.EstimatorConfig(EnsembleSpec(3, 3), "entropy", 6000, master_seed=5))
+    # a (3, 3) spectrum is 2m - 1 = 5 Gamma variates
+    assert calls == list(enumerate(mc.chunk_sizes(6000, 5)))
+    assert len(calls) == 2

@@ -220,6 +220,13 @@ class TestVerify:
                     assert entry["closed_form"] == 0.0
                     assert entry["verdict"] == "pass"
 
+    def test_dimension_one_with_an_environment(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--m", "1", "--n", "2", "--samples", "20", "--seed", "3", "--workers", "1",
+        )
+        assert code == 0
+        assert len(parse_jsonl(out)) == 7
+
     def test_derivative_check_skipped_off_m2(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--m", "3", "--n", "3", "--samples", "4000", "--seed", "2",
@@ -321,6 +328,14 @@ class TestConcentration:
         assert entry["empirical_fraction"] <= entry["bound"]
         assert entry["verdict"] == "pass"
 
+    def test_one_sample_is_enough(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "concentration", "--m", "3", "--n", "3", "--epsilon", "0.2",
+            "--samples", "1", "--seed", "4",
+        )
+        assert code == 0
+        assert parse_jsonl(out)[0]["results"]["concentration"]["empirical_fraction"] in (0.0, 1.0)
+
     def test_m_two_is_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "concentration", "--m", "2", "--n", "3", "--epsilon", "0.2",
@@ -391,6 +406,26 @@ class TestSample:
         assert code == 1
         assert out == ""
         assert "--count" in err
+
+
+class TestLargestSeed:
+    # the largest master seed a Philox key holds
+    SEED = str(2**64 - 1)
+
+    def test_estimate(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "estimate", "--quantity", "coherence", "--m", "3", "--n", "4", "--samples", "100",
+            "--seed", self.SEED, "--workers", "1",
+        )
+        assert code == 0
+        assert parse_jsonl(out)[0]["seed"] == 2**64 - 1
+
+    def test_verify(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--m", "2", "--n", "3", "--samples", "100", "--seed", self.SEED, "--workers", "1",
+        )
+        assert code == 0
+        assert [r["seed"] for r in parse_jsonl(out)] == [2**64 - 1] * 7
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

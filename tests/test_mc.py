@@ -11,6 +11,7 @@ import pytest
 from scipy import special, stats as sps
 
 from randcoh import ensembles, functionals, linalg, mc
+from randcoh.closedforms import avg_coherence
 from randcoh.ensembles import (
     DensityMatrix,
     EnsembleSpec,
@@ -271,6 +272,16 @@ class TestEstimate:
         assert stats.mean == 0.0
         assert stats.stderr == 0.0
         assert mc.compare(stats, cfg).passed
+
+    @pytest.mark.parametrize("quantity", mc.QUANTITIES)
+    def test_dimension_one_matches_every_closed_form(self, quantity):
+        # a 1 x 1 state is [[1]]: every quantity is 0 up to rounding, within
+        # the exact-match rule of compare
+        spectrum = (1.0,) if quantity == "isospectral_diag_entropy" else None
+        config = mc.EstimatorConfig(EnsembleSpec(1, 2, k=2), quantity, 50, master_seed=8, fixed_spectrum=spectrum)
+        report = mc.run_comparison(config)
+        assert abs(report.mc_mean - report.closed_form) <= 1e-12
+        assert (report.z_score, report.passed) == (0.0, True)
 
     def test_stderr_scales_like_inverse_root_n(self):
         base = dict(spec=EnsembleSpec(2, 2), quantity="entropy", master_seed=45)
@@ -1028,6 +1039,25 @@ class TestEmpiricalConcentration:
         ]
         assert fractions == [fractions[0]] * 3
         assert 0.0 < fractions[0] < 1.0
+
+    @pytest.mark.usefixtures("chunks_of_4096")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tail_count_is_that_of_the_coherence_chunks(self, workers):
+        # (3, 3): a state is 6 variates, 682 draws to a chunk, so 1500 draws
+        # make three chunks, each drawn from its stream of the states domain
+        # as the coherence estimate draws it
+        spec, epsilon, samples, seed = EnsembleSpec(3, 3), 0.1, 1500, 68
+        sizes = mc.chunk_sizes(samples, spec.m * (spec.m + 1) // 2)
+        assert len(sizes) == 3
+        center = avg_coherence(spec.m, spec.n, spec.k)
+        exceed = 0
+        for chunk, size in enumerate(sizes):
+            states = sample_mixing_state(RngStream(SeedSpec(seed, chunk, mc.STREAM_DOMAINS["states"])), spec, size)
+            deviations = np.abs(functionals.relative_entropy_of_coherence(states) - center)
+            exceed += int(np.count_nonzero(deviations > epsilon))
+        assert 0 < exceed < samples
+        fraction, _ = mc.empirical_concentration(spec, epsilon, samples, seed, workers=workers)
+        assert fraction == exceed / samples
 
     def test_bound_is_not_vacuous_at_large_kn(self):
         # at (3, 2e5) and epsilon = 0.2 the bound is 0.0032, so the observed
