@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
@@ -67,8 +68,8 @@ def _json_line(payload) -> str:
         raise NumericalError(f"refusing to write a non-finite number: {exc}") from exc
 
 
-def _emit(record: dict, out_path: str | None) -> None:
-    line = _json_line(record)
+def _emit(payload, out_path: str | None) -> None:
+    line = _json_line(payload)
     print(line)
     if out_path:
         with open(out_path, "a", encoding="utf-8") as fh:
@@ -277,7 +278,7 @@ def cmd_sample(args) -> int:
                 payload = _complex_matrix_json(state.matrix)
             else:
                 payload = [float(x) for x in state.spectrum]
-        print(_json_line(payload))
+        _emit(payload, args.out)
     return 0
 
 
@@ -289,6 +290,18 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
         return [int(s) for s in items]
     except ValueError as exc:
         raise UsageError(f"{flag} must be a comma-separated integer list: {exc}") from exc
+
+
+def _check_appendable(path: str) -> None:
+    """Refuse an --out path that cannot be opened for appending, before
+    anything is drawn or printed; a file the check creates is removed."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise UsageError(f"cannot append to --out {path}: {exc.strerror}") from exc
+    if not existed:
+        os.remove(path)
 
 
 @functools.cache
@@ -348,6 +361,8 @@ def main(argv=None) -> int:
         # only the commands that take --workers have the attribute
         if getattr(args, "workers", 0) is None:
             args.workers = mc.default_workers()
+        if getattr(args, "out", None):
+            _check_appendable(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,10 +33,10 @@ HERMITIAN_TOL = 1e-10
 EIG_CLAMP = 1e-12
 SPECTRUM_SUM_TOL = 1e-10
 # bound on the working arrays of one pass over a block of a stack of
-# matrices (row_blocks).  The stacks of a chunk of 4096 variates are one
-# block each: 132 real tridiagonal 16 x 16 matrices (8 bytes per entry,
-# 264 KiB), and fewer than 8192 entries of Bartlett factors (40 bytes per
-# entry with their products, 320 KiB) at any m
+# matrices (row_blocks).  At m = 16 a chunk of mc.CHUNK_ENTRIES = 16 384
+# variates takes 2 blocks of its 528 real tridiagonals (8 bytes per entry,
+# 288 to a block, 576 KiB) and 3 of its 120 Bartlett factors (40 bytes per
+# entry with their products, 57 to a block, 570 KiB)
 _BLOCK_BYTES = 9 << 16
 # rows narrower than this are summed by columns (row_sum): numpy sums a row
 # of fewer than 8 entries left to right from 0.0, and unrolls 8 partial

@@ -27,14 +27,15 @@ and solved in bounded blocks (linalg.row_blocks).  Its tracemalloc peak at
 CHUNK_ENTRIES variates is 1.1-1.3 MB for spectra and states at m = 16,
 states at (4, 8) and orbits at m = 3.
 
-Jobs that draw the same stacks form a family: the same sampler (spectra
-for entropy and subentropy, states for coherence and diagonal entropy,
-orbits for the isospectral quantity), spec, master_seed and samples.
+A job's draw key (sampler, fixed_spectrum, spec, master_seed, samples),
+with the sampler of its quantity (SAMPLERS), fixes its chunk plan
+(_chunks) and its draws (_draw).  Jobs with one key form a family:
 run_comparisons draws each chunk of a family once and evaluates every
 quantity of the family on that one stack, each family through its own
-chunk map; estimate and run_comparison are the family of one job.  Each
-sampler draws in its own stream domain, so the families of one master
-seed share no variate.
+chunk map; estimate and run_comparison are the family of one job.
+empirical_concentration draws the coherence estimate's states, chunk for
+chunk, and counts their tail.  Each sampler draws in its own stream
+domain, so the families of one master seed share no variate.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
 integer shapes up to GAMMA_CDF_MAX_SHAPE (those of the Wishart diagonals
@@ -78,9 +79,11 @@ from .errors import DomainError, ParameterError
 from .linalg import row_sum
 from .randkit import RngStream, SeedSpec
 
-QUANTITIES = ("entropy", "diag_entropy", "coherence", "subentropy", "isospectral_diag_entropy")
-# quantities of the spectrum alone, drawn by sample_mixing_spectrum
-SPECTRAL_QUANTITIES = ("entropy", "subentropy")
+# the sampler of each quantity, named as its stream domain (_draw calls it):
+# spectra of the Laguerre model, states, or orbits of a fixed spectrum
+SAMPLERS = {"entropy": "spectra", "diag_entropy": "states", "coherence": "states",
+            "subentropy": "spectra", "isospectral_diag_entropy": "orbits"}
+QUANTITIES = tuple(SAMPLERS)
 
 Z_PASS_THRESHOLD = 4.0
 
@@ -245,49 +248,32 @@ def _map_chunks(fn, tasks: list, workers: int) -> list:
         return list(pool.map(fn, tasks, chunksize=math.ceil(len(tasks) / workers)))
 
 
-def _entries_per_draw(config: EstimatorConfig) -> int:
-    """The random variates one draw of the configured job consumes, the key
-    of its chunk split: 2m - 1 Gamma variates for a spectrum, one square
-    Ginibre matrix for a Haar draw, one Bartlett factor for a state."""
-    spec = config.spec
-    if config.quantity in SPECTRAL_QUANTITIES:
-        return 2 * spec.m - 1
-    if config.fixed_spectrum is not None:
-        return len(config.fixed_spectrum) ** 2
-    return _state_variates(spec)
-
-
-def _state_variates(spec: EnsembleSpec) -> int:
-    """The variates one sample_mixing_state draw consumes: its Bartlett
-    factor's m Gamma variates and m(m-1)/2 complex Gaussians."""
-    return spec.m * (spec.m + 1) // 2
-
-
-def _sampler(config: EstimatorConfig) -> str:
-    """The sampler of the configured job, named as its stream domain: orbits
-    when there is a fixed spectrum, else spectra for a spectral quantity
-    and states for the others."""
-    if config.fixed_spectrum is not None:
-        return "orbits"
-    return "spectra" if config.quantity in SPECTRAL_QUANTITIES else "states"
-
-
 def _draw_key(config: EstimatorConfig) -> tuple:
     """What the configured job draws; jobs with equal keys draw identical
     stacks, chunk for chunk."""
-    return (_sampler(config), config.fixed_spectrum, config.spec, config.master_seed, config.samples)
+    return (SAMPLERS[config.quantity], config.fixed_spectrum, config.spec, config.master_seed, config.samples)
 
 
-def _draw(config: EstimatorConfig, index: int, size: int):
-    """Draw chunk index, of size samples, of the configured job from its
-    stream: an array of diagonals or spectra, or a DensityMatrix stack."""
-    sampler = _sampler(config)
-    stream = RngStream(SeedSpec(config.master_seed, index, STREAM_DOMAINS[sampler]))
+def _chunks(key: tuple) -> list[tuple[int, int]]:
+    """The chunks (index, size) of a draw key, split by the variates a draw
+    consumes: 2m - 1 Gamma variates for a spectrum, an m x m Ginibre matrix
+    for an orbit, m Gamma variates and m(m-1)/2 complex Gaussians for a state."""
+    sampler, _, spec, _, samples = key
+    m = spec.m
+    variates = {"spectra": 2 * m - 1, "orbits": m * m, "states": m * (m + 1) // 2}[sampler]
+    return list(enumerate(chunk_sizes(samples, variates)))
+
+
+def _draw(key: tuple, index: int, size: int):
+    """Draw chunk index, of size samples, of a draw key from its stream: an
+    array of diagonals or spectra, or a DensityMatrix stack."""
+    sampler, fixed_spectrum, spec, master_seed, _ = key
+    stream = RngStream(SeedSpec(master_seed, index, STREAM_DOMAINS[sampler]))
     if sampler == "orbits":
-        return sample_isospectral_diagonal(stream, config.fixed_spectrum, size)
+        return sample_isospectral_diagonal(stream, fixed_spectrum, size)
     if sampler == "spectra":
-        return sample_mixing_spectrum(stream, config.spec, size)
-    return sample_mixing_state(stream, config.spec, size)
+        return sample_mixing_spectrum(stream, spec, size)
+    return sample_mixing_state(stream, spec, size)
 
 
 def _values(quantity: str, draws) -> np.ndarray:
@@ -305,18 +291,16 @@ def _run_worker(family: tuple[EstimatorConfig, ...], chunk: tuple[int, int]) -> 
     """Statistics of one chunk (index, size) of a family of jobs with one
     draw key: the chunk is drawn once, and each config's quantity is
     evaluated on it.  One RunningStats per config, in family order."""
-    draws = _draw(family[0], *chunk)
+    draws = _draw(_draw_key(family[0]), *chunk)
     return [RunningStats.of(_values(config.quantity, draws)) for config in family]
 
 
 def _family_stats(family: tuple[EstimatorConfig, ...]) -> list[RunningStats]:
     """The merged statistics of each config of a family, from one chunk map
     on as many workers as any of its configs asks for."""
-    head = family[0]
-    chunks = list(enumerate(chunk_sizes(head.samples, _entries_per_draw(head))))
     workers = max(config.workers for config in family)
     merged = [RunningStats() for _ in family]
-    for parts in _map_chunks(partial(_run_worker, family), chunks, workers):
+    for parts in _map_chunks(partial(_run_worker, family), _chunks(_draw_key(family[0])), workers):
         for total, part in zip(merged, parts):
             total.merge(part)
     return merged
@@ -395,15 +379,10 @@ def run_comparison(config: EstimatorConfig) -> ComparisonReport:
     return run_comparisons([config])[0]
 
 
-def _concentration_worker(spec: EnsembleSpec, epsilon: float, master_seed: int,
-                          chunk: tuple[int, int]) -> int:
-    """How many coherences of one chunk (index, size) deviate from the mean
-    (m-1)/2kn by more than epsilon."""
-    index, size = chunk
-    center = closedforms.avg_coherence(spec.m, spec.n, spec.k)
-    states = sample_mixing_state(RngStream(SeedSpec(master_seed, index, STREAM_DOMAINS["states"])), spec, size)
-    c = functionals.relative_entropy_of_coherence(states)
-    return int(np.count_nonzero(np.abs(c - center) > epsilon))
+def _concentration_worker(key: tuple, center: float, epsilon: float, chunk: tuple[int, int]) -> int:
+    """How many coherences of one chunk (index, size) of a states draw key
+    deviate from center by more than epsilon."""
+    return int(np.count_nonzero(np.abs(_values("coherence", _draw(key, *chunk)) - center) > epsilon))
 
 
 def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
@@ -412,12 +391,14 @@ def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
     the theoretical tail bound at the effective environment dimension.
 
     The bound is computed before any draw, so its checks of m and epsilon
-    are the ones that apply here."""
+    are the ones that apply here.  The coherences are, chunk for chunk,
+    those of the coherence estimate of the same spec, seed and samples."""
     _check_count("samples", samples, 1)
     _check_count("workers", workers, 1)
     bound = closedforms.concentration_bound(spec.m, spec.env_dim, epsilon)
-    chunks = list(enumerate(chunk_sizes(samples, _state_variates(spec))))
-    exceed = sum(_map_chunks(partial(_concentration_worker, spec, epsilon, master_seed), chunks, workers))
+    key = ("states", None, spec, master_seed, samples)
+    center = closedforms.avg_coherence(spec.m, spec.n, spec.k)
+    exceed = sum(_map_chunks(partial(_concentration_worker, key, center, epsilon), _chunks(key), workers))
     return exceed / samples, bound
 
 
@@ -572,7 +553,7 @@ def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int) -> np
     CHUNK_ENTRIES variates."""
     stream = RngStream(SeedSpec(master_seed, 0, STREAM_DOMAINS["ks_factors"]))
     return np.concatenate([_row_norms(_bartlett_factor(stream, spec, size))
-                           for size in chunk_sizes(samples, _state_variates(spec))])
+                           for _, size in _chunks(("states", None, spec, master_seed, samples))])
 
 
 def _dirichlet_ks(diags: np.ndarray, spec: EnsembleSpec, master_seed: int) -> float:

@@ -91,6 +91,17 @@ class TestEstimate:
         )
         assert out_path.read_text() == out
 
+    def test_out_in_a_missing_directory_fails_before_drawing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(mc, "run_comparison", refuse_to_draw)
+        out_path = tmp_path / "missing" / "records.jsonl"
+        code, out, err = run_cli(
+            capsys, "estimate", "--quantity", "coherence", "--m", "2", "--n", "2",
+            "--samples", "100", "--seed", "1", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot append to --out") and "No such file" in err
+        assert not out_path.parent.exists()
+
     def test_emit_refuses_a_non_finite_number(self, capsys, tmp_path):
         out_path = tmp_path / "records.jsonl"
         with pytest.raises(NumericalError):
@@ -113,7 +124,20 @@ class TestEstimate:
         assert not out_path.exists()
 
 
+def refuse_to_draw(*args, **kwargs):
+    raise AssertionError("the command drew samples for a record it cannot write")
+
+
 class TestVerify:
+    def test_out_naming_a_directory_fails_before_drawing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(mc, "run_comparisons", refuse_to_draw)
+        code, out, err = run_cli(
+            capsys, "verify", "--m", "2", "--n", "3", "--samples", "100", "--seed", "1", "--out", str(tmp_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot append to --out") and "directory" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("n,k", [(mc.GAMMA_CDF_MAX_SHAPE + 1, 1), (mc.GAMMA_CDF_MAX_SHAPE // 2 + 1, 2)])
     def test_refuses_kn_above_the_gamma_cdf_bound_before_drawing(self, capsys, monkeypatch, n, k):
         def refuse(*args):
@@ -400,6 +424,16 @@ class TestSample:
         _, first, _ = run_cli(capsys, *flags)
         _, second, _ = run_cli(capsys, *flags)
         assert first == second
+
+    def test_out_file_holds_the_printed_lines(self, capsys, tmp_path):
+        out_path = tmp_path / "draws.jsonl"
+        code, out, _ = run_cli(
+            capsys, "sample", "--what", "diag", "--m", "2", "--n", "2", "--count", "2", "--seed", "1",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 2
+        assert out_path.read_text() == out
 
     def test_negative_count_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--m", "2", "--n", "2", "--count", "-3", "--seed", "1")

@@ -8,9 +8,18 @@ it only for such a deliberate change, and name the change where it is
 recorded:
 
     PYTHONPATH=src python tests/test_cli_golden.py --regenerate
+
+To list what such a change moves, before or instead of regenerating:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --diff
+
+prints each line of the committed file that the battery no longer prints
+("-") and each printed line that the file does not hold ("+"), each with
+its command, and exits 1 if there is any.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import sys
@@ -73,7 +82,28 @@ def test_battery_prints_its_committed_output():
     assert battery_lines() == golden
 
 
+def test_diff_lists_the_lines_that_moved(tmp_path, monkeypatch):
+    golden = tmp_path / "battery.jsonl"
+    golden.write_text("kept\nmoved\ndropped\n", encoding="utf-8")
+    monkeypatch.setitem(globals(), "GOLDEN", golden)
+    monkeypatch.setitem(globals(), "battery_lines", lambda: ["kept", "moved!", "added"])
+    assert diff_lines() == ["- moved", "+ moved!", "- dropped", "+ added"]
+    monkeypatch.setitem(globals(), "battery_lines", lambda: ["kept", "moved", "dropped"])
+    assert diff_lines() == []
+
+
+def diff_lines() -> list[str]:
+    """The lines of the committed file that the battery no longer prints,
+    marked "-", and the printed lines the file does not hold, marked "+"."""
+    golden = GOLDEN.read_text(encoding="utf-8").splitlines()
+    return [line for line in difflib.ndiff(golden, battery_lines()) if line[:2] in ("- ", "+ ")]
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        changed = diff_lines()
+        print("\n".join(changed + [f"{len(changed)} lines differ from {GOLDEN.name}"]))
+        sys.exit(1 if changed else 0)
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
     GOLDEN.parent.mkdir(exist_ok=True)

@@ -274,7 +274,7 @@ class TestFactorReadState:
                             (linalg, "exact_hermitian_eigenvalues")]:
             monkeypatch.setattr(owner, name, refuse)
         config = mc.EstimatorConfig(EnsembleSpec(2, 3, k=2), quantity, 3000, master_seed=93)
-        assert len(mc.chunk_sizes(3000, mc._entries_per_draw(config))) == 3
+        assert len(mc._chunks(mc._draw_key(config))) == 3
         assert mc.estimate(config).count == 3000
 
 

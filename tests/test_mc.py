@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,8 @@ class TestChunks:
         # these jobs need 2^32 + 1 chunks of states; the split is refused
         # before any list of that length is made
         def samples(spec):
-            return mc.chunk_sizes(10**6, mc._state_variates(spec))[0] * 2**32 + 1
+            return mc._chunks(mc._draw_key(mc.EstimatorConfig(spec, "coherence", 10**6, master_seed=1)))[0][1] \
+                * 2**32 + 1
 
         spec = EnsembleSpec(2, 2)
         with pytest.raises(ParameterError, match="chunks"):
@@ -323,7 +325,7 @@ class TestRunComparisons:
     def test_bits_are_those_of_separate_estimates(self, workers, monkeypatch):
         configs = self.configs(workers)
         for config in configs[:12]:
-            assert len(mc.chunk_sizes(config.samples, mc._entries_per_draw(config))) >= 3
+            assert len(mc._chunks(mc._draw_key(config))) >= 3
         seen = {}
         compare = mc.compare
 
@@ -354,7 +356,7 @@ class TestRunComparisons:
         mc.run_comparisons(configs)
 
         def chunks(config):
-            return len(mc.chunk_sizes(config.samples, mc._entries_per_draw(config)))
+            return len(mc._chunks(mc._draw_key(config)))
 
         # one draw per chunk of each family: the four verify jobs of a size
         # are a state family (coherence, diag_entropy at 0 and 2 of each
@@ -417,7 +419,7 @@ def per_draw_reference(config):
         entries = spec.m * (spec.m + 1) // 2
     merged = mc.RunningStats()
     for chunk, count in enumerate(mc.chunk_sizes(config.samples, entries)):
-        stream = RngStream(SeedSpec(config.master_seed, chunk, mc.STREAM_DOMAINS[mc._sampler(config)]))
+        stream = RngStream(SeedSpec(config.master_seed, chunk, mc.STREAM_DOMAINS[mc.SAMPLERS[config.quantity]]))
         if config.quantity in spectral:
             g = stream.gammas(np.tile(laguerre_shapes(spec), count).astype(float), count * entries)
             values = [spectral[config.quantity](single_spectrum(draw, spec.m))
@@ -827,7 +829,7 @@ class TestStreamDomains:
     def test_verify_families_share_no_variate(self, monkeypatch):
         for config in (mc.EstimatorConfig(self.SPEC, "coherence", self.SAMPLES, master_seed=self.SEED),
                        mc.EstimatorConfig(self.SPEC, "entropy", self.SAMPLES, master_seed=self.SEED)):
-            assert len(mc.chunk_sizes(self.SAMPLES, mc._entries_per_draw(config))) == 3
+            assert len(mc._chunks(mc._draw_key(config))) == 3
         values = drawn_uniforms(monkeypatch, self.families())
         # the KS factors and the direct Dirichlet draws, separately
         spec, samples, seed = self.SPEC, self.SAMPLES, self.SEED
@@ -879,7 +881,7 @@ class TestPinnedStates:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_estimates_keep_their_bits(self, quantity, spec, samples, seed, chunks, pinned, workers):
         config = mc.EstimatorConfig(spec, quantity, samples, master_seed=seed, workers=workers)
-        assert len(mc.chunk_sizes(samples, mc._entries_per_draw(config))) == chunks
+        assert len(mc._chunks(mc._draw_key(config))) == chunks
         stats = mc.estimate(config)
         assert (stats.count, stats.mean.hex(), stats.m2.hex()) == pinned
 
@@ -898,7 +900,7 @@ class TestPinnedStates:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_qubit_estimates_keep_their_bits(self, quantity, spec, samples, seed, pinned, workers):
         config = mc.EstimatorConfig(spec, quantity, samples, master_seed=seed, workers=workers)
-        assert len(mc.chunk_sizes(samples, mc._entries_per_draw(config))) == 3
+        assert len(mc._chunks(mc._draw_key(config))) == 3
         stats = mc.estimate(config)
         assert (stats.count, stats.mean.hex(), stats.m2.hex()) == pinned
 
@@ -926,7 +928,7 @@ class TestPinnedStates:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_row_width_estimates_keep_their_bits(self, quantity, spec, samples, seed, pinned, workers):
         config = mc.EstimatorConfig(spec, quantity, samples, master_seed=seed, workers=workers)
-        assert len(mc.chunk_sizes(samples, mc._entries_per_draw(config))) == 3
+        assert len(mc._chunks(mc._draw_key(config))) == 3
         stats = mc.estimate(config)
         assert (stats.count, stats.mean.hex(), stats.m2.hex()) == pinned
 
@@ -940,25 +942,34 @@ class TestChunkWorkingSet:
     # costs 75-120 bytes per variate over the stack
     BYTES_PER_VARIATE = 67
 
+    # a concentration chunk is a coherence chunk of states, its tail counted
     @pytest.mark.parametrize("quantity,spec,spectrum,stack_itemsize", [
         ("entropy", EnsembleSpec(16, 32), None, 8),
         ("coherence", EnsembleSpec(16, 32), None, 16),
         ("coherence", EnsembleSpec(4, 8), None, 16),
         ("isospectral_diag_entropy", EnsembleSpec(3, 3), (0.6, 0.3, 0.1), 16),
+        ("concentration", EnsembleSpec(16, 32), None, 16),
     ])
     def test_peak_of_one_chunk(self, quantity, spec, spectrum, stack_itemsize):
-        config = mc.EstimatorConfig(spec, quantity, 10**6, master_seed=3, fixed_spectrum=spectrum)
-        variates = mc._entries_per_draw(config)
-        size = mc.chunk_sizes(config.samples, variates)[0]
+        if quantity == "concentration":
+            key = ("states", None, spec, 3, 10**6)
+            worker = partial(mc._concentration_worker, key, avg_coherence(spec.m, spec.n, spec.k), 0.01)
+        else:
+            config = mc.EstimatorConfig(spec, quantity, 10**6, master_seed=3, fixed_spectrum=spectrum)
+            key = mc._draw_key(config)
+            worker = partial(mc._run_worker, (config,))
+        # a spectrum is 2m - 1 variates, a state m(m+1)/2, an orbit draw m^2
+        m = spec.m
+        variates = {"spectra": 2 * m - 1, "states": m * (m + 1) // 2, "orbits": m * m}[key[0]]
+        size = mc._chunks(key)[0][1]
         assert size * variates > mc.CHUNK_ENTRIES - variates
-        mc._run_worker((config,), (0, size))  # first-call allocations are not the chunk's
+        worker((0, size))  # first-call allocations are not the chunk's
         tracemalloc.start()
         try:
-            mc._run_worker((config,), (1, size))
+            worker((1, size))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m = len(spectrum) if spectrum else spec.m
         assert peak <= self.BYTES_PER_VARIATE * size * variates + size * m * m * stack_itemsize
 
 
