@@ -72,8 +72,16 @@ def _emit(payload, out_path: str | None) -> None:
     line = _json_line(payload)
     print(line)
     if out_path:
-        with open(out_path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        _append(out_path, line + "\n")
+
+
+def _append(path: str, text: str) -> None:
+    """Append text to the --out file; failing to (say, on a full disk) exits 1."""
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot append to --out {path}: {exc.strerror}") from exc
 
 
 def _record(command: str, parameters: dict, results: dict, seed: int, wall_time_ms: float) -> dict:
@@ -292,18 +300,6 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} must be a comma-separated integer list: {exc}") from exc
 
 
-def _check_appendable(path: str) -> None:
-    """Refuse an --out path that cannot be opened for appending, before
-    anything is drawn or printed; a file the check creates is removed."""
-    existed = os.path.exists(path)
-    try:
-        open(path, "a", encoding="utf-8").close()
-    except OSError as exc:
-        raise UsageError(f"cannot append to --out {path}: {exc.strerror}") from exc
-    if not existed:
-        os.remove(path)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; it holds no default
@@ -361,8 +357,14 @@ def main(argv=None) -> int:
         # only the commands that take --workers have the attribute
         if getattr(args, "workers", 0) is None:
             args.workers = mc.default_workers()
-        if getattr(args, "out", None):
-            _check_appendable(args.out)
+        out = getattr(args, "out", None)
+        if out:
+            # an --out path that cannot be appended to is refused before anything is
+            # drawn or printed; a file this check creates is removed again
+            existed = os.path.exists(out)
+            _append(out, "")
+            if not existed:
+                os.remove(out)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

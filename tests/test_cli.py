@@ -102,6 +102,16 @@ class TestEstimate:
         assert err.startswith("error: cannot append to --out") and "No such file" in err
         assert not out_path.parent.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_out_on_a_full_device_exits_one(self, capsys):
+        # the device opens for appending, so the write of the first record fails
+        code, _, err = run_cli(
+            capsys, "estimate", "--quantity", "coherence", "--m", "2", "--n", "2",
+            "--samples", "100", "--seed", "1", "--workers", "1", "--out", "/dev/full",
+        )
+        assert code == 1
+        assert err.startswith("error: cannot append to --out /dev/full")
+
     def test_emit_refuses_a_non_finite_number(self, capsys, tmp_path):
         out_path = tmp_path / "records.jsonl"
         with pytest.raises(NumericalError):
