@@ -19,13 +19,9 @@ import time
 import numpy as np
 
 from . import closedforms, functionals, mc
-from .ensembles import (
-    EnsembleSpec,
-    sample_diag_dirichlet,
-    sample_mixing_state,
-)
+from .ensembles import EnsembleSpec
 from .errors import NumericalError, ParameterError, RandcohError
-from .randkit import RngStream, SeedSpec
+from .randkit import SeedSpec
 
 SCHEMA_VERSION = 1
 # the largest k*n at which verify's derivative_principle_m2 check compares
@@ -268,25 +264,24 @@ def cmd_concentration(args) -> int:
     return 0 if passed else 2
 
 
-def _complex_matrix_json(matrix: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
-
-
 def cmd_sample(args) -> int:
     if args.count < 0:
         raise UsageError(f"--count must be >= 0, got {args.count}")
-    spec = EnsembleSpec(args.m, args.n, args.k)
-    stream = RngStream(SeedSpec(args.seed, 0))
-    for _ in range(args.count):
-        if args.what == "diag":
-            payload = [float(x) for x in sample_diag_dirichlet(stream, spec)]
+    # the states the coherence and diag-entropy estimates of this seed and
+    # count average, chunk for chunk; a bad seed is refused even at --count 0
+    SeedSpec(args.seed)
+    key = ("states", None, EnsembleSpec(args.m, args.n, args.k), args.seed, args.count)
+    for chunk in mc._chunks(key):
+        states = mc._draw(key, *chunk)
+        if args.what == "state":
+            # complex entries as [re, im] pairs
+            rows = np.stack([states.matrix.real, states.matrix.imag], axis=-1).tolist()
+        elif args.what == "diag":
+            rows = states.diagonal.tolist()
         else:
-            state = sample_mixing_state(stream, spec)
-            if args.what == "state":
-                payload = _complex_matrix_json(state.matrix)
-            else:
-                payload = [float(x) for x in state.spectrum]
-        _emit(payload, args.out)
+            rows = states.spectrum.tolist()
+        for row in rows:
+            _emit(row, args.out)
     return 0
 
 

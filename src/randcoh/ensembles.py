@@ -18,11 +18,13 @@ sample_ginibre and sample_wishart keep the Ginibre block itself,
 the reference construction the tests compare those routes against;
 nothing in mc draws it.  Direct Dirichlet and Haar-isospectral samplers
 cover the marginal laws that have one.
+
+Every sampler draws a stack of size draws along a leading axis, and size
+is required: one draw is the stack of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,28 +190,25 @@ def _normalized(hermitian: np.ndarray, trace: np.ndarray) -> np.ndarray:
     return hermitian.real / trace + 1j * (hermitian.imag / trace)
 
 
-def sample_ginibre(stream: RngStream, m: int, n: int, size: int | None = None) -> np.ndarray:
-    """m x n matrix of i.i.d. complex standard Gaussians, drawn row-major.
-
-    With size, a (size, m, n) stack drawn as one block: it consumes the
-    stream exactly as size single draws do and holds the same matrices.
-    """
+def sample_ginibre(stream: RngStream, m: int, n: int, size: int) -> np.ndarray:
+    """(size, m, n) stack of matrices of i.i.d. complex standard Gaussians,
+    drawn as one block, matrix by matrix, each row-major."""
     if m < 1 or n < 1:
         raise ParameterError(f"matrix dimensions must be >= 1, got {m} x {n}")
-    shape = (m, n) if size is None else (size, m, n)
-    return stream.complex_gaussians(math.prod(shape)).reshape(shape)
+    return stream.complex_gaussians(size * m * n).reshape(size, m, n)
 
 
-def sample_wishart(stream: RngStream, m: int, n: int) -> np.ndarray:
-    """Wishart matrix W = Z Z-dagger of a fresh m x n Ginibre draw."""
+def sample_wishart(stream: RngStream, m: int, n: int, size: int) -> np.ndarray:
+    """(size, m, m) stack of Wishart matrices W = Z Z-dagger of fresh m x n
+    Ginibre draws Z."""
     if m > n:
         raise ParameterError(f"requires m <= n, got m={m}, n={n}")
-    return linalg.gram(sample_ginibre(stream, m, n))
+    return linalg.gram(sample_ginibre(stream, m, n, size))
 
 
-def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None = None) -> DensityMatrix:
-    """Random state of the order-k mixing ensemble; k=1 gives the induced
-    measure.
+def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int) -> DensityMatrix:
+    """A DensityMatrix holding a stack of size random states of the order-k
+    mixing ensemble; k=1 gives the induced measure.
 
     The state is W / tr(W) for the Wishart matrix W = G G^dagger of an
     m x (k*n) Ginibre block G, drawn through its complex Bartlett
@@ -226,21 +225,13 @@ def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int | None 
     m = 2 the state is read off L's variates (DensityMatrix._from_qubit),
     and L is formed only for the matrix.
 
-    With size, a DensityMatrix holding a stack of size states, drawn with one
-    gammas call (m variates per draw, draw by draw) and then one
-    complex_gaussians call (the strict lower triangles, row-major, draw by
-    draw).  A single state is the stack of one; as for
-    sample_diag_dirichlet, a stack does not hold the states that size
-    single draws give.
+    The stack is drawn with one gammas call (m variates per draw, draw by
+    draw) and then one complex_gaussians call (the strict lower triangles,
+    row-major, draw by draw).
     """
-    count = 1 if size is None else size
     if spec.m == 2:
-        root, z = _bartlett_variates(stream, spec, count)
-        if size is None:
-            root, z = root[0], z[0]
-        return DensityMatrix._from_qubit(root, z)
-    low = _bartlett_factor(stream, spec, count)
-    return DensityMatrix._from_factor(low[0] if size is None else low)
+        return DensityMatrix._from_qubit(*_bartlett_variates(stream, spec, size))
+    return DensityMatrix._from_factor(_bartlett_factor(stream, spec, size))
 
 
 def _bartlett_variates(stream: RngStream, spec: EnsembleSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -326,25 +317,16 @@ def _laguerre_tridiagonal(g: np.ndarray, m: int) -> np.ndarray:
     return t.reshape(len(g), m, m)
 
 
-def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec, size: int | None = None) -> np.ndarray:
-    """Diagonal marginal of the order-k ensemble, sampled directly as a
-    symmetric Dirichlet(k*n, ..., k*n) vector of length m.
-
-    With size, a (size, m) stack drawn from one block of size*m Gamma
-    variates; a single vector is the stack of one.  The Gamma sampler
-    interleaves the rejection rounds of a block, so a stack does not hold
-    the vectors that size single draws give.
-    """
-    g = stream.gammas(float(spec.env_dim), spec.m * (1 if size is None else size)).reshape(-1, spec.m)
-    d = g / linalg.row_sum(g, keepdims=True)
-    return d[0] if size is None else d
+def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec, size: int) -> np.ndarray:
+    """Diagonal marginal of the order-k ensemble, sampled directly: a
+    (size, m) stack of symmetric Dirichlet(k*n, ..., k*n) vectors, drawn
+    from one block of size*m Gamma variates."""
+    g = stream.gammas(float(spec.env_dim), spec.m * size).reshape(size, spec.m)
+    return g / linalg.row_sum(g, keepdims=True)
 
 
-def sample_isospectral_diagonal(stream: RngStream, lam: np.ndarray, size: int | None = None) -> np.ndarray:
-    """Diagonal of U diag(lam) U-dagger for a fresh Haar unitary U; with
-    size, a (size, m) stack of them for independent unitaries.  A single
-    diagonal is the stack of one."""
+def sample_isospectral_diagonal(stream: RngStream, lam: np.ndarray, size: int) -> np.ndarray:
+    """(size, m) stack of the diagonals of U diag(lam) U-dagger for
+    independent Haar unitaries U."""
     lam = np.asarray(lam, dtype=np.float64)
-    u = linalg.haar_unitary(stream, lam.size, 1 if size is None else size)
-    d = linalg.unitary_conjugate_diagonal(u, lam)
-    return d[0] if size is None else d
+    return linalg.unitary_conjugate_diagonal(linalg.haar_unitary(stream, lam.size, size), lam)

@@ -234,23 +234,20 @@ def clamp_spectrum(values: np.ndarray) -> np.ndarray:
     return vals
 
 
-def haar_unitary(stream: RngStream, m: int, size: int | None = None) -> np.ndarray:
-    """An m x m unitary distributed with Haar measure, or a (size, m, m)
-    stack of independent ones.
+def haar_unitary(stream: RngStream, m: int, size: int) -> np.ndarray:
+    """(size, m, m) stack of independent m x m unitaries distributed with
+    Haar measure.
 
-    QR-factorize a square Ginibre matrix and multiply column j of Q by the
-    phase conj(r_jj)/|r_jj|.  Without the phase correction the QR convention
-    biases the law away from Haar.  A stack draws its Ginibre matrices in
-    one block, which consumes the stream exactly as size single calls do;
-    a single unitary is the stack of one.
+    QR-factorize square Ginibre matrices, drawn in one block, and multiply
+    column j of each Q by the phase conj(r_jj)/|r_jj|.  Without the phase
+    correction the QR convention biases the law away from Haar.
     """
     if m < 1:
         raise ParameterError(f"dimension must be >= 1, got {m}")
-    count = 1 if size is None else size
-    q, r = np.linalg.qr(stream.complex_gaussians(count * m * m).reshape(count, m, m))
+    q, r = np.linalg.qr(stream.complex_gaussians(size * m * m).reshape(size, m, m))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d)).conj()[:, None, :]
-    return q[0] if size is None else q
+    return q
 
 
 def unitary_conjugate_diagonal(u: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -34,8 +34,9 @@ run_comparisons draws each chunk of a family once and evaluates every
 quantity of the family on that one stack, each family through its own
 chunk map; estimate and run_comparison are the family of one job.
 empirical_concentration draws the coherence estimate's states, chunk for
-chunk, and counts their tail.  Each sampler draws in its own stream
-domain, so the families of one master seed share no variate.
+chunk, and counts their tail; the CLI's sample command prints the same
+states.  Each sampler draws in its own stream domain, so the families of
+one master seed share no variate.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
 integer shapes up to GAMMA_CDF_MAX_SHAPE (those of the Wishart diagonals

@@ -248,10 +248,7 @@ def test_criterion_10_property_suites():
     )
 
     # (d) coherence nonnegative on 10^3 states, zero on diagonal states
-    ok = True
-    spec = EnsembleSpec(3, 4)
-    for _ in range(1000):
-        ok &= relative_entropy_of_coherence(sample_mixing_state(stream, spec)) >= 0.0
+    ok = bool((relative_entropy_of_coherence(sample_mixing_state(stream, EnsembleSpec(3, 4), 1000)) >= 0.0).all())
     for _ in range(50):
         diag = dirichlet(stream, 1.0, 4)
         ok &= relative_entropy_of_coherence(DensityMatrix(np.diag(diag).astype(complex))) == 0.0
@@ -279,13 +276,13 @@ def test_criterion_10_property_suites():
         return draw(RngStream(SeedSpec(1234, 5))), draw(RngStream(SeedSpec(1234, 5)))
 
     pairs = [
-        twice(lambda s: sample_ginibre(s, 3, 4)),
-        twice(lambda s: sample_wishart(s, 3, 4)),
-        twice(lambda s: sample_mixing_state(s, EnsembleSpec(3, 4)).matrix),
-        twice(lambda s: sample_mixing_state(s, EnsembleSpec(2, 3, k=2)).matrix),
-        twice(lambda s: sample_diag_dirichlet(s, EnsembleSpec(3, 4))),
-        twice(lambda s: sample_isospectral_diagonal(s, np.array([0.6, 0.3, 0.1]))),
-        twice(lambda s: linalg.haar_unitary(s, 4)),
+        twice(lambda s: sample_ginibre(s, 3, 4, 3)),
+        twice(lambda s: sample_wishart(s, 3, 4, 3)),
+        twice(lambda s: sample_mixing_state(s, EnsembleSpec(3, 4), 3).matrix),
+        twice(lambda s: sample_mixing_state(s, EnsembleSpec(2, 3, k=2), 3).matrix),
+        twice(lambda s: sample_diag_dirichlet(s, EnsembleSpec(3, 4), 3)),
+        twice(lambda s: sample_isospectral_diagonal(s, np.array([0.6, 0.3, 0.1]), 3)),
+        twice(lambda s: linalg.haar_unitary(s, 4, 3)),
         twice(lambda s: np.concatenate([s.normals(1), s.gammas(2.5, 1)])),
         twice(lambda s: s.complex_gaussians(1)),
         twice(lambda s: dirichlet(s, 2.0, 5)),

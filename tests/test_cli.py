@@ -11,6 +11,7 @@ import pytest
 
 from randcoh import cli, closedforms, mc
 from randcoh.cli import main
+from randcoh.ensembles import EnsembleSpec
 from randcoh.errors import NumericalError
 
 
@@ -450,6 +451,33 @@ class TestSample:
         assert code == 1
         assert out == ""
         assert "--count" in err
+
+    def test_zero_count_prints_nothing(self, capsys):
+        assert run_cli(capsys, "sample", "--m", "2", "--n", "2", "--count", "0", "--seed", "1") == (0, "", "")
+        code, out, err = run_cli(capsys, "sample", "--m", "2", "--n", "2", "--count", "0", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert "master_seed" in err
+
+    @pytest.mark.parametrize("what", ["state", "spectrum", "diag"])
+    def test_prints_the_states_the_estimates_average(self, capsys, what):
+        # 250 states at m = 16 are three chunks (120, 120, 10) of the states
+        # that the coherence and diag-entropy estimates of that seed average
+        spec = EnsembleSpec(16, 20)
+        key = mc._draw_key(mc.EstimatorConfig(spec, "coherence", 250, master_seed=21))
+        assert key == mc._draw_key(mc.EstimatorConfig(spec, "diag_entropy", 250, master_seed=21))
+        assert [size for _, size in mc._chunks(key)] == [120, 120, 10]
+        stacks = [mc._draw(key, *chunk) for chunk in mc._chunks(key)]
+        if what == "state":
+            matrices = np.concatenate([states.matrix for states in stacks])
+            expected = np.stack([matrices.real, matrices.imag], axis=-1)
+        else:
+            expected = np.concatenate([getattr(states, "diagonal" if what == "diag" else what)
+                                       for states in stacks])
+        code, out, _ = run_cli(capsys, "sample", "--what", what, "--m", "16", "--n", "20", "--count", "250",
+                               "--seed", "21")
+        assert code == 0
+        # printed at 12 significant digits
+        assert parse_jsonl(out) == cli._sig12(expected.tolist())
 
 
 class TestLargestSeed:

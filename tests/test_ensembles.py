@@ -108,23 +108,19 @@ class TestDensityMatrix:
         assert np.array_equal(spectrum, linalg.clamp_spectrum(linalg.hermitian_eigenvalues(rho.matrix)))
 
     def test_caches_diagonal_and_spectrum(self):
-        rho = sample_mixing_state(stream(), EnsembleSpec(3, 3))
-        assert np.array_equal(rho.diagonal, np.real(np.diagonal(rho.matrix)))
+        rho = sample_mixing_state(stream(), EnsembleSpec(3, 3), 1)
+        assert np.array_equal(rho.diagonal, np.real(np.diagonal(rho.matrix, axis1=-2, axis2=-1)))
         assert rho.spectrum is rho.spectrum  # second access reuses the cache
 
 
 class TestGinibre:
     def test_frobenius_second_moment(self):
-        s = stream(1)
-        acc = 0.0
         n = 10_000
-        for _ in range(n):
-            z = sample_ginibre(s, 2, 3)
-            acc += float(np.sum(np.abs(z) ** 2))
-        assert abs(acc / n - 6.0) < 0.1
+        z = sample_ginibre(stream(1), 2, 3, n)
+        assert abs(float(np.sum(np.abs(z) ** 2)) / n - 6.0) < 0.1
 
     def test_fixed_seed_is_bit_identical(self):
-        assert np.array_equal(sample_ginibre(stream(8), 3, 4), sample_ginibre(stream(8), 3, 4))
+        assert np.array_equal(sample_ginibre(stream(8), 3, 4, 5), sample_ginibre(stream(8), 3, 4, 5))
 
     def test_different_streams_uncorrelated(self):
         n = 100_000
@@ -134,45 +130,42 @@ class TestGinibre:
 
     def test_rejects_empty_dimensions(self):
         with pytest.raises(ParameterError):
-            sample_ginibre(stream(), 0, 3)
+            sample_ginibre(stream(), 0, 3, 1)
 
     def test_block_holds_the_sequential_draws(self):
+        # a stack of 25 holds the matrices of 25 stacks of one
         a, b = stream(15), stream(15)
         block = sample_ginibre(a, 3, 4, 25)
         assert block.shape == (25, 3, 4)
-        assert np.array_equal(block, [sample_ginibre(b, 3, 4) for _ in range(25)])
+        assert np.array_equal(block, np.concatenate([sample_ginibre(b, 3, 4, 1) for _ in range(25)]))
         assert a.uniforms(1) == b.uniforms(1)  # and leaves the stream at the same place
 
 
 class TestWishart:
     def test_mean_trace(self):
-        s = stream(2)
-        traces = [sample_wishart(s, 2, 3).trace().real for _ in range(10_000)]
+        traces = np.trace(sample_wishart(stream(2), 2, 3, 10_000), axis1=-2, axis2=-1).real
         assert abs(np.mean(traces) - 6.0) < 0.15
 
     def test_diagonal_entry_is_gamma_n(self):
-        # diagonal marginals of the Wishart ensemble are Gamma(n, 1); the
-        # stack holds the Ginibre blocks of 100 000 sample_wishart calls
+        # diagonal marginals of the Wishart ensemble are Gamma(n, 1)
         n = 4
-        w11 = linalg.gram(sample_ginibre(stream(3), 2, n, size=100_000))[:, 0, 0].real
+        w11 = sample_wishart(stream(3), 2, n, 100_000)[:, 0, 0].real
         d, _ = sps.kstest(w11, lambda x: sps.gamma.cdf(x, n))
         assert d < 0.01
 
     def test_positive_semidefinite(self):
-        s = stream(4)
-        for _ in range(100):
-            vals = linalg.hermitian_eigenvalues(sample_wishart(s, 3, 5))
-            assert vals.min() >= -1e-12
+        vals = linalg.hermitian_eigenvalues(sample_wishart(stream(4), 3, 5, 100))
+        assert vals.min() >= -1e-12
 
     def test_rejects_m_larger_than_n(self):
         with pytest.raises(ParameterError):
-            sample_wishart(stream(), 4, 2)
+            sample_wishart(stream(), 4, 2, 1)
 
 
 class TestInducedState:
     def test_dimension_one_is_the_unit_state(self):
-        rho = sample_mixing_state(stream(), EnsembleSpec(1, 1))
-        assert rho.matrix == pytest.approx(np.array([[1.0 + 0j]]))
+        rho = sample_mixing_state(stream(), EnsembleSpec(1, 1), 1)
+        assert rho.matrix == pytest.approx(np.array([[[1.0 + 0j]]]))
 
     def test_diagonal_matches_dirichlet_mean(self):
         diags = sample_mixing_state(stream(5), EnsembleSpec(2, 3), 100_000).diagonal
@@ -194,13 +187,13 @@ class TestMixingState:
 
     @pytest.mark.parametrize("spec", [EnsembleSpec(1, 3), EnsembleSpec(2, 2), EnsembleSpec(3, 4, k=3)])
     def test_single_state_is_the_stack_of_one(self, spec):
+        # one state is drawn as the stack of one, from its own Bartlett factor
         a, b = stream(16), stream(16)
-        single = sample_mixing_state(a, spec)
-        stack = sample_mixing_state(b, spec, 1)
-        assert single.matrix.shape == (spec.m, spec.m)
-        assert stack.matrix.shape == (1, spec.m, spec.m)
-        assert np.array_equal(stack.matrix[0], single.matrix)
-        assert np.array_equal(stack.spectrum[0], single.spectrum)
+        one = sample_mixing_state(a, spec, 1)
+        expected = bartlett_reference(b, spec, 1)
+        assert one.matrix.shape == (1, spec.m, spec.m)
+        assert one.diagonal.shape == one.spectrum.shape == (1, spec.m)
+        np.testing.assert_allclose(one.matrix, expected, rtol=0.0, atol=1e-15)
         assert a.uniforms(1) == b.uniforms(1)
 
     @pytest.mark.parametrize("spec", [EnsembleSpec(1, 3), EnsembleSpec(2, 2), EnsembleSpec(3, 4, k=3),
@@ -218,10 +211,8 @@ class TestMixingState:
                               np.ones((30, 1, 1)))
 
     def test_unit_trace(self):
-        s = stream(8)
-        for _ in range(200):
-            rho = sample_mixing_state(s, EnsembleSpec(3, 4, k=3))
-            assert abs(rho.matrix.trace().real - 1.0) < 1e-12
+        rho = sample_mixing_state(stream(8), EnsembleSpec(3, 4, k=3), 200)
+        assert np.abs(np.trace(rho.matrix, axis1=-2, axis2=-1).real - 1.0).max() < 1e-12
 
 
 class TestFactorReadState:
@@ -239,8 +230,6 @@ class TestFactorReadState:
         assert np.array_equal(diagonal.real, states.diagonal)
         assert not diagonal.imag.any()
         assert np.abs(np.linalg.eigvalsh(matrix)[:, ::-1] - spectrum).max() <= 1e-15
-        single = sample_mixing_state(stream(90), spec)
-        assert np.array_equal(np.diagonal(single.matrix).real, single.diagonal)
 
     @pytest.mark.parametrize("spec", [EnsembleSpec(2, 3), EnsembleSpec(4, 8, k=2)])
     def test_diagonal_is_the_row_norms_of_the_factor(self, spec):
@@ -304,12 +293,6 @@ class TestQubitDraws:
         expected = linalg.hermitian_eigenvalues(products) / trace
         scale = np.abs(products).max(axis=(-2, -1))[:, None] / trace
         assert (np.abs(states.spectrum - expected) <= 8 * np.finfo(float).eps * scale).all()
-        # a single state is the stack of one
-        single = sample_mixing_state(RngStream(SeedSpec(seed)), spec)
-        one = sample_mixing_state(RngStream(SeedSpec(seed)), spec, 1)
-        assert np.array_equal(single.diagonal, one.diagonal[0])
-        assert np.array_equal(single.spectrum, one.spectrum[0])
-        assert np.array_equal(single.matrix, one.matrix[0])
 
     @given(**draws)
     @example(seed=0, kn=2, size=1)
@@ -465,7 +448,7 @@ class TestMixingSpectrum:
 
 class TestDiagDirichlet:
     def test_dimension_one(self):
-        assert sample_diag_dirichlet(stream(), EnsembleSpec(1, 5)) == pytest.approx([1.0])
+        assert sample_diag_dirichlet(stream(), EnsembleSpec(1, 5), 3) == pytest.approx(np.ones((3, 1)))
 
     def test_mean_diag_entropy(self):
         # average diagonal entropy is H_mn - H_n = H_4 - H_2 at m = n = 2
@@ -474,10 +457,10 @@ class TestDiagDirichlet:
         assert abs(np.mean(vals) - (H4 - H2)) < 0.005
 
     def test_single_draw_is_the_stack_of_one(self):
-        spec = EnsembleSpec(3, 4, k=2)
-        single = sample_diag_dirichlet(stream(12), spec)
-        assert np.array_equal(single, dirichlet(stream(12), 8.0, 3))
-        assert np.array_equal(sample_diag_dirichlet(stream(12), spec, size=1), single[None])
+        # one vector is drawn as the stack of one: m Gamma(kn) variates over their sum
+        one = sample_diag_dirichlet(stream(12), EnsembleSpec(3, 4, k=2), 1)
+        assert one.shape == (1, 3)
+        assert np.array_equal(one[0], dirichlet(stream(12), 8.0, 3))
 
     def test_stack_rows_follow_the_dirichlet_law(self):
         # Dirichlet(a, ..., a) of length m: mean 1/m, variance (m-1)/(m^2 (m a + 1))
@@ -501,19 +484,20 @@ class TestDiagDirichlet:
 
 class TestIsospectralDiagonal:
     def test_rank_one_case(self):
-        d = sample_isospectral_diagonal(stream(), np.array([1.0, 0.0, 0.0]))
+        (d,) = sample_isospectral_diagonal(stream(), np.array([1.0, 0.0, 0.0]), 1)
         assert abs(d.sum() - 1.0) < 1e-12
         assert d.min() >= 0.0
 
     def test_uniform_spectrum_is_fixed(self):
-        d = sample_isospectral_diagonal(stream(11), np.full(3, 1.0 / 3.0))
-        assert d == pytest.approx(np.full(3, 1.0 / 3.0), abs=1e-12)
+        d = sample_isospectral_diagonal(stream(11), np.full(3, 1.0 / 3.0), 5)
+        assert d == pytest.approx(np.full((5, 3), 1.0 / 3.0), abs=1e-12)
 
     def test_stack_holds_the_sequential_diagonals(self):
         lam = np.array([0.6, 0.3, 0.1])
+        # a stack of 30 holds the diagonals of 30 stacks of one
         a, b = stream(17), stream(17)
         stack = sample_isospectral_diagonal(a, lam, 30)
-        assert np.array_equal(stack, [sample_isospectral_diagonal(b, lam) for _ in range(30)])
+        assert np.array_equal(stack, np.concatenate([sample_isospectral_diagonal(b, lam, 1) for _ in range(30)]))
 
     def test_mean_diag_entropy_pure_qubit(self):
         # Haar average of S(diag) on the (1, 0) orbit is H_2 - 1 = 1/2
@@ -525,18 +509,16 @@ class TestIsospectralDiagonal:
 class TestEnsembleInvariants:
     @pytest.mark.parametrize("spec", [EnsembleSpec(2, 2), EnsembleSpec(3, 5), EnsembleSpec(2, 2, k=3)])
     def test_states_are_valid(self, spec):
-        s = stream(spec.m * 100 + spec.n * 10 + spec.k)
-        for _ in range(300):
-            rho = sample_mixing_state(s, spec)
-            assert abs(rho.matrix.trace().real - 1.0) < 1e-12
-            assert np.array_equal(rho.matrix, rho.matrix.conj().T)
-            spectrum = rho.spectrum
-            assert spectrum.min() >= 0.0 and spectrum.max() <= 1.0
+        rho = sample_mixing_state(stream(spec.m * 100 + spec.n * 10 + spec.k), spec, 300)
+        assert np.abs(np.trace(rho.matrix, axis1=-2, axis2=-1).real - 1.0).max() < 1e-12
+        assert np.array_equal(rho.matrix, rho.matrix.conj().swapaxes(-1, -2))
+        spectrum = rho.spectrum
+        assert spectrum.min() >= 0.0 and spectrum.max() <= 1.0
 
     def test_spectrum_statistics_unitarily_invariant(self):
         # conjugating every draw by a fixed unitary leaves entropy statistics alone
         spec = EnsembleSpec(3, 3)
-        u = linalg.haar_unitary(stream(555), 3)
+        (u,) = linalg.haar_unitary(stream(555), 3, 1)
         n = 10_000
         s_plain, s_conj = stream(14, 0), stream(14, 1)
         plain = functionals.von_neumann_entropy(sample_mixing_state(s_plain, spec, n))

@@ -188,7 +188,7 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropy(rho) < 1e-9
 
     def test_unitary_invariance(self):
-        u = linalg.haar_unitary(RngStream(SeedSpec(55, 0)), 3)
+        (u,) = linalg.haar_unitary(RngStream(SeedSpec(55, 0)), 3, 1)
         rho = DensityMatrix(u @ np.diag([0.7, 0.2, 0.1]).astype(complex) @ u.conj().T)
         assert von_neumann_entropy(rho) == pytest.approx(0.801818552543337, abs=1e-9)
 
@@ -208,7 +208,8 @@ class TestCoherence:
         rhos = sample_mixing_state(RngStream(SeedSpec(1011, m)), EnsembleSpec(m, n), 400)
         reference = np.maximum(shannon_entropy(rhos.diagonal) - von_neumann_entropy(rhos), 0.0)
         assert np.array_equal(relative_entropy_of_coherence(rhos), reference)
-        single = sample_mixing_state(RngStream(SeedSpec(1011, m)), EnsembleSpec(m, n))
+        # one state, built from a matrix of the stack, gives a float
+        single = DensityMatrix(rhos.matrix[0])
         assert relative_entropy_of_coherence(single) == max(
             shannon_entropy(single.diagonal) - von_neumann_entropy(single), 0.0)
 
@@ -247,9 +248,8 @@ class TestCoherence:
     def test_nonnegative_on_random_states(self):
         from randcoh.ensembles import EnsembleSpec, sample_mixing_state
 
-        s = RngStream(SeedSpec(66, 0))
-        for _ in range(300):
-            assert relative_entropy_of_coherence(sample_mixing_state(s, EnsembleSpec(3, 4))) >= 0.0
+        rhos = sample_mixing_state(RngStream(SeedSpec(66, 0)), EnsembleSpec(3, 4), 300)
+        assert (relative_entropy_of_coherence(rhos) >= 0.0).all()
 
     def test_positive_for_off_diagonal_state(self):
         rho = DensityMatrix(np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex))

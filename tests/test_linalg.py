@@ -66,7 +66,7 @@ class TestHermitianEigenvalues:
     def test_invariant_under_unitary_conjugation(self):
         rng = np.random.default_rng(2)
         a = random_hermitian(rng, 4)
-        u = linalg.haar_unitary(stream(), 4)
+        (u,) = linalg.haar_unitary(stream(), 4, 1)
         before = linalg.hermitian_eigenvalues(a)
         after = linalg.hermitian_eigenvalues(u @ a @ u.conj().T)
         assert np.abs(before - after).max() < 1e-9
@@ -302,12 +302,12 @@ class TestClampSpectrum:
 
 class TestHaarUnitary:
     def test_dimension_one_is_a_phase(self):
-        u = linalg.haar_unitary(stream(), 1)
-        assert abs(abs(u[0, 0]) - 1.0) < 1e-12
+        u = linalg.haar_unitary(stream(), 1, 1)
+        assert abs(abs(u[0, 0, 0]) - 1.0) < 1e-12
 
     def test_unitarity(self):
         for m in (2, 3, 6):
-            u = linalg.haar_unitary(stream(master=m), m)
+            (u,) = linalg.haar_unitary(stream(master=m), m, 1)
             assert np.linalg.norm(u.conj().T @ u - np.eye(m), "fro") < 1e-10
 
     def test_first_moment_identity(self):
@@ -318,21 +318,23 @@ class TestHaarUnitary:
     def test_left_invariance_of_moments(self):
         # statistics of |(VU)_11|^2 for fixed V match the Haar identity
         s = stream(6)
-        v = linalg.haar_unitary(stream(1234), 3)
+        (v,) = linalg.haar_unitary(stream(1234), 3, 1)
         n = 20_000
-        vals = np.array([abs((v @ linalg.haar_unitary(s, 3))[0, 0]) ** 2 for _ in range(n)])
+        vals = np.abs((v @ linalg.haar_unitary(s, 3, n))[:, 0, 0]) ** 2
         stderr = vals.std() / math.sqrt(n)
         assert abs(vals.mean() - 1.0 / 3.0) < 4 * stderr
 
     def test_rejects_dimension_zero(self):
         with pytest.raises(ParameterError):
-            linalg.haar_unitary(stream(), 0)
+            linalg.haar_unitary(stream(), 0, 1)
 
     def test_stack_holds_the_sequential_draws(self):
+        # a stack of 40 holds the unitaries of 40 stacks of one
         a, b = stream(7), stream(7)
         us = linalg.haar_unitary(a, 3, 40)
         assert us.shape == (40, 3, 3)
-        assert np.array_equal(us, [linalg.haar_unitary(b, 3) for _ in range(40)])
+        assert np.array_equal(us, np.concatenate([linalg.haar_unitary(b, 3, 1) for _ in range(40)]))
+        assert a.uniforms(1) == b.uniforms(1)  # and leaves the stream at the same place
 
 
 class TestUnitaryConjugateDiagonal:
@@ -341,17 +343,15 @@ class TestUnitaryConjugateDiagonal:
         assert np.array_equal(linalg.unitary_conjugate_diagonal(np.eye(3), lam), lam)
 
     def test_maximally_mixed_is_invariant(self):
-        u = linalg.haar_unitary(stream(9), 4)
+        (u,) = linalg.haar_unitary(stream(9), 4, 1)
         d = linalg.unitary_conjugate_diagonal(u, np.full(4, 0.25))
         assert d == pytest.approx(np.full(4, 0.25), abs=1e-12)
 
     def test_output_is_a_probability_vector(self):
-        s = stream(10)
         lam = np.array([0.7, 0.2, 0.1, 0.0])
-        for _ in range(200):
-            d = linalg.unitary_conjugate_diagonal(linalg.haar_unitary(s, 4), lam)
-            assert abs(d.sum() - 1.0) < 1e-12
-            assert d.min() >= 0.0 and d.max() <= 1.0
+        d = linalg.unitary_conjugate_diagonal(linalg.haar_unitary(stream(10), 4, 200), lam)
+        assert np.abs(d.sum(axis=-1) - 1.0).max() < 1e-12
+        assert d.min() >= 0.0 and d.max() <= 1.0
 
     def test_stack_of_unitaries(self):
         us = linalg.haar_unitary(stream(12), 3, 10)

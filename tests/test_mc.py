@@ -425,7 +425,7 @@ def per_draw_reference(config):
             values = [spectral[config.quantity](single_spectrum(draw, spec.m))
                       for draw in g.reshape(count, entries)]
         elif config.fixed_spectrum is not None:
-            values = [functionals.shannon_entropy(sample_isospectral_diagonal(stream, config.fixed_spectrum))
+            values = [functionals.shannon_entropy(sample_isospectral_diagonal(stream, config.fixed_spectrum, 1)[0])
                       for _ in range(count)]
         else:
             values = [functional[config.quantity](DensityMatrix(rho))
