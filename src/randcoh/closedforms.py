@@ -7,8 +7,9 @@ the same curve through two independent routes (Vandermonde-squared joint
 law vs. the diagonal law hit with the derivative operator), which is what
 the pointwise verification leans on.
 
-The ensemble averages check their (m, n, k) by building the EnsembleSpec
-they describe, so the rules live in one place.
+The ensemble averages, max_subentropy and concentration_bound check their
+(m, n, k) by building the EnsembleSpec they describe, so the rules live in
+one place.
 """
 
 from __future__ import annotations
@@ -51,16 +52,17 @@ def avg_subentropy(m: int, n: int) -> float:
 def max_subentropy(m: int) -> float:
     """Largest possible subentropy in dimension m: 1 + ln m - H_m, attained
     only at the uniform spectrum; tends to 1 - gamma_Euler as m grows."""
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    EnsembleSpec(m, m)
     return 1.0 + math.log(m) - harmonic(m)
 
 
-def isospectral_avg_diag_entropy(lam) -> float:
+def isospectral_avg_diag_entropy(lam):
     """Haar average of the diagonal entropy on a fixed-spectrum orbit:
-    H_m - 1 + Q(lam)."""
-    lam = np.asarray(lam, dtype=np.float64)
-    return harmonic(lam.size) - 1.0 + subentropy(lam)
+    H_m - 1 + Q(lam).  A stack of spectra (..., m) gives one average per
+    spectrum."""
+    # subentropy validates lam before its length is read
+    q = subentropy(lam)
+    return harmonic(np.shape(lam)[-1]) - 1.0 + q
 
 
 def concentration_bound(m: int, n: int, epsilon: float) -> float:
@@ -70,10 +72,9 @@ def concentration_bound(m: int, n: int, epsilon: float) -> float:
     Stated only for m >= 3.  The raw expression exceeds 1 at desk-scale
     (m, n), so the clamp keeps the return value an honest probability.
     """
+    EnsembleSpec(m, n)
     if m < 3:
         raise ParameterError(f"the tail bound requires m >= 3, got {m}")
-    if n < m:
-        raise ParameterError(f"requires m <= n, got m={m}, n={n}")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
     exponent = -(m * n * epsilon**2) / (144.0 * math.pi**3 * _LN2 * math.log(m) ** 2)

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 from randcoh import closedforms as cf
-from randcoh.errors import ParameterError
+from randcoh.errors import DomainError, ParameterError
 from randcoh.functionals import EULER_GAMMA, harmonic, subentropy
 
 LN2 = math.log(2.0)
@@ -97,6 +97,11 @@ class TestMaxSubentropy:
         uniform = np.full(m, 1.0 / m)
         assert cf.max_subentropy(m) - subentropy(uniform) == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("m", [0, 2.5, 2.0])
+    def test_a_dimension_that_is_no_positive_integer_is_refused(self, m):
+        with pytest.raises(ParameterError):
+            cf.max_subentropy(m)
+
 
 class TestIsospectralAverage:
     def test_dimension_one(self):
@@ -107,6 +112,19 @@ class TestIsospectralAverage:
 
     def test_uniform_qubit_gives_ln2(self):
         assert cf.isospectral_avg_diag_entropy([0.5, 0.5]) == pytest.approx(LN2, abs=1e-12)
+
+    def test_a_stack_gives_the_average_of_each_spectrum(self):
+        # H_2 - 1 + Q(lam) row by row, not H_4 from the stack's four entries
+        lam = np.array([[0.5, 0.5], [0.6, 0.4]])
+        values = cf.isospectral_avg_diag_entropy(lam)
+        assert values.shape == (2,)
+        assert values == pytest.approx([LN2, 0.6864535372794592], abs=1e-12)
+        assert np.array_equal(values, [cf.isospectral_avg_diag_entropy(row) for row in lam])
+
+    @pytest.mark.parametrize("lam", [[], [[]], 0.5])
+    def test_no_probability_vector_is_a_domain_error(self, lam):
+        with pytest.raises(DomainError):
+            cf.isospectral_avg_diag_entropy(lam)
 
 
 class TestConcentrationBound:
@@ -138,6 +156,10 @@ class TestConcentrationBound:
             cf.concentration_bound(2, 4, 0.1)
         with pytest.raises(ParameterError):
             cf.concentration_bound(4, 3, 0.1)
+        # the dimensions are those of an EnsembleSpec: integers with m <= n
+        for m, n in ((3, 3.5), (3.5, 4), (3.0, 4)):
+            with pytest.raises(ParameterError):
+                cf.concentration_bound(m, n, 0.1)
         # every comparison with NaN is False, so a sign test alone lets NaN through
         for epsilon in (0.0, math.nan, math.inf):
             with pytest.raises(ParameterError):
