@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from randcoh import linalg
 from randcoh.ensembles import DensityMatrix, EnsembleSpec, sample_mixing_state
@@ -152,6 +154,19 @@ class TestHarmonic:
         for k in (99, 100, 101, (1 << 16) + 12345):
             exact = math.fsum(1.0 / j for j in range(1, k + 1))
             assert harmonic(k) == pytest.approx(exact, rel=1e-13)
+
+    # the Euler-Maclaurin branch holds its documented 2 ulp against the
+    # exact H_k; dropping its 1/252k^6 term costs 4.4 ulp at k = 100
+    @given(k=st.integers(100, 10**7))
+    @example(k=100)
+    @example(k=4_347_922)  # 1.89 ulp, the largest error measured
+    @example(k=2**53)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_asymptotic_branch_is_within_two_ulp(self, k):
+        with mpmath.workdps(40):
+            exact = mpmath.harmonic(k)
+            error = abs(mpmath.mpf(harmonic(k)) - exact)
+        assert error <= 2 * math.ulp(float(exact))
 
 
 class TestShannonEntropy:
