@@ -524,6 +524,73 @@ class TestEntryPoint:
         assert result.stderr.startswith("error: argument --quantity: invalid choice")
 
 
+def dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS DYNAMIC_ARCH build, the kind that
+    picks its kernels at load time and honours OPENBLAS_CORETYPE."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# small enough to run in a subprocess per kernel; LAPACK solves the m = 16
+# states' and spectra's eigenvalues, the arithmetic a BLAS kernel can move
+CROSS_KERNEL_BATTERY = (
+    "estimate --quantity coherence --m 16 --n 32 --samples 300 --seed {seed} --workers 1",
+    "estimate --quantity entropy --m 16 --n 32 --samples 300 --seed {seed} --workers 1",
+    "estimate --quantity coherence --m 4 --n 4 --k 2 --samples 2000 --seed {seed} --workers 1",
+    "sample --what spectrum --m 16 --n 32 --count 130 --seed {seed}",
+)
+
+
+def battery_under(coretype: str, seeds) -> list:
+    """The records CROSS_KERNEL_BATTERY prints at each seed, without their
+    wall_time_ms, from one subprocess with OpenBLAS forced to coretype."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    script = "import sys\nfrom randcoh import cli\nfor argv in sys.argv[1:]:\n    cli.main(argv.split())\n"
+    commands = [command.format(seed=seed) for seed in seeds for command in CROSS_KERNEL_BATTERY]
+    result = subprocess.run([sys.executable, "-c", script, *commands], capture_output=True, text=True, env=env,
+                            check=True)
+    records = parse_jsonl(result.stdout)
+    for record in records:
+        if isinstance(record, dict):
+            record.pop("wall_time_ms")
+    return records
+
+
+def same_printed_digits(a, b) -> bool:
+    """Whether two parsed records are equal, up to numbers one unit apart in
+    their 12th significant digit: a value that lies on a rounding boundary
+    may print either way under another kernel."""
+    if isinstance(a, float) and isinstance(b, float) and a != b:
+        return abs(a - b) <= 1.5 * 10.0 ** (math.floor(math.log10(max(abs(a), abs(b)))) - 11)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same_printed_digits(a[key], b[key]) for key in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(same_printed_digits(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+@pytest.mark.skipif(not dynamic_openblas(), reason="numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build")
+def test_printed_digits_do_not_depend_on_the_blas_kernel():
+    prescott = battery_under("Prescott", [9])
+    haswell = battery_under("Haswell", [9, 10])
+    assert len(prescott) == 3 + 130
+    assert same_printed_digits(haswell[:len(prescott)], prescott)
+    # the comparison can fail: another seed prints other digits
+    assert not same_printed_digits(haswell[len(prescott):], prescott)
+
+
+def test_printed_digits_allow_a_rounding_boundary_only():
+    assert same_printed_digits([{"mean": 0.0239370263777, "n": 3}], [{"mean": 0.0239370263778, "n": 3}])
+    assert same_printed_digits([1.0, 0.0], [1.0, 0.0])
+    for other in ([{"mean": 0.0239370263779, "n": 3}], [{"mean": 0.0239370263777, "n": 4}],
+                  [{"mean": 0.0239370263777}], [{"mean": 0.0239370263777, "n": 3}, 1.0]):
+        assert not same_printed_digits([{"mean": 0.0239370263777, "n": 3}], other)
+
+
 class TestParser:
     def test_built_once_across_calls(self, capsys, monkeypatch):
         built = []
