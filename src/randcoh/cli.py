@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import closedforms, functionals, mc
+from . import closedforms, mc
 from .ensembles import EnsembleSpec
 from .errors import NumericalError, ParameterError, RandcohError
 from .randkit import SeedSpec
