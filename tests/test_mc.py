@@ -932,6 +932,23 @@ class TestPinnedStates:
         stats = mc.estimate(config)
         assert (stats.count, stats.mean.hex(), stats.m2.hex()) == pinned
 
+    # the Gamma KS statistics (one per diagonal entry) and the Dirichlet
+    # consistency statistic of three KS samples that fit one stack of
+    # factors and one stack of Dirichlet draws at the default chunk size
+    PINNED_KS = [
+        (EnsembleSpec(4, 8), 81, ["0x1.0245a37e10680p-5", "0x1.340171e041850p-5",
+                                  "0x1.397b8716c5180p-6", "0x1.af3a439ae0740p-7"], "0x1.1eb851eb851f0p-5"),
+        (EnsembleSpec(2, 3), 11, ["0x1.3ad900d7d1ee0p-6", "0x1.374e269855120p-6"], "0x1.26e978d4fdf40p-5"),
+        (EnsembleSpec(3, 4, 2), 5, ["0x1.0bbaf00a11c7cp-5", "0x1.593cbfbbe8510p-5",
+                                    "0x1.164d158122a60p-6"], "0x1.c28f5c28f5c30p-5"),
+    ]
+
+    @pytest.mark.parametrize("spec,seed,gamma,dirichlet", PINNED_KS)
+    def test_single_stack_ks_statistics_keep_their_bits(self, spec, seed, gamma, dirichlet):
+        assert len(mc.chunk_sizes(1000, spec.m * (spec.m + 1) // 2)) == 1
+        stats, d = mc.diagonal_ks_tests(spec, 1000, seed)
+        assert ([float(s).hex() for s in stats], d.hex()) == (gamma, dirichlet)
+
 
 class TestChunkWorkingSet:
     # the tracemalloc peak of one full chunk stays within BYTES_PER_VARIATE
