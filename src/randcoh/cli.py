@@ -177,15 +177,15 @@ def cmd_verify(args) -> int:
         "verdict": "pass" if ok else "fail",
     }}, args.seed, elapsed_ms), args.out)
 
-    threshold = mc.ks_critical_value(ks_samples, n2=ks_samples)
-    ok = d < threshold
-    all_pass &= ok
-    _emit(_record("verify", parameters, {"diagonal_dirichlet_consistency_ks": {
-        "statistic": d,
-        "threshold": threshold,
-        "samples": ks_samples,
-        "verdict": "pass" if ok else "fail",
-    }}, args.seed, elapsed_ms), args.out)
+    if d is None:
+        entry = {"verdict": "skip", "reason": "m = 1: rho_00 = 1 in both samples"}
+    else:
+        threshold = mc.ks_critical_value(ks_samples, n2=ks_samples)
+        ok = d < threshold
+        all_pass &= ok
+        entry = {"statistic": d, "threshold": threshold, "samples": ks_samples, "verdict": "pass" if ok else "fail"}
+    _emit(_record("verify", parameters, {"diagonal_dirichlet_consistency_ks": entry}, args.seed, elapsed_ms),
+          args.out)
 
     t0 = time.perf_counter()
     if spec.m != 2:

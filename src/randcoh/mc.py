@@ -2,23 +2,23 @@
 
 A job of `samples` draws is split into chunks by a fixed rule
 (chunk_sizes: at most CHUNK_ENTRIES random variates per chunk, counted as
-the draw consumes them, so the split depends only on the quantity and on
+the draw consumes them, so the split depends only on the sampler and on
 m).  Entropy and subentropy depend on the spectrum alone: their
 draws are spectra from the Laguerre bidiagonal model, 2m - 1 Gamma
 variates each (sample_mixing_spectrum).  Coherence and diagonal entropy
 draw states from their m x m Bartlett factor, m Gamma variates and
 m(m-1)/2 complex Gaussians each (sample_mixing_state), and a draw on a
 fixed-spectrum orbit is one m x m Haar matrix (m^2 entries).  No draw's
-cost grows with k*n.  Chunk c draws from the random stream keyed
-(master_seed, domain, c), where the domain names the sampler
-(STREAM_DOMAINS), evaluates its draws as one stack and is reduced to
-(count, mean, m2); the chunk results merge in chunk order.  The chunk is
-thus the unit of randomness as well as the unit of work, and workers only
-schedule chunks: the same (master_seed, samples) gives bit-identical
-results for any worker count, whether the chunks ran inline or in a
-process pool; across BLAS kernels, coherence can move in its last bit.  A
-job of one chunk always runs inline, and the process pool machinery is
-imported only when a pool starts.
+cost grows with k*n.  Every draw follows one rule: chunk c draws from the
+random stream keyed (master_seed, domain, c), where the domain names the
+sampler (STREAM_DOMAINS).  An estimate evaluates each chunk as one stack
+and reduces it to (count, mean, m2); the chunk results merge in chunk
+order.  The chunk is thus the unit of randomness as well as the unit of
+work, and workers only schedule chunks: the same (master_seed, samples)
+gives bit-identical results for any worker count, whether the chunks ran
+inline or in a process pool; across BLAS kernels, coherence can move in
+its last bit.  A job of one chunk always runs inline, and the process pool
+machinery is imported only when a pool starts.
 
 A chunk's working set grows with its variates, not with its matrix
 stacks: the Gamma and normal samplers hold a few arrays of 8 bytes per
@@ -27,29 +27,29 @@ and solved in bounded blocks (linalg.row_blocks).  Its tracemalloc peak at
 CHUNK_ENTRIES variates is 1.1-1.3 MB for spectra and states at m = 16,
 states at (4, 8) and orbits at m = 3.
 
-A job's draw key (sampler, fixed_spectrum, spec, master_seed, samples),
-with the sampler of its quantity (SAMPLERS), fixes its chunk plan
-(_chunks) and its draws (_draw).  Jobs with one key form a family:
-run_comparisons draws each chunk of a family once and evaluates every
-quantity of the family on that one stack, each family through its own
-chunk map; estimate and run_comparison are the family of one job.
-empirical_concentration draws the coherence estimate's states, chunk for
-chunk, and counts their tail; the CLI's sample command prints the same
-states.  Each sampler draws in its own stream domain, so the families of
-one master seed share no variate.
+A draw key (sampler, fixed_spectrum, spec, master_seed, samples) fixes its
+chunk plan (_chunks) and its draws (_draw), and _draw is the one place a
+stream is made.  A job's key has the sampler of its quantity (SAMPLERS).
+Jobs with one key form a family: run_comparisons draws each chunk of a
+family once and evaluates every quantity of the family on that one stack,
+each family through its own chunk map; estimate and run_comparison are
+the family of one job.  empirical_concentration draws the coherence
+estimate's states, chunk for chunk, and counts their tail; the CLI's
+sample command prints the same states.  Each sampler draws in its own
+stream domain, so the draw keys of one master seed share no variate.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
 integer shapes up to GAMMA_CDF_MAX_SHAPE (those of the Wishart diagonals
-that verify tests) live here so the
-distributional checks need nothing outside the package.  Both work on
-arrays: gamma_cdf(x, shape) maps an array x to the array of CDF values (a
-scalar x gives a float), and ks_statistic(values, cdf) calls cdf once, on
-the sorted sample or on a stack of samples sorted column by column, so cdf
-must be such an array map.  diagonal_ks_tests is the one entry point of
-the two KS checks of the diagonal law: it reads the Wishart diagonals as
-the row norms of the Bartlett factors sample_mixing_state draws, so its
-cost does not grow with k*n either, and runs both checks on that one draw,
-from the KS domains.
+that verify tests) live here so the distributional checks need nothing
+outside the package.  Both work on arrays: gamma_cdf(x, shape) maps an
+array x to the array of CDF values (a scalar x gives a float), and
+ks_statistic(values, cdf) calls cdf once, on the sorted sample or on a
+stack of samples sorted column by column, so cdf must be such an array
+map.  diagonal_ks_tests is the one entry point of the two KS checks of the
+diagonal law.  It reads the Wishart diagonals as the row norms of the
+Bartlett factors sample_mixing_state draws, so its cost does not grow with
+k*n either; its factors and its direct Dirichlet sample are the draw keys
+of the ks_factors and ks_dirichlet samplers, run inline.
 """
 
 from __future__ import annotations
@@ -98,11 +98,9 @@ CHUNK_ENTRIES = 1 << 14
 KS_MIN_SAMPLES = 1000
 
 # the stream domain (SeedSpec.domain) of each sampler: the streams of one
-# master seed are keyed (master_seed, domain, chunk), so no two families of
-# draws share a stream.  States keep domain 0, whose key (master_seed,
-# chunk) keeps their fixed-seed results; the KS checks draw their Bartlett
-# factors and their direct Dirichlet sample each from chunk 0 of their own
-# domain
+# master seed are keyed (master_seed, domain, chunk), so no two draw keys
+# share a stream.  States keep domain 0, whose key (master_seed, chunk)
+# keeps their fixed-seed results
 STREAM_DOMAINS = {"states": 0, "spectra": 1, "orbits": 2, "ks_factors": 3, "ks_dirichlet": 4}
 
 # chunk indices are the 32-bit stream_index of a SeedSpec
@@ -257,23 +255,29 @@ def _draw_key(config: EstimatorConfig) -> tuple:
 
 def _chunks(key: tuple) -> list[tuple[int, int]]:
     """The chunks (index, size) of a draw key, split by the variates a draw
-    consumes: 2m - 1 Gamma variates for a spectrum, an m x m Ginibre matrix
-    for an orbit, m Gamma variates and m(m-1)/2 complex Gaussians for a state."""
+    consumes: 2m - 1 for a spectrum, m^2 for an orbit, m for a Dirichlet
+    draw, and m(m+1)/2 for a state or its Bartlett factor."""
     sampler, _, spec, _, samples = key
     m = spec.m
-    variates = {"spectra": 2 * m - 1, "orbits": m * m, "states": m * (m + 1) // 2}[sampler]
-    return list(enumerate(chunk_sizes(samples, variates)))
+    factor = m * (m + 1) // 2
+    variates = {"spectra": 2 * m - 1, "orbits": m * m, "states": factor, "ks_factors": factor, "ks_dirichlet": m}
+    return list(enumerate(chunk_sizes(samples, variates[sampler])))
 
 
 def _draw(key: tuple, index: int, size: int):
-    """Draw chunk index, of size samples, of a draw key from its stream: an
-    array of diagonals or spectra, or a DensityMatrix stack."""
+    """Draw chunk index, of size samples, of a draw key from its stream
+    (master_seed, domain, index), the one place a stream is made: an array
+    of diagonals, spectra or factor row norms, or a DensityMatrix stack."""
     sampler, fixed_spectrum, spec, master_seed, _ = key
     stream = RngStream(SeedSpec(master_seed, index, STREAM_DOMAINS[sampler]))
     if sampler == "orbits":
         return sample_isospectral_diagonal(stream, fixed_spectrum, size)
     if sampler == "spectra":
         return sample_mixing_spectrum(stream, spec, size)
+    if sampler == "ks_factors":
+        return _row_norms(_bartlett_factor(stream, spec, size))
+    if sampler == "ks_dirichlet":
+        return sample_diag_dirichlet(stream, spec, size)
     return sample_mixing_state(stream, spec, size)
 
 
@@ -533,41 +537,37 @@ def ks_critical_value(n: int, alpha: float = 0.01, n2: int | None = None) -> flo
     return c * math.sqrt((n + n2) / (n * n2))
 
 
-def diagonal_ks_tests(spec: EnsembleSpec, samples: int, master_seed: int) -> tuple[np.ndarray, float]:
+def diagonal_ks_tests(spec: EnsembleSpec, samples: int, master_seed: int) -> tuple[np.ndarray, float | None]:
     """The two KS checks of the diagonal law, on one draw of samples
     Wishart diagonals (_wishart_diagonals): the KS statistic of each entry
     W_ii, i = 0..m-1, against the Gamma(kn, 1) CDF, and the two-sample KS
     statistic of rho_00 = W_00 / tr W against the direct Dirichlet marginal
-    sampler (_dirichlet_ks).  At least KS_MIN_SAMPLES samples are required."""
+    sampler (_dirichlet_ks).  At m = 1 rho_00 is 1 in both samples, so the
+    second check cannot fail: its sample is not drawn, and None stands for
+    its statistic.  At least KS_MIN_SAMPLES samples are required."""
     if samples < KS_MIN_SAMPLES:
         raise ParameterError(f"need >= {KS_MIN_SAMPLES} samples for a meaningful KS test, got {samples}")
     diags = _wishart_diagonals(spec, samples, master_seed)
     return (ks_statistic(diags, lambda x: gamma_cdf(x, spec.env_dim)),
-            _dirichlet_ks(diags, spec, master_seed))
+            _dirichlet_ks(diags, spec, master_seed) if spec.m > 1 else None)
 
 
 def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int) -> np.ndarray:
     """The (samples, m) stack of the diagonals W_ii ~ Gamma(kn, 1) of the
     states sample_mixing_state draws, read as the squared row norms of their
-    Bartlett factors: m(m+1)/2 variates per draw whatever kn is, from one
-    stream of the ks_factors domain of master_seed, in stacks of at most
-    CHUNK_ENTRIES variates."""
-    stream = RngStream(SeedSpec(master_seed, 0, STREAM_DOMAINS["ks_factors"]))
-    return np.concatenate([_row_norms(_bartlett_factor(stream, spec, size))
-                           for _, size in _chunks(("states", None, spec, master_seed, samples))])
+    Bartlett factors (m(m+1)/2 variates per draw whatever kn is): the
+    ks_factors draw key of master_seed, chunk for chunk."""
+    key = ("ks_factors", None, spec, master_seed, samples)
+    return np.concatenate([_draw(key, *chunk) for chunk in _chunks(key)])
 
 
 def _dirichlet_ks(diags: np.ndarray, spec: EnsembleSpec, master_seed: int) -> float:
     """Two-sample KS statistic of rho_00 = W_00 / tr W over a diagonal stack,
     read without forming the states, against as many direct Dirichlet
-    draws from one stream of the ks_dirichlet domain of master_seed, so
-    that the two samples are independent of each other and of every
-    estimate."""
-    dir_stream = RngStream(SeedSpec(master_seed, 0, STREAM_DOMAINS["ks_dirichlet"]))
-    # a Dirichlet draw is m Gamma variates
-    from_dirichlet = np.concatenate([
-        sample_diag_dirichlet(dir_stream, spec, size)[:, 0] for size in chunk_sizes(len(diags), spec.m)
-    ])
+    draws, the ks_dirichlet draw key of master_seed, so that the two
+    samples are independent of each other and of every estimate."""
+    key = ("ks_dirichlet", None, spec, master_seed, len(diags))
+    from_dirichlet = np.concatenate([_draw(key, *chunk)[:, 0] for chunk in _chunks(key)])
     return ks_two_sample(diags[:, 0] / row_sum(diags), from_dirichlet)
 
 

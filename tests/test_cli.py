@@ -13,6 +13,7 @@ from randcoh import cli, closedforms, mc
 from randcoh.cli import main
 from randcoh.ensembles import EnsembleSpec
 from randcoh.errors import NumericalError
+from randcoh.randkit import RngStream, SeedSpec
 
 
 def run_cli(capsys, *argv):
@@ -206,21 +207,24 @@ class TestVerify:
     @pytest.mark.parametrize("samples,ks_chunks", [(200, [1000]), (3000, [1365, 1365, 270])])
     def test_one_ks_sample_draw(self, capsys, monkeypatch, samples, ks_chunks):
         # both KS records read one stack of Bartlett factors: at (2, 3) a
-        # state is 3 variates, so the KS sample comes in chunks of 1365, all
-        # from one stream; the estimators' factors are drawn in ensembles
+        # state is 3 variates, so the KS sample comes in chunks of 1365,
+        # chunk c from stream (seed, ks_factors, c); the estimators' factors
+        # are drawn in ensembles
         draws = []
         bartlett = mc._bartlett_factor
 
         def counted(stream, spec, count):
-            draws.append((stream, count))
-            return bartlett(stream, spec, count)
+            draws.append(bartlett(stream, spec, count))
+            return draws[-1]
 
         monkeypatch.setattr(mc, "_bartlett_factor", counted)
         code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3", "--samples", str(samples),
                                "--seed", "6", "--workers", "1")
         assert code == 0
-        assert [count for _, count in draws] == ks_chunks
-        assert len({id(stream) for stream, _ in draws}) == 1
+        assert [len(low) for low in draws] == ks_chunks
+        for c, low in enumerate(draws):
+            stream = RngStream(SeedSpec(6, c, mc.STREAM_DOMAINS["ks_factors"]))
+            assert np.array_equal(low, bartlett(stream, EnsembleSpec(2, 3), len(low)))
         records = parse_jsonl(out)
         wall = {name: r["wall_time_ms"] for r in records for name in r["results"]}
         assert wall["wishart_diagonal_gamma_ks"] == wall["diagonal_dirichlet_consistency_ks"]
@@ -255,12 +259,18 @@ class TestVerify:
                     assert entry["closed_form"] == 0.0
                     assert entry["verdict"] == "pass"
 
-    def test_dimension_one_with_an_environment(self, capsys):
+    def test_dimension_one_with_an_environment(self, capsys, monkeypatch):
+        # rho_00 = 1 in both samples of the Dirichlet consistency check, which
+        # therefore cannot fail: it is skipped, and its sample is not drawn
+        monkeypatch.setattr(mc, "sample_diag_dirichlet", refuse_to_draw)
         code, out, _ = run_cli(
             capsys, "verify", "--m", "1", "--n", "2", "--samples", "20", "--seed", "3", "--workers", "1",
         )
         assert code == 0
-        assert len(parse_jsonl(out)) == 7
+        records = parse_jsonl(out)
+        assert len(records) == 7
+        assert records[5]["results"] == {"diagonal_dirichlet_consistency_ks": {
+            "verdict": "skip", "reason": "m = 1: rho_00 = 1 in both samples"}}
 
     def test_derivative_check_skipped_off_m2(self, capsys):
         code, out, _ = run_cli(

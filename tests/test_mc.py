@@ -693,12 +693,15 @@ class TestGammaMarginal:
     @pytest.mark.usefixtures("chunks_of_4096")
     def test_diagonals_are_those_of_the_wishart_draws(self):
         # W = L L^dagger for the Bartlett factors sample_mixing_state draws,
-        # in its stacks of at most CHUNK_ENTRIES variates (3 per state at m = 2)
-        stream = RngStream(SeedSpec(63, 0, mc.STREAM_DOMAINS["ks_factors"]))
+        # in its stacks of at most CHUNK_ENTRIES variates (3 per state at
+        # m = 2), stack c from stream (63, ks_factors, c)
         spec = EnsembleSpec(2, 3)
+        sizes = mc.chunk_sizes(1500, 3)
+        assert len(sizes) == 2
         diags = np.concatenate([
-            np.diagonal(linalg.gram(mc._bartlett_factor(stream, spec, size)), axis1=-2, axis2=-1).real
-            for size in mc.chunk_sizes(1500, 3)])
+            np.diagonal(linalg.gram(mc._bartlett_factor(
+                RngStream(SeedSpec(63, c, mc.STREAM_DOMAINS["ks_factors"])), spec, size)), axis1=-2, axis2=-1).real
+            for c, size in enumerate(sizes)])
         expected = [mc.ks_statistic(diags[:, i], lambda x: mc.gamma_cdf(x, 3.0)) for i in range(2)]
         assert mc.diagonal_ks_tests(spec, 1500, 63)[0] == pytest.approx(expected, abs=1e-12)
 
@@ -1010,9 +1013,11 @@ class TestDirichletConsistency:
         assert mc.diagonal_ks_tests(spec, 1100, 64)[1] == expected
 
     def test_dimension_one_is_exactly_consistent(self):
-        # below the KS_MIN_SAMPLES that diagonal_ks_tests asks for
+        # below the KS_MIN_SAMPLES that diagonal_ks_tests asks for; since
+        # the check cannot fail at m = 1, diagonal_ks_tests does not run it
         spec = EnsembleSpec(1, 2)
         assert mc._dirichlet_ks(mc._wishart_diagonals(spec, 500, 0), spec, 0) == 0.0
+        assert mc.diagonal_ks_tests(spec, 1000, 0)[1] is None
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
