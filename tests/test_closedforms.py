@@ -229,3 +229,47 @@ class TestIdentities:
         assert cf.avg_entropy_page(m, n) == pytest.approx(page, rel=1e-12)
         assert cf.avg_diag_entropy(m, n) == pytest.approx(diag, rel=1e-12)
         assert cf.avg_subentropy(m, n) == pytest.approx(suben, rel=1e-12, abs=1e-13)
+
+
+def _binary_entropy(x):
+    return -x * mpmath.log(x) - (1 - x) * mpmath.log(1 - x)
+
+
+def _quad_on_unit_interval(f, kn):
+    """int_0^1 f at 30 digits, split at 1/2 and a few widths 1/sqrt(kn) on
+    either side, where the m = 2 laws put their mass."""
+    half, width = mpmath.mpf(1) / 2, 4 / mpmath.sqrt(kn)
+    return mpmath.quad(f, [0, half - width, half, half + width, 1] if width < half else [0, 1])
+
+
+class TestAgainstTheLawsTheyAverage:
+    """At m = 2 each closed form is the integral of its functional against
+    the law it averages, by mpmath quadrature at 30 digits: the eigenvalue
+    density ~ (2x-1)^2 (x(1-x))^(kn-2) for the spectrum (x, 1-x), the
+    Beta(kn, kn) law of the diagonal entry, and a uniform t for the Haar
+    diagonal lam_2 + (lam_1 - lam_2) t of a fixed spectrum."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 7, 20])
+    def test_qubit_averages(self, n, k):
+        kn = k * n
+        with mpmath.workdps(30):
+            weight = lambda x: (x * (1 - x)) ** (kn - 2)
+            norm = _quad_on_unit_interval(lambda x: (2 * x - 1) ** 2 * weight(x), kn)
+            entropy = _quad_on_unit_interval(lambda x: (2 * x - 1) ** 2 * weight(x) * _binary_entropy(x), kn) / norm
+            # (lam_1 - lam_2)^2 Q(lam) = -(lam_1 - lam_2)(lam_1^2 ln lam_1 - lam_2^2 ln lam_2)
+            subent = _quad_on_unit_interval(lambda x: -(2 * x - 1) * weight(x) * (
+                x**2 * mpmath.log(x) - (1 - x) ** 2 * mpmath.log(1 - x)), kn) / norm
+            diag = _quad_on_unit_interval(lambda x: x * (1 - x) * weight(x) * _binary_entropy(x), kn) \
+                / mpmath.beta(kn, kn)
+            assert abs(entropy - cf.avg_entropy_page(2, kn)) <= 1e-14
+            assert abs(subent - cf.avg_subentropy(2, kn)) <= 1e-14
+            assert abs(diag - cf.avg_diag_entropy(2, n, k)) <= 1e-14
+            assert abs(diag - entropy - cf.avg_coherence(2, n, k)) <= 1e-14
+
+    @pytest.mark.parametrize("lam", [(0.6, 0.4), (0.9, 0.1)])
+    def test_qubit_isospectral_average(self, lam):
+        with mpmath.workdps(30):
+            high, low = mpmath.mpf(lam[0]), mpmath.mpf(lam[1])
+            average = mpmath.quad(lambda t: _binary_entropy(low + (high - low) * t), [0, 1])
+            assert abs(average - cf.isospectral_avg_diag_entropy(lam)) <= 1e-14

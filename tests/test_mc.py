@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats as sps
 
 from randcoh import ensembles, functionals, linalg, mc
@@ -276,11 +279,16 @@ class TestEstimate:
         assert mc.compare(stats, cfg).passed
 
     @pytest.mark.parametrize("quantity", mc.QUANTITIES)
-    def test_dimension_one_matches_every_closed_form(self, quantity):
+    @given(n=st.integers(1, 50), k=st.integers(1, 4), samples=st.integers(2, 50), seed=st.integers(0, 2**64 - 1))
+    @example(n=2, k=2, samples=50, seed=8)
+    @example(n=50, k=4, samples=50, seed=2**64 - 1)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_dimension_one_matches_every_closed_form(self, quantity, n, k, samples, seed):
         # a 1 x 1 state is [[1]]: every quantity is 0 up to rounding, within
         # the exact-match rule of compare
         spectrum = (1.0,) if quantity == "isospectral_diag_entropy" else None
-        config = mc.EstimatorConfig(EnsembleSpec(1, 2, k=2), quantity, 50, master_seed=8, fixed_spectrum=spectrum)
+        config = mc.EstimatorConfig(EnsembleSpec(1, n, k), quantity, samples, master_seed=seed,
+                                    fixed_spectrum=spectrum)
         report = mc.run_comparison(config)
         assert abs(report.mc_mean - report.closed_form) <= 1e-12
         assert (report.z_score, report.passed) == (0.0, True)
@@ -776,6 +784,37 @@ class TestKsSubstreams:
         diags = mc._wishart_diagonals(spec, 3000, 5)
         assert not np.isclose(diags[:682], norms, rtol=1e-6, atol=0.0).any()
 
+    @pytest.mark.usefixtures("chunks_of_4096")
+    @given(seed=st.integers(0, 2**64 - 1), chunks=st.integers(1, 3), tail=st.integers(0, 10**6))
+    @example(seed=0, chunks=1, tail=0)
+    @example(seed=2**64 - 1, chunks=3, tail=10**6)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_chunk_c_of_a_ks_key_is_drawn_from_stream_c(self, seed, chunks, tail):
+        # (3, 4, k=2): 682 factors or 1365 Dirichlet draws to a chunk; each
+        # key gets chunks chunks, the last holding 1 + tail % size draws
+        spec = EnsembleSpec(3, 4, k=2)
+        draws = {"ks_factors": lambda stream, size: ensembles._row_norms(ensembles._bartlett_factor(stream, spec, size)),
+                 "ks_dirichlet": lambda stream, size: sample_diag_dirichlet(stream, spec, size)[:, 0]}
+        for sampler, draw in draws.items():
+            size = mc._chunks((sampler, None, spec, seed, 10**6))[0][1]
+            samples = size * (chunks - 1) + 1 + tail % size
+            assert len(mc._chunks((sampler, None, spec, seed, samples))) == chunks
+            expected = np.concatenate([draw(RngStream(SeedSpec(seed, c, mc.STREAM_DOMAINS[sampler])),
+                                            min(size, samples - c * size)) for c in range(chunks)])
+            assert np.array_equal(self.ks_sample(sampler, spec, samples, seed), expected), sampler
+
+    @staticmethod
+    def ks_sample(sampler, spec, samples, seed):
+        """The Wishart diagonals of the KS factors, or the direct Dirichlet
+        sample of rho_00 that _dirichlet_ks compares them with."""
+        if sampler == "ks_factors":
+            return mc._wishart_diagonals(spec, samples, seed)
+        compared = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "ks_two_sample", lambda a, b: compared.append(b) or 0.0)
+            mc._dirichlet_ks(np.ones((samples, spec.m)), spec, seed)
+        return compared[0]
+
     def test_stream_domains_are_distinct_and_in_range(self):
         tags = mc.STREAM_DOMAINS
         assert set(tags) == {"states", "spectra", "orbits", "ks_factors", "ks_dirichlet"}
@@ -1021,6 +1060,27 @@ class TestDirichletConsistency:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _stream_makers(node: ast.AST, owner: str):
+    """The function (or "<module>") around each RngStream(...) call under
+    node, the innermost one where functions nest."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _stream_makers(child, getattr(child, "name", "<lambda>"))
+            continue
+        if isinstance(child, ast.Call) and "RngStream" in (getattr(child.func, "id", None),
+                                                           getattr(child.func, "attr", None)):
+            yield owner
+        yield from _stream_makers(child, owner)
+
+
+def test_only_draw_makes_a_stream():
+    # one stream rule: chunk c of a draw key draws from stream (seed, domain,
+    # c), and mc._draw is the one function that makes such a stream
+    makers = [f"{path.stem}.{owner}" for path in sorted((SRC / "randcoh").glob("*.py"))
+              for owner in _stream_makers(ast.parse(path.read_text(encoding="utf-8")), "<module>")]
+    assert makers == ["mc._draw"]
 
 
 class TestLazyPool:
