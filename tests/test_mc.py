@@ -706,10 +706,10 @@ class TestGammaMarginal:
         spec = EnsembleSpec(2, 3)
         sizes = mc.chunk_sizes(1500, 3)
         assert len(sizes) == 2
+        streams = [RngStream(SeedSpec(63, c, mc.STREAM_DOMAINS["ks_factors"])) for c in range(len(sizes))]
         diags = np.concatenate([
-            np.diagonal(linalg.gram(mc._bartlett_factor(
-                RngStream(SeedSpec(63, c, mc.STREAM_DOMAINS["ks_factors"])), spec, size)), axis1=-2, axis2=-1).real
-            for c, size in enumerate(sizes)])
+            np.diagonal(linalg.gram(mc._bartlett_factor(stream, spec, size)), axis1=-2, axis2=-1).real
+            for stream, size in zip(streams, sizes)])
         expected = [mc.ks_statistic(diags[:, i], lambda x: mc.gamma_cdf(x, 3.0)) for i in range(2)]
         assert mc.diagonal_ks_tests(spec, 1500, 63)[0] == pytest.approx(expected, abs=1e-12)
 
@@ -793,8 +793,10 @@ class TestKsSubstreams:
         # (3, 4, k=2): 682 factors or 1365 Dirichlet draws to a chunk; each
         # key gets chunks chunks, the last holding 1 + tail % size draws
         spec = EnsembleSpec(3, 4, k=2)
-        draws = {"ks_factors": lambda stream, size: ensembles._row_norms(ensembles._bartlett_factor(stream, spec, size)),
-                 "ks_dirichlet": lambda stream, size: sample_diag_dirichlet(stream, spec, size)[:, 0]}
+        draws = {
+            "ks_factors": lambda stream, size: ensembles._row_norms(ensembles._bartlett_factor(stream, spec, size)),
+            "ks_dirichlet": lambda stream, size: sample_diag_dirichlet(stream, spec, size)[:, 0],
+        }
         for sampler, draw in draws.items():
             size = mc._chunks((sampler, None, spec, seed, 10**6))[0][1]
             samples = size * (chunks - 1) + 1 + tail % size
