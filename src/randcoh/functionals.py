@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError
 from .linalg import row_sort, row_sum
 
 EULER_GAMMA = 0.5772156649015329
@@ -156,7 +156,8 @@ def subentropy(lam):
     handled by the confluent limit g[x,...,x] (r+1 nodes) = g^(r)(x)/r!.
     Ranges over [0, 1 + ln m - H_m], the maximum at the uniform spectrum.
     A stack of spectra (..., m) gives one value per spectrum; the
-    recursion runs on all of them at once.
+    recursion runs on all of them at once.  Where cancellation drives a
+    value below 0 (at large m), NumericalError names m and the lost digits.
     """
     lam = _validated_probabilities(lam)
     m = lam.shape[-1]
@@ -172,6 +173,8 @@ def subentropy(lam):
             col = np.where(tie, _g_derivative(lo, m, order) / math.factorial(order), col)
     q = -col[:, 0].reshape(lam.shape[:-1])
     if (q < -_NEG_TOL).any():
-        # divided-difference noise only ever shows up at the bottom of the range
-        raise DomainError(f"subentropy {float(q.min())!r} escaped its lower bound")
+        # Q >= 0, so a value below it is an error of at least |q|: cancellation
+        lost = math.log10(-float(q.min()) / np.finfo(np.float64).eps)
+        raise NumericalError(f"subentropy at m = {m}: the divided differences of x^m ln x lost at least "
+                             f"{lost:.1f} digits (a value of {float(q.min())!r}, below its lower bound 0)")
     return _scalar_or_stack(np.maximum(q, 0.0))

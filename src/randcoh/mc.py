@@ -3,13 +3,11 @@
 A job of `samples` draws is split into chunks by a fixed rule
 (chunk_sizes: at most CHUNK_ENTRIES random variates per chunk, counted as
 the draw consumes them, so the split depends only on the sampler and on
-m).  Entropy and subentropy depend on the spectrum alone: their
-draws are spectra from the Laguerre bidiagonal model, 2m - 1 Gamma
-variates each (sample_mixing_spectrum).  Coherence and diagonal entropy
-draw states from their m x m Bartlett factor, m Gamma variates and
-m(m-1)/2 complex Gaussians each (sample_mixing_state), and a draw on a
-fixed-spectrum orbit is one m x m Haar matrix (m^2 entries).  No draw's
-cost grows with k*n.  Every draw follows one rule: chunk c draws from the
+m).  Entropy and subentropy draw spectra of the Laguerre bidiagonal model
+(sample_mixing_spectrum), coherence and diagonal entropy states from their
+Bartlett factor (sample_mixing_state), and a fixed-spectrum orbit one Haar
+matrix per draw; _chunks counts the variates of each, and no draw's cost
+grows with k*n.  Every draw follows one rule: chunk c draws from the
 random stream keyed (master_seed, domain, c), where the domain names the
 sampler (STREAM_DOMAINS).  An estimate evaluates each chunk as one stack
 and reduces it to (count, mean, m2); the chunk results merge in chunk
@@ -17,8 +15,8 @@ order.  The chunk is thus the unit of randomness as well as the unit of
 work, and workers only schedule chunks: the same (master_seed, samples)
 gives bit-identical results for any worker count, whether the chunks ran
 inline or in a process pool; across BLAS kernels, coherence can move in
-its last bit.  A job of one chunk always runs inline, and the process pool
-machinery is imported only when a pool starts.
+its last bit.  A call whose every family fits in one chunk runs inline,
+and the process pool machinery is imported only when a pool starts.
 
 A chunk's working set grows with its variates, not with its matrix
 stacks: the Gamma and normal samplers hold a few arrays of 8 bytes per
@@ -31,25 +29,22 @@ A draw key (sampler, fixed_spectrum, spec, master_seed, samples) fixes its
 chunk plan (_chunks) and its draws (_draw), and _draw is the one place a
 stream is made.  A job's key has the sampler of its quantity (SAMPLERS).
 Jobs with one key form a family: run_comparisons draws each chunk of a
-family once and evaluates every quantity of the family on that one stack,
-each family through its own chunk map; estimate and run_comparison are
-the family of one job.  empirical_concentration draws the coherence
-estimate's states, chunk for chunk, and counts their tail; the CLI's
-sample command prints the same states.  Each sampler draws in its own
-stream domain, so the draw keys of one master seed share no variate.
+family once and evaluates every quantity of the family on that one stack.
+One estimator call is one chunk map (_map_chunks) over the chunks of all
+its families, on at most one pool.  empirical_concentration draws the
+coherence estimate's states, chunk for chunk, and counts their tail; the
+CLI's sample command prints the same states.  Each sampler draws in its
+own stream domain, so the draw keys of one master seed share no variate.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
 integer shapes up to GAMMA_CDF_MAX_SHAPE (those of the Wishart diagonals
 that verify tests) live here so the distributional checks need nothing
-outside the package.  Both work on arrays: gamma_cdf(x, shape) maps an
-array x to the array of CDF values (a scalar x gives a float), and
-ks_statistic(values, cdf) calls cdf once, on the sorted sample or on a
-stack of samples sorted column by column, so cdf must be such an array
-map.  diagonal_ks_tests is the one entry point of the two KS checks of the
-diagonal law.  It reads the Wishart diagonals as the row norms of the
-Bartlett factors sample_mixing_state draws, so its cost does not grow with
-k*n either; its factors and its direct Dirichlet sample are the draw keys
-of the ks_factors and ks_dirichlet samplers, run inline.
+outside the package; both work on arrays.  diagonal_ks_tests is the one
+entry point of the two KS checks of the diagonal law.  It reads the
+Wishart diagonals as the row norms of the Bartlett factors
+sample_mixing_state draws, so its cost does not grow with k*n either; its
+factors and its direct Dirichlet sample are the draw keys of the
+ks_factors and ks_dirichlet samplers, run inline.
 """
 
 from __future__ import annotations
@@ -58,7 +53,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -237,14 +232,18 @@ class ProcessPoolExecutor:
         return self._pool.__exit__(*exc)
 
 
-def _map_chunks(fn, tasks: list, workers: int) -> list:
-    """[fn(task) for task in tasks], on a process pool when there are several
-    workers and several tasks; each worker then takes one contiguous run of
-    tasks.  Results come back in task order either way."""
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks, chunksize=math.ceil(len(tasks) / workers)))
+def _map_chunks(fn, jobs: list[tuple[tuple, list]], workers: int) -> list[list]:
+    """[fn(*args, chunk) for chunk in chunks] of each job (args, chunks), as
+    one task list: inline when workers is 1 or every job fits in one chunk,
+    else on one process pool whose workers each take a contiguous run of
+    tasks.  Results come back per job, in chunk order, either way."""
+    tasks = [(*args, chunk) for args, chunks in jobs for chunk in chunks]
+    if workers == 1 or all(len(chunks) <= 1 for _, chunks in jobs):
+        results = (fn(*task) for task in tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = iter(list(pool.map(fn, *zip(*tasks), chunksize=math.ceil(len(tasks) / workers))))
+    return [list(islice(results, len(chunks))) for _, chunks in jobs]
 
 
 def _draw_key(config: EstimatorConfig) -> tuple:
@@ -300,21 +299,26 @@ def _run_worker(family: tuple[EstimatorConfig, ...], chunk: tuple[int, int]) -> 
     return [RunningStats.of(_values(config.quantity, draws)) for config in family]
 
 
-def _family_stats(family: tuple[EstimatorConfig, ...]) -> list[RunningStats]:
-    """The merged statistics of each config of a family, from one chunk map
-    on as many workers as any of its configs asks for."""
-    workers = max(config.workers for config in family)
-    merged = [RunningStats() for _ in family]
-    for parts in _map_chunks(partial(_run_worker, family), _chunks(_draw_key(family[0])), workers):
-        for total, part in zip(merged, parts):
-            total.merge(part)
+def _merged_stats(configs: list[EstimatorConfig]) -> list[RunningStats]:
+    """The merged statistics of each config, in order: one chunk map over
+    every chunk of every family, on as many workers as any config asks for."""
+    families: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        families.setdefault(_draw_key(config), []).append(i)
+    jobs = [((tuple(configs[i] for i in members),), _chunks(key)) for key, members in families.items()]
+    merged = [RunningStats() for _ in configs]
+    workers = max((config.workers for config in configs), default=1)
+    for members, results in zip(families.values(), _map_chunks(_run_worker, jobs, workers)):
+        for parts in results:
+            for i, part in zip(members, parts):
+                merged[i].merge(part)
     return merged
 
 
 def estimate(config: EstimatorConfig) -> RunningStats:
     """Draw config.samples states, evaluate the configured quantity on each,
     and return the merged streaming statistics."""
-    return _family_stats((config,))[0]
+    return _merged_stats([config])[0]
 
 
 def closed_form_for(config: EstimatorConfig) -> float:
@@ -358,25 +362,17 @@ def compare(stats: RunningStats, config: EstimatorConfig, wall_time_ms: float = 
 def run_comparisons(configs) -> list[ComparisonReport]:
     """estimate + compare for each config, one report per config in order.
 
-    Configs that draw the same stacks (same sampler, spec, master_seed and
-    samples) form a family, and a family is drawn once: each of its chunks
-    is one stack on which every quantity of the family is evaluated.  The
-    statistics are bit for bit those of separate estimate calls.  Each
-    family runs through its own chunk map, so a family of one chunk runs
-    inline, and every report of a family carries the family's wall time.
+    Configs with one draw key form a family, drawn once: every quantity of
+    the family is evaluated on each of its chunks.  The chunks of all
+    families run as one chunk map, on at most one pool and on none when
+    each family fits in one chunk.  The statistics are bit for bit those of
+    separate estimate calls, and every report carries the call's wall time.
     """
     configs = list(configs)
-    families: dict[tuple, list[int]] = {}
-    for i, config in enumerate(configs):
-        families.setdefault(_draw_key(config), []).append(i)
-    reports: list[ComparisonReport | None] = [None] * len(configs)
-    for members in families.values():
-        t0 = time.perf_counter()
-        stats = _family_stats(tuple(configs[i] for i in members))
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        for i, s in zip(members, stats):
-            reports[i] = compare(s, configs[i], wall_time_ms=elapsed_ms)
-    return reports
+    t0 = time.perf_counter()
+    stats = _merged_stats(configs)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return [compare(s, config, wall_time_ms=elapsed_ms) for s, config in zip(stats, configs)]
 
 
 def run_comparison(config: EstimatorConfig) -> ComparisonReport:
@@ -403,7 +399,7 @@ def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
     bound = closedforms.concentration_bound(spec.m, spec.env_dim, epsilon)
     key = ("states", None, spec, master_seed, samples)
     center = closedforms.avg_coherence(spec.m, spec.n, spec.k)
-    exceed = sum(_map_chunks(partial(_concentration_worker, key, center, epsilon), _chunks(key), workers))
+    exceed = sum(_map_chunks(_concentration_worker, [((key, center, epsilon), _chunks(key))], workers)[0])
     return exceed / samples, bound
 
 

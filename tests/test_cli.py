@@ -121,6 +121,12 @@ class TestEstimate:
         assert capsys.readouterr().out == ""
         assert not out_path.exists()
 
+    def test_subentropy_that_loses_its_digits_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--quantity", "subentropy", "--m", "64", "--n", "64",
+                                 "--samples", "200", "--seed", "1", "--workers", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: subentropy at m = 64: the divided differences of x^m ln x lost")
+
     def test_non_finite_result_exits_one_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
         run_comparison = mc.run_comparison
         monkeypatch.setattr(mc, "run_comparison",
@@ -180,10 +186,8 @@ class TestVerify:
         assert code == 0
         assert len(parse_jsonl(out)) == 7
 
-    @pytest.mark.usefixtures("chunks_of_4096")
-    def test_one_pool_per_family(self, capsys, monkeypatch):
-        # (2, 3): states and spectra are both 3 variates, 1365 draws to a
-        # chunk, so 3000 draws make three chunks in each of the two families
+    @staticmethod
+    def counted_pools(monkeypatch):
         started = []
 
         class Counted(mc.ProcessPoolExecutor):
@@ -192,16 +196,39 @@ class TestVerify:
                 return super().__enter__()
 
         monkeypatch.setattr(mc, "ProcessPoolExecutor", Counted)
+        return started
+
+    @pytest.mark.usefixtures("chunks_of_4096")
+    def test_one_pool_per_call(self, capsys, monkeypatch):
+        # (2, 3): states and spectra are both 3 variates, 1365 draws to a
+        # chunk, so 3000 draws make three chunks in each of the two
+        # families, and one chunk map runs all six on one pool
+        started = self.counted_pools(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3", "--samples", "3000", "--seed", "4",
                                "--workers", "2")
         assert code == 0
-        assert len(started) == 2
+        assert len(started) == 1
         records = parse_jsonl(out)
-        wall = {name: r["wall_time_ms"] for r in records for name in r["results"]}
-        assert wall["coherence"] == wall["diag_entropy"]
-        assert wall["entropy"] == wall["subentropy"]
+        assert len({r["wall_time_ms"] for r in records[:4]}) == 1
         assert [name for r in records[:4] for name in r["results"]] == [
             "coherence", "entropy", "diag_entropy", "subentropy"]
+
+    def test_a_multi_chunk_family_beside_a_one_chunk_family_starts_one_pool(self, capsys, monkeypatch):
+        # (16, 16): a state is 136 variates, 120 to a chunk, a spectrum 31,
+        # 528 to a chunk; 300 draws make 3 chunks of states and 1 of spectra
+        started = self.counted_pools(monkeypatch)
+        argv = ("verify", "--m", "16", "--n", "16", "--samples", "300", "--seed", "5", "--workers")
+        printed = {}
+        for workers in ("1", "2"):
+            code, out, _ = run_cli(capsys, *argv, workers)
+            records = parse_jsonl(out)
+            for record in records:
+                record.pop("wall_time_ms")
+                assert record["parameters"].pop("workers") == int(workers)
+            printed[workers] = (code, records)
+        assert len(started) == 1
+        assert printed["1"] == printed["2"]
+        assert len(printed["1"][1]) == 7
 
     @pytest.mark.usefixtures("chunks_of_4096")
     @pytest.mark.parametrize("samples,ks_chunks", [(200, [1000]), (3000, [1365, 1365, 270])])

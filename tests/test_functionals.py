@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randcoh import linalg
-from randcoh.ensembles import DensityMatrix, EnsembleSpec, sample_mixing_state
+from randcoh.ensembles import DensityMatrix, EnsembleSpec, sample_mixing_spectrum, sample_mixing_state
 from randcoh.errors import DomainError, NumericalError, ParameterError
 from randcoh.functionals import (
     _CLUSTER_GAP,
@@ -321,6 +321,15 @@ class TestSubentropy:
 
     def test_dimension_one_stack(self):
         assert np.array_equal(subentropy(np.ones((3, 1))), np.zeros(3))
+
+    def test_cancellation_below_zero_is_a_numerical_error(self):
+        # valid spectra: at m = 64 the divided differences of x^m ln x lose
+        # every digit, and some of these 20 values fall below 0 (the fault
+        # is the evaluation's, not the input's, so not a DomainError)
+        lam = sample_mixing_spectrum(RngStream(SeedSpec(1, 0, 1)), EnsembleSpec(64, 64), 20)
+        assert (lam >= 0.0).all() and np.allclose(lam.sum(axis=1), 1.0)
+        with pytest.raises(NumericalError, match=r"^subentropy at m = 64: .* lost at least 17\.0 digits"):
+            subentropy(lam)
 
     def test_strictly_below_maximum_off_uniform(self):
         for lam in random_spectra(500, seed=404):

@@ -375,12 +375,26 @@ class TestRunComparisons:
             + chunks(configs[13])
         assert draws["spectrum"] == sum(chunks(c) for c in verify[1::4]) + chunks(configs[14])
 
-    def test_a_family_shares_its_wall_time(self):
+    def test_a_call_shares_its_wall_time(self):
+        # one chunk map draws both families, so all four reports carry its time
         reports = mc.run_comparisons(
             [mc.EstimatorConfig(EnsembleSpec(2, 3), q, 200, master_seed=77) for q in VERIFY_QUANTITIES])
-        by_quantity = {r.config.quantity: r.wall_time_ms for r in reports}
-        assert by_quantity["coherence"] == by_quantity["diag_entropy"] > 0.0
-        assert by_quantity["entropy"] == by_quantity["subentropy"] > 0.0
+        assert len({r.wall_time_ms for r in reports}) == 1
+        assert reports[0].wall_time_ms > 0.0
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_any_order_of_jobs_gives_the_bits_of_separate_estimates(self, data):
+        # the chunk results of each config merge by its index in the call,
+        # so reordering and repeating jobs moves no report and no bit
+        configs = self.configs(1)
+        repeats = data.draw(st.lists(st.sampled_from(configs), min_size=1, max_size=4))
+        jobs = data.draw(st.permutations(configs + repeats))
+        reports = mc.run_comparisons(jobs)
+        assert [r.config for r in reports] == jobs
+        for config, report in zip(jobs, reports):
+            alone = mc.estimate(config)
+            assert (report.mc_mean, report.mc_stderr) == (alone.mean, alone.stderr)
 
     def test_no_configs_give_no_reports(self):
         assert mc.run_comparisons([]) == []
@@ -1064,25 +1078,35 @@ class TestDirichletConsistency:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _stream_makers(node: ast.AST, owner: str):
-    """The function (or "<module>") around each RngStream(...) call under
-    node, the innermost one where functions nest."""
+def _callers(node: ast.AST, owner: str, name: str):
+    """The function (or "<module>") around each name(...) call under node,
+    the innermost one where functions nest."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield from _stream_makers(child, getattr(child, "name", "<lambda>"))
+            yield from _callers(child, getattr(child, "name", "<lambda>"), name)
             continue
-        if isinstance(child, ast.Call) and "RngStream" in (getattr(child.func, "id", None),
-                                                           getattr(child.func, "attr", None)):
+        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                    getattr(child.func, "attr", None)):
             yield owner
-        yield from _stream_makers(child, owner)
+        yield from _callers(child, owner, name)
+
+
+def _package_callers(name: str) -> list[str]:
+    return [f"{path.stem}.{owner}" for path in sorted((SRC / "randcoh").glob("*.py"))
+            for owner in _callers(ast.parse(path.read_text(encoding="utf-8")), "<module>", name)]
 
 
 def test_only_draw_makes_a_stream():
     # one stream rule: chunk c of a draw key draws from stream (seed, domain,
     # c), and mc._draw is the one function that makes such a stream
-    makers = [f"{path.stem}.{owner}" for path in sorted((SRC / "randcoh").glob("*.py"))
-              for owner in _stream_makers(ast.parse(path.read_text(encoding="utf-8")), "<module>")]
-    assert makers == ["mc._draw"]
+    assert _package_callers("RngStream") == ["mc._draw"]
+
+
+def test_one_chunk_map_per_estimator_call():
+    # estimate, run_comparison and run_comparisons map their chunks through
+    # _merged_stats, and empirical_concentration maps its own; nothing else
+    # may start a second map (and a second pool) within one call
+    assert _package_callers("_map_chunks") == ["mc._merged_stats", "mc.empirical_concentration"]
 
 
 class TestLazyPool:
