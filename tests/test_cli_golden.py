@@ -55,6 +55,9 @@ BATTERY = [
     "estimate --quantity entropy --m 7 --n 7 --samples 3000 --seed 8",
     "estimate --quantity subentropy --m 8 --n 8 --samples 3000 --seed 8",
     "estimate --quantity coherence --m 4 --n 4 --k 2 --samples 5000 --seed 6",
+    "verify --m 1 --n 2 --samples 200 --seed 14",
+    "verify --m 2 --n 90 --k 2 --samples 200 --seed 15",
+    "estimate --quantity entropy --m 3 --n 4 --samples 500 --seed 16 --bits",
 ]
 
 
