@@ -157,7 +157,8 @@ def subentropy(lam):
     Ranges over [0, 1 + ln m - H_m], the maximum at the uniform spectrum.
     A stack of spectra (..., m) gives one value per spectrum; the
     recursion runs on all of them at once.  Where cancellation drives a
-    value below 0 (at large m), NumericalError names m and the lost digits.
+    value below 0 or above the maximum (at large m, or near-uniform
+    spectra), NumericalError names m, the lost digits and the bound.
     """
     lam = _validated_probabilities(lam)
     m = lam.shape[-1]
@@ -177,4 +178,11 @@ def subentropy(lam):
         lost = math.log10(-float(q.min()) / np.finfo(np.float64).eps)
         raise NumericalError(f"subentropy at m = {m}: the divided differences of x^m ln x lost at least "
                              f"{lost:.1f} digits (a value of {float(q.min())!r}, below its lower bound 0)")
+    q_max = 1.0 + math.log(m) - harmonic(m)
+    # the same above the maximum; a spectrum may sum to 1 within _SUM_TOL,
+    # which moves Q by up to m * _SUM_TOL
+    if (q > q_max + m * _SUM_TOL).any():
+        lost = math.log10((float(q.max()) - q_max) / np.finfo(np.float64).eps)
+        raise NumericalError(f"subentropy at m = {m}: the divided differences of x^m ln x lost at least "
+                             f"{lost:.1f} digits (a value of {float(q.max())!r}, above its upper bound {q_max!r})")
     return _scalar_or_stack(np.maximum(q, 0.0))

@@ -127,6 +127,15 @@ class TestEstimate:
         assert (code, out) == (1, "")
         assert err.startswith("error: subentropy at m = 64: the divided differences of x^m ln x lost")
 
+    def test_subentropy_above_its_maximum_exits_one(self, capsys):
+        # at m = 56 the divided differences return values far above
+        # 1 + ln m - H_m = 0.41388 (0.716 at seed 1), which passed the z check
+        code, out, err = run_cli(capsys, "estimate", "--quantity", "subentropy", "--m", "56", "--n", "56",
+                                 "--samples", "100", "--seed", "1", "--workers", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: subentropy at m = 56: the divided differences of x^m ln x lost")
+        assert "above its upper bound 0.41388" in err
+
     def test_non_finite_result_exits_one_and_writes_nothing(self, capsys, tmp_path, monkeypatch):
         run_comparison = mc.run_comparison
         monkeypatch.setattr(mc, "run_comparison",

@@ -331,6 +331,19 @@ class TestSubentropy:
         with pytest.raises(NumericalError, match=r"^subentropy at m = 64: .* lost at least 17\.0 digits"):
             subentropy(lam)
 
+    @pytest.mark.parametrize("m,eps,value", [(4, 1e-6, "0.84"), (8, 1e-3, "1.63")])
+    def test_cancellation_above_the_maximum_is_a_numerical_error(self, m, eps, value):
+        # near-uniform spectra, gaps 6.7e-7 at m = 4 and 2.9e-4 at m = 8,
+        # just above _CLUSTER_GAP: the divided differences return values
+        # far above 1 + ln m - H_m
+        lam = 1.0 / m + eps * np.linspace(-1.0, 1.0, m)
+        q_max = 1.0 + math.log(m) - harmonic(m)
+        with pytest.raises(NumericalError, match=rf"^subentropy at m = {m}: .* lost at least .* digits "
+                                                 rf"\(a value of {value}\d*, above its upper bound {q_max!r}\)"):
+            subentropy(lam)
+        with pytest.raises(NumericalError, match="above its upper bound"):
+            subentropy(np.stack([np.full(m, 1.0 / m), lam]))
+
     def test_strictly_below_maximum_off_uniform(self):
         for lam in random_spectra(500, seed=404):
             if np.ptp(lam) > 1e-3:
