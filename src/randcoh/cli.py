@@ -80,25 +80,30 @@ def _append(path: str, text: str) -> None:
         raise UsageError(f"cannot append to --out {path}: {exc.strerror}") from exc
 
 
-def _record(command: str, parameters: dict, results: dict, seed: int, wall_time_ms: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "parameters": parameters,
-        "results": results,
-        "seed": seed,
-        "wall_time_ms": wall_time_ms,
-    }
+def _report(command: str, parameters: dict, seed: int, checks, out_path: str | None) -> int:
+    """Print one record per (name, entry, wall_time_ms) check of checks, each
+    as soon as its check is done, and return the exit code: 2 if some
+    entry's verdict is "fail", else 0 (a "skip" counts for neither)."""
+    failed = False
+    for name, entry, wall_time_ms in checks:
+        _emit({
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "parameters": parameters,
+            "results": {name: entry},
+            "seed": seed,
+            "wall_time_ms": wall_time_ms,
+        }, out_path)
+        failed |= entry["verdict"] == "fail"
+    return 2 if failed else 0
 
 
-def _scale_entropies(entry: dict, bits: bool) -> dict:
-    if not bits:
-        return entry
-    scaled = dict(entry)
-    for key in ("mean", "stderr", "closed_form"):
-        if key in scaled:
-            scaled[key] = scaled[key] / _LN2
-    return scaled
+def _verdict(passed: bool) -> str:
+    return "pass" if passed else "fail"
+
+
+def _skip(reason: str) -> dict:
+    return {"verdict": "skip", "reason": reason}
 
 
 def _comparison_entry(report: mc.ComparisonReport) -> dict:
@@ -107,7 +112,7 @@ def _comparison_entry(report: mc.ComparisonReport) -> dict:
         "stderr": report.mc_stderr,
         "closed_form": report.closed_form,
         "z": report.z_score if math.isfinite(report.z_score) else None,
-        "verdict": "pass" if report.passed else "fail",
+        "verdict": _verdict(report.passed),
     }
 
 
@@ -122,7 +127,9 @@ def cmd_estimate(args) -> int:
         workers=args.workers,
     )
     report = mc.run_comparison(config)
-    entry = _scale_entropies(_comparison_entry(report), args.bits)
+    entry = _comparison_entry(report)
+    if args.bits:
+        entry.update({key: entry[key] / _LN2 for key in ("mean", "stderr", "closed_form")})
     parameters = {
         "quantity": args.quantity,
         "m": args.m,
@@ -132,9 +139,7 @@ def cmd_estimate(args) -> int:
         "workers": args.workers,
         "units": "bits" if args.bits else "nats",
     }
-    record = _record("estimate", parameters, {quantity: entry}, args.seed, report.wall_time_ms)
-    _emit(record, args.out)
-    return 0 if report.passed else 2
+    return _report("estimate", parameters, args.seed, [(quantity, entry, report.wall_time_ms)], args.out)
 
 
 def cmd_verify(args) -> int:
@@ -144,8 +149,12 @@ def cmd_verify(args) -> int:
     if spec.env_dim > mc.GAMMA_CDF_MAX_SHAPE:
         raise ParameterError(f"verify needs k*n <= {mc.GAMMA_CDF_MAX_SHAPE}, got {spec.env_dim}")
     parameters = {"m": args.m, "n": args.n, "k": args.k, "samples": args.samples, "workers": args.workers}
-    all_pass = True
+    return _report("verify", parameters, args.seed, _verify_checks(spec, args), args.out)
 
+
+def _verify_checks(spec: EnsembleSpec, args):
+    """verify's checks as (name, entry, wall_time_ms), in record order, each
+    run when the one before it has been printed."""
     # coherence and diag_entropy share their state draws, entropy and
     # subentropy their spectra: one run_comparisons call draws each once
     configs = [
@@ -154,10 +163,7 @@ def cmd_verify(args) -> int:
         for quantity in ("coherence", "entropy", "diag_entropy", "subentropy")
     ]
     for report in mc.run_comparisons(configs):
-        all_pass &= report.passed
-        record = _record("verify", parameters, {report.config.quantity: _comparison_entry(report)},
-                         args.seed, report.wall_time_ms)
-        _emit(record, args.out)
+        yield report.config.quantity, _comparison_entry(report), report.wall_time_ms
 
     # distributional checks need a sample floor to mean anything
     ks_samples = max(args.samples, mc.KS_MIN_SAMPLES)
@@ -168,44 +174,33 @@ def cmd_verify(args) -> int:
     stats, d = mc.diagonal_ks_tests(spec, ks_samples, args.seed)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     threshold = mc.ks_critical_value(ks_samples)
-    ok = bool((stats < threshold).all())
-    all_pass &= ok
-    _emit(_record("verify", parameters, {"wishart_diagonal_gamma_ks": {
+    yield "wishart_diagonal_gamma_ks", {
         "statistics": [float(s) for s in stats],
         "threshold": threshold,
         "samples": ks_samples,
-        "verdict": "pass" if ok else "fail",
-    }}, args.seed, elapsed_ms), args.out)
+        "verdict": _verdict((stats < threshold).all()),
+    }, elapsed_ms
 
     if d is None:
-        entry = {"verdict": "skip", "reason": "m = 1: rho_00 = 1 in both samples"}
+        entry = _skip("m = 1: rho_00 = 1 in both samples")
     else:
         threshold = mc.ks_critical_value(ks_samples, n2=ks_samples)
-        ok = d < threshold
-        all_pass &= ok
-        entry = {"statistic": d, "threshold": threshold, "samples": ks_samples, "verdict": "pass" if ok else "fail"}
-    _emit(_record("verify", parameters, {"diagonal_dirichlet_consistency_ks": entry}, args.seed, elapsed_ms),
-          args.out)
+        entry = {"statistic": d, "threshold": threshold, "samples": ks_samples, "verdict": _verdict(d < threshold)}
+    yield "diagonal_dirichlet_consistency_ks", entry, elapsed_ms
 
     t0 = time.perf_counter()
     if spec.m != 2:
-        entry = {"verdict": "skip", "reason": "m != 2"}
+        entry = _skip("m != 2")
     elif spec.env_dim > M2_DENSITY_MAX_ENV_DIM:
-        entry = {"verdict": "skip",
-                 "reason": f"k*n > {M2_DENSITY_MAX_ENV_DIM}: the m = 2 densities underflow on the grid"}
+        entry = _skip(f"k*n > {M2_DENSITY_MAX_ENV_DIM}: the m = 2 densities underflow on the grid")
     else:
         xs = np.linspace(0.01, 0.99, 50)
         diffs = [abs(closedforms.eigen_density_m2(spec.env_dim, float(x))
                      - closedforms.derivative_principle_density_m2(spec.env_dim, float(x)))
                  for x in xs]
         max_diff = max(diffs)
-        ok = max_diff < 1e-10
-        all_pass &= ok
-        entry = {"max_abs_diff": max_diff, "grid_points": 50, "verdict": "pass" if ok else "fail"}
-    _emit(_record("verify", parameters, {"derivative_principle_m2": entry},
-                  args.seed, (time.perf_counter() - t0) * 1000.0), args.out)
-
-    return 0 if all_pass else 2
+        entry = {"max_abs_diff": max_diff, "grid_points": 50, "verdict": _verdict(max_diff < 1e-10)}
+    yield "derivative_principle_m2", entry, (time.perf_counter() - t0) * 1000.0
 
 
 def cmd_tables(args) -> int:
@@ -247,21 +242,17 @@ def cmd_concentration(args) -> int:
     fraction, bound = mc.empirical_concentration(
         spec, args.epsilon, args.samples, args.seed, workers=args.workers
     )
-    passed = fraction <= bound
-    results = {
-        "concentration": {
-            "epsilon": args.epsilon,
-            "empirical_fraction": fraction,
-            "bound": bound,
-            "bound_vacuous": bound >= 1.0,
-            "verdict": "pass" if passed else "fail",
-        }
+    entry = {
+        "epsilon": args.epsilon,
+        "empirical_fraction": fraction,
+        "bound": bound,
+        "bound_vacuous": bound >= 1.0,
+        "verdict": _verdict(fraction <= bound),
     }
     parameters = {"m": args.m, "n": args.n, "k": args.k, "epsilon": args.epsilon,
                   "samples": args.samples, "workers": args.workers}
-    _emit(_record("concentration", parameters, results, args.seed,
-                  (time.perf_counter() - t0) * 1000.0), args.out)
-    return 0 if passed else 2
+    return _report("concentration", parameters, args.seed,
+                   [("concentration", entry, (time.perf_counter() - t0) * 1000.0)], args.out)
 
 
 def cmd_sample(args) -> int:

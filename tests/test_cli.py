@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -14,6 +15,7 @@ from randcoh.cli import main
 from randcoh.ensembles import EnsembleSpec
 from randcoh.errors import NumericalError
 from randcoh.randkit import RngStream, SeedSpec
+from test_mc import _callers
 
 
 def run_cli(capsys, *argv):
@@ -442,6 +444,72 @@ class TestConcentration:
         assert code == 1
         assert out == ""
         assert "epsilon" in err
+
+
+class TestExitRule:
+    """estimate, verify and concentration print every record and exit 2
+    when some record reads "fail"; a "skip" counts for neither."""
+
+    def test_estimate_that_fails_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(mc, "Z_PASS_THRESHOLD", 0.0)
+        code, out, _ = run_cli(capsys, "estimate", "--quantity", "coherence", "--m", "2", "--n", "2",
+                               "--samples", "100", "--seed", "5", "--workers", "1")
+        assert code == 2
+        assert [r["results"]["coherence"]["verdict"] for r in parse_jsonl(out)] == ["fail"]
+
+    def test_verify_with_one_failing_record_prints_all_seven_and_exits_two(self, capsys, monkeypatch):
+        run_comparisons = mc.run_comparisons
+
+        def first_fails(configs):
+            reports = run_comparisons(configs)
+            return [dataclasses.replace(reports[0], passed=False), *reports[1:]]
+
+        monkeypatch.setattr(mc, "run_comparisons", first_fails)
+        code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3", "--samples", "200", "--seed", "11",
+                               "--workers", "1")
+        assert code == 2
+        verdicts = [entry["verdict"] for r in parse_jsonl(out) for entry in r["results"].values()]
+        assert verdicts == ["fail"] + ["pass"] * 6
+
+    def test_concentration_that_fails_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(closedforms, "concentration_bound", lambda m, kn, epsilon: 0.0)
+        code, out, _ = run_cli(capsys, "concentration", "--m", "3", "--n", "3", "--epsilon", "0.2",
+                               "--samples", "200", "--seed", "4", "--workers", "1")
+        assert code == 2
+        entry = parse_jsonl(out)[0]["results"]["concentration"]
+        assert entry["empirical_fraction"] > entry["bound"] == 0.0
+        assert entry["verdict"] == "fail"
+
+    def test_skips_do_not_count(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--m", "1", "--n", "2", "--samples", "200", "--seed", "14",
+                               "--workers", "1")
+        assert code == 0
+        verdicts = [entry["verdict"] for r in parse_jsonl(out) for entry in r["results"].values()]
+        assert verdicts == ["pass"] * 5 + ["skip"] * 2
+
+    def test_a_check_that_raises_exits_one_after_the_records_before_it(self, capsys, monkeypatch):
+        def broken(*args):
+            raise NumericalError("the KS sample is broken")
+
+        monkeypatch.setattr(mc, "diagonal_ks_tests", broken)
+        code, out, err = run_cli(capsys, "verify", "--m", "2", "--n", "3", "--samples", "200", "--seed", "11",
+                                 "--workers", "1")
+        assert code == 1
+        assert err == "error: the KS sample is broken\n"
+        assert [name for r in parse_jsonl(out) for name in r["results"]] == [
+            "coherence", "entropy", "diag_entropy", "subentropy"]
+
+
+def test_one_record_path_and_one_exit_rule():
+    # only the record reporter and sample's raw lines print; no command
+    # turns verdicts into its exit code itself
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    assert list(_callers(tree, "<module>", "_emit")) == ["_report", "cmd_sample"]
+    commands = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert [node.name for node in commands if any(
+        isinstance(c, ast.Constant) and c.value == 2
+        for r in ast.walk(node) if isinstance(r, ast.Return) and r.value is not None
+        for c in ast.walk(r.value))] == []
 
 
 class TestSample:
