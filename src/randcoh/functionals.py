@@ -3,9 +3,10 @@
 Subentropy is the delicate one: the literal quotient formula
 -sum_i lam_i^m ln(lam_i) / prod_{j != i}(lam_i - lam_j) cancels
 catastrophically once eigenvalue gaps shrink below ~1e-5, which random
-spectra hit routinely.  It is evaluated here as the negated (m-1)-th
-divided difference of g(x) = x^m ln x, with near-coincident nodes merged
-and handled confluently through the exact derivatives of g.
+spectra hit routinely, and so does any divided-difference form of it as m
+grows.  It is evaluated here as one integral of nonnegative terms, built
+from the elementary symmetric polynomials of the spectrum, on a fixed
+trapezoid grid that serves every m and every spectrum.
 
 Each functional takes one vector (or state) and returns a float, or a
 stack of them along leading axes and returns an array of values.  The
@@ -21,14 +22,24 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericalError, ParameterError
-from .linalg import row_sort, row_sum
+from .linalg import row_blocks, row_sort, row_sum
 
 EULER_GAMMA = 0.5772156649015329
 
 _NEG_TOL = 1e-12
 _SUM_TOL = 1e-8
-_CLUSTER_GAP = 1e-7
-_ZERO_NODE = 1e-14
+# subentropy's trapezoid rule in u = ln tau: nodes u = 0.35 j, j = -49..46.
+# At step 0.35 it is within 8e-15 of mpmath at m = 2..128 on sampled, tied,
+# zeroed and near-uniform spectra; 0.4 gives 2e-13 at m = 64 and 0.5 gives
+# 2e-10 at m = 128.  Above u = 16.1 the terms fall like 1/(m tau^2) and are
+# dropped.  The nodes below u = -17.15 are summed, from the integrand's
+# first two Taylor terms e_2 tau + (e_3 - 2m e_2) tau^2, as geometric series:
+# e_2 _TAIL[0] + (e_3 - 2m e_2) _TAIL[1]
+_STEP = 0.35
+_TAU = np.exp(_STEP * np.arange(-49, 47))
+_TAIL = _TAU[0] ** np.array([1.0, 2.0]) * _STEP / np.expm1(_STEP * np.array([1.0, 2.0]))
+# a value further than this above 1 + ln m - H_m is a fault, not rounding
+_Q_SLACK = 1e-12
 _COHERENCE_FLOOR = -1e-9
 
 
@@ -116,73 +127,56 @@ def relative_entropy_of_coherence(rho):
     return _scalar_or_stack(np.maximum(c, 0.0))
 
 
-def _g_derivative(x, m: int, r: int) -> np.ndarray:
-    """r-th derivative of g(x) = x^m ln x for 0 <= r < m, elementwise.
-
-    d^r/dx^r [x^m ln x] = (m!/(m-r)!) x^(m-r) (ln x + H_m - H_{m-r}),
-    which extends by 0 to x = 0 since r < m.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    # ln 0 is replaced by 0; the power in front of it vanishes there
-    log_x = np.log(x, out=np.zeros_like(x), where=x > 0.0)
-    if r == 0:
-        return x**m * log_x
-    falling = math.factorial(m) // math.factorial(m - r)
-    return falling * x ** (m - r) * (log_x + harmonic(m) - harmonic(m - r))
-
-
-def _clustered_nodes(lam: np.ndarray) -> np.ndarray:
-    """Sort each row of lam (rows, m) ascending, snap near-zeros to 0, and
-    merge clusters of nodes closer than the confluence gap to their common
-    mean.  A cluster is a maximal run of consecutive gaps <= _CLUSTER_GAP."""
-    nodes = row_sort(lam)
-    nodes[nodes < _ZERO_NODE] = 0.0
-    starts = np.ones(nodes.shape, dtype=bool)
-    starts[:, 1:] = np.diff(nodes, axis=-1) > _CLUSTER_GAP
-    if starts.all():
-        return nodes
-    rows, m = nodes.shape
-    labels = (np.cumsum(starts, axis=-1) - 1 + m * np.arange(rows)[:, None]).ravel()
-    sums = np.bincount(labels, weights=nodes.ravel(), minlength=rows * m)
-    counts = np.bincount(labels, minlength=rows * m)
-    return (sums / np.maximum(counts, 1))[labels].reshape(rows, m)
-
-
 def subentropy(lam):
-    """Subentropy Q of a spectrum, in nats.
-
-    Equal to the negated (m-1)-th divided difference of g(x) = x^m ln x
-    over the eigenvalues; repeated (or nearly repeated) eigenvalues are
-    handled by the confluent limit g[x,...,x] (r+1 nodes) = g^(r)(x)/r!.
-    Ranges over [0, 1 + ln m - H_m], the maximum at the uniform spectrum.
-    A stack of spectra (..., m) gives one value per spectrum; the
-    recursion runs on all of them at once.  Where cancellation drives a
-    value below 0 or above the maximum (at large m, or near-uniform
-    spectra), NumericalError names m, the lost digits and the bound.
+    """Subentropy Q of a spectrum, in nats (Jozsa, Robb & Wootters,
+    PRA 49, 668 (1994)).  With mu = m lam / sum(lam) and P(tau) = sum_{k=2}^{m} e_k(mu) tau^(k-2),
+    Q = (1/m) int_0^inf tau P / ((1 + m tau)(1 + m tau + tau^2 P)) du over
+    u = ln tau (from Q = int_0^inf [s/(1+s) - prod_i s/(s+lam_i)] ds at
+    s = 1/(m tau)).  Every coefficient e_k and every term is >= 0, so ties,
+    zeros and near-uniform spectra cost no digits.  Ranges over
+    [0, 1 + ln m - H_m], the maximum at the uniform spectrum.  A stack of
+    spectra (..., m) gives one value per spectrum.  The e_k <= C(m, k) are
+    finite up to m = 1023; a value above the maximum (where they overflow)
+    raises NumericalError.
     """
     lam = _validated_probabilities(lam)
     m = lam.shape[-1]
-    if m == 1:
-        return _scalar_or_stack(np.zeros(lam.shape[:-1]))
-    z = _clustered_nodes(lam.reshape(-1, m))
-    col = _g_derivative(z, m, 0)
-    for order in range(1, m):
-        lo, hi = z[:, :-order], z[:, order:]
-        tie = hi == lo
-        col = np.divide(col[:, 1:] - col[:, :-1], hi - lo, out=np.zeros_like(lo), where=~tie)
-        if tie.any():
-            col = np.where(tie, _g_derivative(lo, m, order) / math.factorial(order), col)
-    q = -col[:, 0].reshape(lam.shape[:-1])
-    if (q < -_NEG_TOL).any():
-        # Q >= 0, so a value below it is an error of at least |q|: cancellation
-        lost = math.log10(-float(q.min()) / np.finfo(np.float64).eps)
-        raise NumericalError(f"subentropy at m = {m}: the divided differences of x^m ln x lost at least "
-                             f"{lost:.1f} digits (a value of {float(q.min())!r}, below its lower bound 0)")
+    rows = lam.reshape(-1, m)
+    mu = rows * (m / row_sum(rows, keepdims=True))
+    top = max(m, 2)
+    # a term is weight tau^2 P / (1 + m tau + tau^2 P) = weight / (1 + scale / P).
+    # P overflows to inf only where tau^2 P > 1e308 >> 1 + m tau, which gives
+    # the term its limit, weight; P = 0 (rank 1) gives 0
+    weight = 1.0 / (_TAU * (1.0 + m * _TAU))
+    scale = (1.0 + m * _TAU) / _TAU**2
+    q = np.empty(len(rows))
+    with np.errstate(over="ignore", divide="ignore"):
+        for block in row_blocks(len(rows), _TAU.size + m, 16):
+            e = _elementary_symmetric(mu[block])
+            p = np.empty((len(e), _TAU.size))
+            p[:] = e[:, top, None]
+            for k in range(top - 1, 1, -1):
+                p *= _TAU
+                p += e[:, k, None]
+            np.divide(scale, p, out=p)
+            p += 1.0
+            np.divide(weight, p, out=p)
+            tail = e[:, 2] * _TAIL[0] + (e[:, 3] - 2 * m * e[:, 2]) * _TAIL[1]
+            q[block] = (_STEP * p.sum(axis=-1) + tail) / m
+    q = q.reshape(lam.shape[:-1])
     q_max = 1.0 + math.log(m) - harmonic(m)
-    # the same above the maximum; a spectrum may sum to 1 within _SUM_TOL,
-    # which moves Q by up to m * _SUM_TOL
-    if (q > q_max + m * _SUM_TOL).any():
-        lost = math.log10((float(q.max()) - q_max) / np.finfo(np.float64).eps)
-        raise NumericalError(f"subentropy at m = {m}: the divided differences of x^m ln x lost at least "
-                             f"{lost:.1f} digits (a value of {float(q.max())!r}, above its upper bound {q_max!r})")
-    return _scalar_or_stack(np.maximum(q, 0.0))
+    above = ~(q <= q_max + _Q_SLACK)
+    if above.any():
+        raise NumericalError(f"subentropy at m = {m}: the quadrature gave {float(q[above].flat[0])!r}, "
+                             f"above the maximum {q_max!r} of any spectrum")
+    return _scalar_or_stack(q)
+
+
+def _elementary_symmetric(mu: np.ndarray) -> np.ndarray:
+    """e_0..e_max(m, 3) of each row of mu (rows, m), by the recurrence
+    e_k += mu_i e_(k-1) over i; zero beyond e_m."""
+    e = np.zeros((len(mu), max(mu.shape[-1], 3) + 1))
+    e[:, 0] = 1.0
+    for i in range(mu.shape[-1]):
+        e[:, 1:i + 2] += mu[:, i, None] * e[:, :i + 1]
+    return e

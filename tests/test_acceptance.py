@@ -230,7 +230,7 @@ def test_criterion_10_property_suites():
         ok &= 0.0 <= q <= s + 1e-12 <= math.log(lam.size) + 2e-12
     checks["a:sandwich"] = ok
 
-    # (b) confluent path vs 1e-9 perturbation
+    # (b) continuity: a 1e-9 perturbation, and a near-tie against the tie
     ok = True
     for _ in range(200):
         lam = dirichlet(stream, 1.0, 4)
@@ -239,7 +239,7 @@ def test_criterion_10_property_suites():
         bumped /= bumped.sum()
         ok &= abs(subentropy(bumped) - subentropy(lam)) < 1e-6
     ok &= abs(subentropy([0.5, 0.5 - 1e-9]) - subentropy([0.5, 0.5])) < 1e-6
-    checks["b:confluent"] = ok
+    checks["b:continuity"] = ok
 
     # (c) uniform spectrum attains 1 + ln m - H_m
     checks["c:uniform"] = all(

@@ -8,13 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randcoh import linalg
+from randcoh.closedforms import isospectral_avg_diag_entropy
 from randcoh.ensembles import DensityMatrix, EnsembleSpec, sample_mixing_spectrum, sample_mixing_state
 from randcoh.errors import DomainError, NumericalError, ParameterError
 from randcoh.functionals import (
-    _CLUSTER_GAP,
-    _ZERO_NODE,
     EULER_GAMMA,
-    _g_derivative,
     harmonic,
     relative_entropy_of_coherence,
     shannon_entropy,
@@ -45,67 +43,61 @@ def induced_spectra(m, count, seed):
     return sample_mixing_state(RngStream(SeedSpec(seed, m)), EnsembleSpec(m, 2 * m), count).spectrum
 
 
-# -- the scalar subentropy: the reference the vectorised one is held to ------
-# One spectrum at a time, one node at a time, with math.log and Python's
-# float power; this is how the package evaluated subentropy before the
-# recursion ran on stacks.
+# -- the reference: mpmath, sharing no arithmetic with the package ----------
 
-def _oracle_g(x, m):
-    return 0.0 if x == 0.0 else x**m * math.log(x)
+def subentropy_reference(lam) -> float:
+    """Q of the spectrum lam / sum(lam), each float entry taken as exact.
+
+    Zeros are dropped (a zero eigenvalue leaves Q as it is).  Distinct
+    entries go through the literal quotient formula
+    -sum_i x_i^r ln x_i / prod_{j != i}(x_i - x_j) over the r nonzero
+    entries, at 60 + 14r digits, enough for any gap between floats.  Tied
+    entries go through mpmath.quad, at 40 digits, of the positive integrand
+    Q = (1/r) int_0^inf P / ((1 + r t)(1 + r t + t^2 P)) dt, with
+    P(t) = sum_{k=2}^{r} e_k(r x) t^(k-2).
+    """
+    with mpmath.workdps(60 + 14 * len(lam)):
+        exact = [mpmath.mpf(float(v)) for v in lam]
+        total = mpmath.fsum(exact)
+        x = [v / total for v in exact if v != 0]
+        r = len(x)
+        if len(set(x)) == r:
+            return float(-mpmath.fsum(
+                xi**r * mpmath.log(xi) / mpmath.fprod(xi - xj for j, xj in enumerate(x) if j != i)
+                for i, xi in enumerate(x)))
+    with mpmath.workdps(40):
+        e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * r
+        for xi in x:
+            for k in range(r, 0, -1):
+                e[k] += r * xi * e[k - 1]
+
+        def integrand(t):
+            poly = mpmath.polyval(e[r:1:-1], t)
+            return poly / ((1 + r * t) * (1 + r * t + t * t * poly))
+
+        return float(mpmath.quad(integrand, [0, mpmath.mpf(1) / r, 1, r, mpmath.inf]) / r)
 
 
-def _oracle_g_derivative(x, m, r):
-    if r == 0:
-        return _oracle_g(x, m)
-    if x == 0.0:
-        return 0.0
-    falling = math.factorial(m) // math.factorial(m - r)
-    return falling * x ** (m - r) * (math.log(x) + harmonic(m) - harmonic(m - r))
+def q_max(m: int) -> float:
+    return 1.0 + math.log(m) - harmonic(m)
 
 
-def _oracle_clustered_nodes(lam):
-    nodes = np.sort(lam)
-    nodes[nodes < _ZERO_NODE] = 0.0
-    out = np.empty_like(nodes)
-    i = 0
-    while i < nodes.size:
-        j = i + 1
-        while j < nodes.size and nodes[j] - nodes[j - 1] <= _CLUSTER_GAP:
-            j += 1
-        out[i:j] = nodes[i:j].mean() if j - i > 1 else nodes[i]
-        i = j
-    return out
-
-
-def subentropy_oracle(lam) -> float:
-    lam = np.clip(np.asarray(lam, dtype=np.float64), 0.0, None)
-    m = lam.size
-    if m == 1:
-        return 0.0
-    z = _oracle_clustered_nodes(lam)
-    col = [_oracle_g(float(x), m) for x in z]
-    for order in range(1, m):
-        nxt = []
-        for i in range(m - order):
-            lo, hi = z[i], z[i + order]
-            if hi == lo:
-                nxt.append(_oracle_g_derivative(float(lo), m, order) / math.factorial(order))
-            else:
-                nxt.append((col[i + 1] - col[i]) / (hi - lo))
-        col = nxt
-    return max(-col[0], 0.0)
+# every comparison with the reference is absolute, at this tolerance
+REFERENCE_TOL = 1e-13
+GAP = 1e-7
 
 
 def edge_variants(lam):
-    """lam with nodes tied, merged, just separate or zeroed, renormalized."""
+    """lam with nodes tied, 0.9, 1.1 and 10 GAP apart, zeroed or tiny,
+    renormalized."""
     out = {}
     if lam.size >= 2:
-        for name, gap in (("tie", 0.0), ("below_gap", 0.9 * _CLUSTER_GAP), ("above_gap", 1.1 * _CLUSTER_GAP),
-                          ("far_above_gap", 10.0 * _CLUSTER_GAP)):
+        for name, gap in (("tie", 0.0), ("below_gap", 0.9 * GAP), ("above_gap", 1.1 * GAP),
+                          ("far_above_gap", 10.0 * GAP)):
             v = lam.copy()
             v[1] = v[0] - gap
             out[name] = v
-        for name, value in (("zero", 0.0), ("below_zero_node", 0.1 * _ZERO_NODE)):
+        for name, value in (("zero", 0.0), ("tiny", 1e-15)):
             v = lam.copy()
             v[-1] = value
             out[name] = v
@@ -119,17 +111,13 @@ def edge_variants(lam):
     return {name: v / v.sum() for name, v in out.items()}
 
 
-# Absolute tolerance of the vectorised subentropy against the oracle.  numpy's
-# log and power differ from libm's in the last bit for a few percent of
-# arguments, and the (m-1)-th divided difference magnifies that by the
-# inverse gaps of the spectrum, more at larger m (measured on 200 sampled
-# spectra: 1.5e-15 at m <= 4, 3e-14 at m = 8, 3e-11 at m = 16).
-ORACLE_TOL = {1: 2e-15, 2: 2e-15, 3: 2e-15, 8: 1e-12, 16: 1e-9}
-# Nodes 1.1 and 10 times the confluence gap apart stay separate, and their
-# first divided difference alone magnifies a 1-ulp difference in g by the
-# inverse gap, 1e6 to 1e7; both evaluations are that far from the exact
-# value there (measured: 4e-10 at m <= 4, 4e-9 at m = 8, 1.4e-7 at m = 16)
-ABOVE_GAP_TOL = {2: 1e-8, 3: 1e-8, 8: 1e-7, 16: 1e-6}
+def assert_matches_reference(lams):
+    """subentropy of the stack lams (rows, m) is within REFERENCE_TOL of the
+    reference row by row, and within [0, 1 + ln m - H_m]."""
+    values = subentropy(lams)
+    for lam, q in zip(lams, values):
+        assert abs(q - subentropy_reference(lam)) <= REFERENCE_TOL, lam
+    assert (values >= 0.0).all() and (values <= q_max(lams.shape[-1]) + REFERENCE_TOL).all()
 
 
 class TestHarmonic:
@@ -323,26 +311,27 @@ class TestSubentropy:
         assert np.array_equal(subentropy(np.ones((3, 1))), np.zeros(3))
 
     def test_cancellation_below_zero_is_a_numerical_error(self):
-        # valid spectra: at m = 64 the divided differences of x^m ln x lose
-        # every digit, and some of these 20 values fall below 0 (the fault
-        # is the evaluation's, not the input's, so not a DomainError)
+        # valid spectra at m = 64, on which the divided differences of
+        # x^m ln x lost every digit and fell below 0: the quadrature holds
         lam = sample_mixing_spectrum(RngStream(SeedSpec(1, 0, 1)), EnsembleSpec(64, 64), 20)
-        assert (lam >= 0.0).all() and np.allclose(lam.sum(axis=1), 1.0)
-        with pytest.raises(NumericalError, match=r"^subentropy at m = 64: .* lost at least 17\.0 digits"):
-            subentropy(lam)
+        assert_matches_reference(lam)
 
     @pytest.mark.parametrize("m,eps,value", [(4, 1e-6, "0.84"), (8, 1e-3, "1.63")])
     def test_cancellation_above_the_maximum_is_a_numerical_error(self, m, eps, value):
-        # near-uniform spectra, gaps 6.7e-7 at m = 4 and 2.9e-4 at m = 8,
-        # just above _CLUSTER_GAP: the divided differences return values
-        # far above 1 + ln m - H_m
+        # near-uniform spectra, gaps 6.7e-7 at m = 4 and 2.9e-4 at m = 8, on
+        # which the divided differences of x^m ln x gave `value`, far above
+        # 1 + ln m - H_m: the quadrature holds, alone and in a stack
         lam = 1.0 / m + eps * np.linspace(-1.0, 1.0, m)
-        q_max = 1.0 + math.log(m) - harmonic(m)
-        with pytest.raises(NumericalError, match=rf"^subentropy at m = {m}: .* lost at least .* digits "
-                                                 rf"\(a value of {value}\d*, above its upper bound {q_max!r}\)"):
-            subentropy(lam)
-        with pytest.raises(NumericalError, match="above its upper bound"):
-            subentropy(np.stack([np.full(m, 1.0 / m), lam]))
+        assert_matches_reference(lam[None, :])
+        assert not repr(subentropy(lam)).startswith(value)
+        assert np.array_equal(subentropy(np.stack([np.full(m, 1.0 / m), lam]))[1], subentropy(lam))
+
+    def test_a_value_above_the_maximum_is_a_numerical_error(self):
+        # at m = 1100 the e_k of the uniform spectrum, up to C(1100, 550),
+        # overflow to inf and every term takes its limit weight
+        with pytest.raises(NumericalError, match=r"^subentropy at m = 1100: the quadrature gave .*, "
+                                                 r"above the maximum 0\.42"):
+            subentropy(np.full(1100, 1.0 / 1100))
 
     def test_strictly_below_maximum_off_uniform(self):
         for lam in random_spectra(500, seed=404):
@@ -351,28 +340,45 @@ class TestSubentropy:
 
 
 class TestSubentropyOracle:
-    @pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16, 32, 64, 128])
     def test_sampled_spectra(self, m):
-        lams = induced_spectra(m, 200, seed=606)
-        for lam, q in zip(lams, subentropy(lams)):
-            assert abs(q - subentropy_oracle(lam)) <= ORACLE_TOL[m]
+        assert_matches_reference(induced_spectra(m, 40 if m <= 16 else 2, seed=606))
 
-    @pytest.mark.parametrize("m", [2, 3, 8, 16])
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 16, 32, 64, 128])
     def test_ties_gaps_and_zeros(self, m):
-        cases = [edge_variants(lam) for lam in induced_spectra(m, 50, seed=707)]
+        cases = [edge_variants(lam) for lam in induced_spectra(m, 4 if m <= 16 else 1, seed=707)]
         for name in cases[0]:
-            lams = np.array([case[name] for case in cases])
-            tol = ABOVE_GAP_TOL[m] if name.endswith("above_gap") else ORACLE_TOL[m]
-            for lam, q in zip(lams, subentropy(lams)):
-                assert abs(q - subentropy_oracle(lam)) <= tol, name
+            assert_matches_reference(np.array([case[name] for case in cases]))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 16, 32, 64, 128])
+    def test_uniform_and_near_uniform(self, m):
+        # the uniform spectrum is one m-fold tie, where Q takes its maximum
+        assert subentropy(np.full(m, 1.0 / m)) == pytest.approx(q_max(m), abs=REFERENCE_TOL)
+        assert_matches_reference(np.array([1.0 / m + eps * np.linspace(-1.0, 1.0, m) / m
+                                           for eps in (1e-3, 1e-7, 1e-12)]))
 
     def test_gap_either_side_of_the_cluster_threshold(self):
-        # below the gap the pair is merged and evaluated confluently, above it
-        # stays a quotient; both sides agree with the scalar path
+        # gaps either side of GAP, which the divided differences took as
+        # the threshold to merge nodes
         for factor in (0.5, 0.99, 1.01, 2.0):
-            lam = np.array([0.5, 0.3, 0.2 - factor * _CLUSTER_GAP])
+            lam = np.array([0.5, 0.3, 0.2 - factor * GAP])
             lam[1] = 0.5 - lam[2]
-            assert subentropy(lam) == pytest.approx(subentropy_oracle(lam), abs=1e-8)
+            assert_matches_reference(lam[None, :])
+
+    # a pair of nodes log-uniformly 1e-16 to 1e-2 apart, the rest Dirichlet
+    @given(m=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), log_gap=st.floats(-16.0, -2.0))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_a_pair_gap_of_any_size(self, m, seed, log_gap):
+        lam = dirichlet(RngStream(SeedSpec(seed, m)), 1.0, m)
+        lam[1] = lam[0] + 10.0**log_gap
+        assert_matches_reference((lam / lam.sum())[None, :])
+
+    def test_isospectral_average_near_a_tie(self):
+        # a gap of 2e-7, on which the divided differences were 1.3e-11 off
+        lam = (0.5000001, 0.4999999)
+        with mpmath.workdps(40):
+            expected = float(mpmath.mpf(0.5) + mpmath.mpf(subentropy_reference(lam)))
+        assert abs(isospectral_avg_diag_entropy(lam) - expected) <= 1e-14
 
     def test_stack_equals_row_by_row(self):
         lams = induced_spectra(8, 100, seed=808)
@@ -429,24 +435,3 @@ class TestNonFiniteInput:
             shannon_entropy(np.array([[0.5, 0.5], [math.nan, 0.5]]))
         with pytest.raises(DomainError):
             subentropy(np.array([[0.5, 0.5], [math.inf, 0.0]]))
-
-
-class TestDerivativeFormula:
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_against_central_differences(self, r):
-        # the confluent path leans on d^r/dx^r [x^m ln x]; check it against
-        # high-precision central differences before trusting it
-        m, x0, h = 4, mpmath.mpf("0.3"), mpmath.mpf("1e-4")
-        g = lambda x: x**m * mpmath.log(x)
-        with mpmath.workdps(40):
-            if r == 1:
-                fd = (g(x0 + h) - g(x0 - h)) / (2 * h)
-            elif r == 2:
-                fd = (g(x0 + h) - 2 * g(x0) + g(x0 - h)) / h**2
-            else:
-                fd = (g(x0 + 2 * h) - 2 * g(x0 + h) + 2 * g(x0 - h) - g(x0 - 2 * h)) / (2 * h**3)
-        assert _g_derivative(0.3, m, r) == pytest.approx(float(fd), abs=1e-6)
-
-    def test_vanishes_at_zero_below_top_order(self):
-        for r in range(4):
-            assert _g_derivative(0.0, 4, r) == 0.0
