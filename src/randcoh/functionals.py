@@ -128,16 +128,17 @@ def relative_entropy_of_coherence(rho):
 
 
 def subentropy(lam):
-    """Subentropy Q of a spectrum, in nats (Jozsa, Robb & Wootters,
-    PRA 49, 668 (1994)).  With mu = m lam / sum(lam) and P(tau) = sum_{k=2}^{m} e_k(mu) tau^(k-2),
+    """Subentropy Q of a spectrum, in nats (Jozsa, Robb & Wootters, PRA 49,
+    668 (1994)), over [0, 1 + ln m - H_m], the maximum at the uniform
+    spectrum.  A stack of spectra (..., m) gives one value per spectrum.
+
+    With mu = m lam / sum(lam) and P(tau) = sum_{k=2}^{m} e_k(mu) tau^(k-2),
     Q = (1/m) int_0^inf tau P / ((1 + m tau)(1 + m tau + tau^2 P)) du over
-    u = ln tau (from Q = int_0^inf [s/(1+s) - prod_i s/(s+lam_i)] ds at
+    u = ln tau (Q = int_0^inf [s/(1+s) - prod_i s/(s+lam_i)] ds at
     s = 1/(m tau)).  Every coefficient e_k and every term is >= 0, so ties,
-    zeros and near-uniform spectra cost no digits.  Ranges over
-    [0, 1 + ln m - H_m], the maximum at the uniform spectrum.  A stack of
-    spectra (..., m) gives one value per spectrum.  The e_k <= C(m, k) are
-    finite up to m = 1023; a value above the maximum (where they overflow)
-    raises NumericalError.
+    zeros, near-uniform spectra and large m cost no digits.  The
+    e_k <= C(m, k) are finite up to m = 1023; where they overflow, the value
+    lands above the maximum and NumericalError is raised.
     """
     lam = _validated_probabilities(lam)
     m = lam.shape[-1]
@@ -152,7 +153,11 @@ def subentropy(lam):
     q = np.empty(len(rows))
     with np.errstate(over="ignore", divide="ignore"):
         for block in row_blocks(len(rows), _TAU.size + m, 16):
-            e = _elementary_symmetric(mu[block])
+            # e_0..e_max(m, 3) of each row by e_k += mu_i e_(k-1), 0 beyond e_m
+            e = np.zeros((len(rows[block]), max(m, 3) + 1))
+            e[:, 0] = 1.0
+            for i in range(m):
+                e[:, 1:i + 2] += mu[block, i, None] * e[:, :i + 1]
             p = np.empty((len(e), _TAU.size))
             p[:] = e[:, top, None]
             for k in range(top - 1, 1, -1):
@@ -170,13 +175,3 @@ def subentropy(lam):
         raise NumericalError(f"subentropy at m = {m}: the quadrature gave {float(q[above].flat[0])!r}, "
                              f"above the maximum {q_max!r} of any spectrum")
     return _scalar_or_stack(q)
-
-
-def _elementary_symmetric(mu: np.ndarray) -> np.ndarray:
-    """e_0..e_max(m, 3) of each row of mu (rows, m), by the recurrence
-    e_k += mu_i e_(k-1) over i; zero beyond e_m."""
-    e = np.zeros((len(mu), max(mu.shape[-1], 3) + 1))
-    e[:, 0] = 1.0
-    for i in range(mu.shape[-1]):
-        e[:, 1:i + 2] += mu[:, i, None] * e[:, :i + 1]
-    return e
