@@ -51,25 +51,31 @@ def subentropy_reference(lam) -> float:
     Zeros are dropped (a zero eigenvalue leaves Q as it is).  Distinct
     entries go through the literal quotient formula
     -sum_i x_i^r ln x_i / prod_{j != i}(x_i - x_j) over the r nonzero
-    entries, at 60 + 14r digits, enough for any gap between floats.  Tied
-    entries go through mpmath.quad, at 40 digits, of the positive integrand
+    entries, at 30 digits more than its largest term has before the point,
+    so that the cancellation leaves an absolute error near 1e-30.  Tied
+    entries go through mpmath.quad, at 30 digits, of the positive integrand
     Q = (1/r) int_0^inf P / ((1 + r t)(1 + r t + t^2 P)) dt, with
     P(t) = sum_{k=2}^{r} e_k(r x) t^(k-2).
     """
-    with mpmath.workdps(60 + 14 * len(lam)):
-        exact = [mpmath.mpf(float(v)) for v in lam]
+    exact = [mpmath.mpf(float(v)) for v in lam if v != 0]
+    r = len(exact)
+    if len(set(exact)) == r:
+        def terms():
+            total = mpmath.fsum(exact)
+            x = [v / total for v in exact]
+            return [xi**r * mpmath.log(xi) / mpmath.fprod(xi - xj for j, xj in enumerate(x) if j != i)
+                    for i, xi in enumerate(x)]
+
+        with mpmath.workdps(30):
+            digits = max((int(mpmath.log10(abs(t))) for t in terms() if t), default=0)
+        with mpmath.workdps(30 + max(digits, 0)):
+            return float(-mpmath.fsum(terms()))
+    with mpmath.workdps(30):
         total = mpmath.fsum(exact)
-        x = [v / total for v in exact if v != 0]
-        r = len(x)
-        if len(set(x)) == r:
-            return float(-mpmath.fsum(
-                xi**r * mpmath.log(xi) / mpmath.fprod(xi - xj for j, xj in enumerate(x) if j != i)
-                for i, xi in enumerate(x)))
-    with mpmath.workdps(40):
         e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * r
-        for xi in x:
+        for mu in (r * v / total for v in exact):
             for k in range(r, 0, -1):
-                e[k] += r * xi * e[k - 1]
+                e[k] += mu * e[k - 1]
 
         def integrand(t):
             poly = mpmath.polyval(e[r:1:-1], t)
