@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from randcoh import linalg
-from randcoh.closedforms import isospectral_avg_diag_entropy
+from randcoh.closedforms import isospectral_avg_diag_entropy, max_subentropy
 from randcoh.ensembles import DensityMatrix, EnsembleSpec, sample_mixing_spectrum, sample_mixing_state
 from randcoh.errors import DomainError, NumericalError, ParameterError
 from randcoh.functionals import (
@@ -84,10 +84,6 @@ def subentropy_reference(lam) -> float:
         return float(mpmath.quad(integrand, [0, mpmath.mpf(1) / r, 1, r, mpmath.inf]) / r)
 
 
-def q_max(m: int) -> float:
-    return 1.0 + math.log(m) - harmonic(m)
-
-
 # every comparison with the reference is absolute, at this tolerance
 REFERENCE_TOL = 1e-13
 GAP = 1e-7
@@ -123,7 +119,7 @@ def assert_matches_reference(lams):
     values = subentropy(lams)
     for lam, q in zip(lams, values):
         assert abs(q - subentropy_reference(lam)) <= REFERENCE_TOL, lam
-    assert (values >= 0.0).all() and (values <= q_max(lams.shape[-1]) + REFERENCE_TOL).all()
+    assert (values >= 0.0).all() and (values <= max_subentropy(lams.shape[-1]) + REFERENCE_TOL).all()
 
 
 class TestHarmonic:
@@ -359,7 +355,7 @@ class TestSubentropyOracle:
     @pytest.mark.parametrize("m", [2, 3, 4, 8, 16, 32, 64, 128])
     def test_uniform_and_near_uniform(self, m):
         # the uniform spectrum is one m-fold tie, where Q takes its maximum
-        assert subentropy(np.full(m, 1.0 / m)) == pytest.approx(q_max(m), abs=REFERENCE_TOL)
+        assert subentropy(np.full(m, 1.0 / m)) == pytest.approx(max_subentropy(m), abs=REFERENCE_TOL)
         assert_matches_reference(np.array([1.0 / m + eps * np.linspace(-1.0, 1.0, m) / m
                                            for eps in (1e-3, 1e-7, 1e-12)]))
 
