@@ -1020,13 +1020,13 @@ class TestChunkWorkingSet:
     # a concentration chunk is a coherence chunk of states, its tail counted
     @pytest.mark.parametrize("quantity,spec,spectrum,stack_itemsize", [
         ("entropy", EnsembleSpec(16, 32), None, 8),
-        ("subentropy", EnsembleSpec(2, 3), None, 8),
-        ("subentropy", EnsembleSpec(8, 16, 3), None, 8),
-        ("subentropy", EnsembleSpec(16, 32), None, 8),
         ("coherence", EnsembleSpec(16, 32), None, 16),
         ("coherence", EnsembleSpec(4, 8), None, 16),
         ("isospectral_diag_entropy", EnsembleSpec(3, 3), (0.6, 0.3, 0.1), 16),
         ("concentration", EnsembleSpec(16, 32), None, 16),
+        ("subentropy", EnsembleSpec(2, 3), None, 8),
+        ("subentropy", EnsembleSpec(8, 16, 3), None, 8),
+        ("subentropy", EnsembleSpec(16, 32), None, 8),
     ])
     def test_peak_of_one_chunk(self, quantity, spec, spectrum, stack_itemsize):
         if quantity == "concentration":
