@@ -17,7 +17,11 @@ three entries, elementwise, with the arithmetic of the matrix routes.
 sample_ginibre and sample_wishart keep the Ginibre block itself,
 the reference construction the tests compare those routes against;
 nothing in mc draws it.  Direct Dirichlet and Haar-isospectral samplers
-cover the marginal laws that have one.
+cover the marginal laws that have one.  The isospectral sampler reads the
+diagonal of U diag(lam) U^dagger off the m - 1 Gram-Schmidt columns of a
+Ginibre block, at m(m-1) complex Gaussians per draw, with no QR and no
+full unitary; linalg.haar_unitary and linalg.unitary_conjugate_diagonal
+stay the reference construction the tests compare it against.
 
 Every sampler draws a stack of size draws along a leading axis, and size
 is required: one draw is the stack of one.
@@ -327,6 +331,67 @@ def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec, size: int) -> n
 
 def sample_isospectral_diagonal(stream: RngStream, lam: np.ndarray, size: int) -> np.ndarray:
     """(size, m) stack of the diagonals of U diag(lam) U-dagger for
-    independent Haar unitaries U."""
+    independent Haar unitaries U.
+
+    The diagonal d_i = sum_j |U_ij|^2 lam_j reads only the squared moduli
+    of U, and every row of U has norm 1, so d = lam_m + sum_{j<m} |u_j|^2
+    (lam_j - lam_m) needs only the first m - 1 columns u_j.  Gram-Schmidt
+    on m - 1 columns of complex standard Gaussians gives exactly those
+    columns of a Haar unitary (Mezzadri, Notices AMS 54, 592, 2007); the
+    columns are orthonormalized by classical Gram-Schmidt with one
+    re-orthogonalization pass, which is enough (Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005).  The stack draws one block of
+    size * m * (m - 1) complex Gaussians, the m x (m - 1) matrices draw by
+    draw, row-major; m = 1 draws nothing and returns lam.  Every step is a
+    real elementwise operation on the stack or a sum over a short axis in
+    a fixed order, so a draw's bits depend neither on the stack it is in
+    nor on the BLAS kernel.
+    """
     lam = np.asarray(lam, dtype=np.float64)
-    return linalg.unitary_conjugate_diagonal(linalg.haar_unitary(stream, lam.size, size), lam)
+    m = lam.size
+    z = stream.complex_gaussians(size * m * (m - 1))
+    # the real and the imaginary parts of column j of every draw, each an
+    # (m, size) array: the stack goes along the last axis, so that every
+    # operation is over one contiguous array of draws
+    re, im = z.view(np.float64).reshape(size, m, m - 1, 2).transpose(3, 2, 1, 0).copy()
+    d = np.full((m, size), lam[-1])
+    for j in range(m - 1):
+        vr, vi = re[j], im[j]
+        ur, ui = re[:j], im[:j]
+        for _ in range(2 if j else 0):
+            # c_k = <u_k, v> for each earlier column k, then v -= sum_k c_k u_k
+            p = ur * vr
+            p += ui * vi
+            cr = _sum_rows(p)[:, None]
+            np.multiply(ur, vi, out=p)
+            p -= ui * vr
+            ci = _sum_rows(p)[:, None]
+            t = cr * ur
+            t -= ci * ui
+            for k in range(j):
+                vr -= t[k]
+            np.multiply(cr, ui, out=t)
+            t += ci * ur
+            for k in range(j):
+                vi -= t[k]
+        sq = vr * vr
+        sq += vi * vi
+        norm2 = _sum_rows(sq)
+        if j < m - 2:
+            # the last column is never projected on, so it is not scaled
+            norm = np.sqrt(norm2)
+            vr /= norm
+            vi /= norm
+        # |u_j|^2 (lam_j - lam_m) = |v|^2 (lam_j - lam_m) / |v|_2^2
+        sq *= (lam[j] - lam[-1]) / norm2
+        d += sq
+    return d.T.copy()
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """a summed over its second-to-last axis (of at least 2 rows), the rows
+    added first to last, each an elementwise add over the draws."""
+    total = a[..., 0, :] + a[..., 1, :]
+    for i in range(2, a.shape[-2]):
+        total += a[..., i, :]
+    return total

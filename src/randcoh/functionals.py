@@ -40,6 +40,9 @@ _TAU = np.exp(_STEP * np.arange(-49, 47))
 _TAIL = _TAU[0] ** np.array([1.0, 2.0]) * _STEP / np.expm1(_STEP * np.array([1.0, 2.0]))
 # a value further than this above 1 + ln m - H_m is a fault, not rounding
 _Q_SLACK = 1e-12
+# log2 of the largest sum of the e_k(mu / 2^s) that subentropy lets through:
+# below it every coefficient is finite
+_LOG2_E_SUM_MAX = 1023
 _COHERENCE_FLOOR = -1e-9
 
 
@@ -137,19 +140,28 @@ def subentropy(lam):
     u = ln tau (Q = int_0^inf [s/(1+s) - prod_i s/(s+lam_i)] ds at
     s = 1/(m tau)).  Every coefficient e_k and every term is >= 0, so ties,
     zeros, near-uniform spectra and large m cost no digits.  The
-    e_k <= C(m, k) are finite up to m = 1023; where they overflow, the value
-    lands above the maximum and NumericalError is raised.
+    e_k <= C(m, k) sum to at most 2^m; from m = 1024 on, the e_k of
+    nu = mu / c are formed instead, for the power of two c = 2^s with
+    m log2(1 + 1/c) <= 1023, and P(tau) = c^2 P_nu(c tau) is evaluated at
+    the scaled nodes c tau: scaling by a power of two is exact, so every
+    step is that of the unscaled sum, barring e_k(nu) that underflow and
+    are negligible wherever P is not already far above 1 + m tau.  A value
+    above the maximum is a fault, and NumericalError is raised.
     """
     lam = _validated_probabilities(lam)
     m = lam.shape[-1]
     rows = lam.reshape(-1, m)
-    mu = rows * (m / row_sum(rows, keepdims=True))
+    shift = _coefficient_shift(m)
+    c = 2.0**shift
+    mu = rows * (m / c / row_sum(rows, keepdims=True))
     top = max(m, 2)
     # a term is weight tau^2 P / (1 + m tau + tau^2 P) = weight / (1 + scale / P).
     # P overflows to inf only where tau^2 P > 1e308 >> 1 + m tau, which gives
-    # the term its limit, weight; P = 0 (rank 1) gives 0
+    # the term its limit, weight; P = 0 (rank 1) gives 0.  With c = 2^s, P is
+    # c^2 P_nu at the nodes c tau, and scale / P = (scale / c^2) / P_nu
     weight = 1.0 / (_TAU * (1.0 + m * _TAU))
-    scale = (1.0 + m * _TAU) / _TAU**2
+    scale = (1.0 + m * _TAU) / _TAU**2 / c**2
+    nodes = _TAU * c
     q = np.empty(len(rows))
     with np.errstate(over="ignore", divide="ignore"):
         for block in row_blocks(len(rows), _TAU.size + m, 16):
@@ -161,12 +173,13 @@ def subentropy(lam):
             p = np.empty((len(e), _TAU.size))
             p[:] = e[:, top, None]
             for k in range(top - 1, 1, -1):
-                p *= _TAU
+                p *= nodes
                 p += e[:, k, None]
             np.divide(scale, p, out=p)
             p += 1.0
             np.divide(weight, p, out=p)
-            tail = e[:, 2] * _TAIL[0] + (e[:, 3] - 2 * m * e[:, 2]) * _TAIL[1]
+            e2, e3 = e[:, 2] * c**2, e[:, 3] * c**3
+            tail = e2 * _TAIL[0] + (e3 - 2 * m * e2) * _TAIL[1]
             q[block] = (_STEP * p.sum(axis=-1) + tail) / m
     q = q.reshape(lam.shape[:-1])
     q_max = 1.0 + math.log(m) - harmonic(m)
@@ -175,3 +188,13 @@ def subentropy(lam):
         raise NumericalError(f"subentropy at m = {m}: the quadrature gave {float(q[above].flat[0])!r}, "
                              f"above the maximum {q_max!r} of any spectrum")
     return _scalar_or_stack(q)
+
+
+def _coefficient_shift(m: int) -> int:
+    """The least s >= 0 with m log2(1 + 2^-s) <= _LOG2_E_SUM_MAX: the e_k of
+    mu / 2^s, whose sum (1 + 2^-s)^m bounds them all at the uniform
+    spectrum, are then finite.  It is 0 up to m = 1023."""
+    shift = 0
+    while m * math.log2(1.0 + 2.0**-shift) > _LOG2_E_SUM_MAX:
+        shift += 1
+    return shift

@@ -5,18 +5,20 @@ A job of `samples` draws is split into chunks by a fixed rule
 the draw consumes them, so the split depends only on the sampler and on
 m).  Entropy and subentropy draw spectra of the Laguerre bidiagonal model
 (sample_mixing_spectrum), coherence and diagonal entropy states from their
-Bartlett factor (sample_mixing_state), and a fixed-spectrum orbit one Haar
-matrix per draw; _chunks counts the variates of each, and no draw's cost
-grows with k*n.  Every draw follows one rule: chunk c draws from the
-random stream keyed (master_seed, domain, c), where the domain names the
-sampler (STREAM_DOMAINS).  An estimate evaluates each chunk as one stack
-and reduces it to (count, mean, m2); the chunk results merge in chunk
-order.  The chunk is thus the unit of randomness as well as the unit of
-work, and workers only schedule chunks: the same (master_seed, samples)
-gives bit-identical results for any worker count, whether the chunks ran
-inline or in a process pool; across BLAS kernels, coherence can move in
-its last bit.  A call whose every family fits in one chunk runs inline,
-and the process pool machinery is imported only when a pool starts.
+Bartlett factor (sample_mixing_state), and a fixed-spectrum orbit the
+m - 1 Gram-Schmidt columns of a Haar unitary per draw
+(sample_isospectral_diagonal); _chunks counts the variates of each, and
+no draw's cost grows with k*n.  Every draw follows one rule: chunk c
+draws from the random stream keyed (master_seed, domain, c), where the
+domain names the sampler (STREAM_DOMAINS).  An estimate evaluates each
+chunk as one stack and reduces it to (count, mean, m2); the chunk results
+merge in chunk order.  The chunk is thus the unit of randomness as well
+as the unit of work, and workers only schedule chunks: the same
+(master_seed, samples) gives bit-identical results for any worker count,
+whether the chunks ran inline or in a process pool; across BLAS kernels,
+coherence can move in its last bit.  A call whose every family fits in
+one chunk runs inline, and the process pool machinery is imported only
+when a pool starts.
 
 A chunk's working set grows with its variates, not with its matrix
 stacks: the Gamma and normal samplers hold a few arrays of 8 bytes per
@@ -85,8 +87,9 @@ Z_PASS_THRESHOLD = 4.0
 
 # random variates (Gamma variates, complex Gaussians or Ginibre entries) per
 # chunk: bounds the arrays one chunk allocates (the variates, the normals,
-# a Bartlett or Haar stack and the bounded blocks of linalg) to a working
-# set of 1.1-1.3 MB (tracemalloc peak at m = 16), at any k*n
+# a stack of Bartlett factors or Gram-Schmidt columns and the bounded
+# blocks of linalg) to a working set of 1.1-1.3 MB (tracemalloc peak at
+# m = 16), at any k*n
 CHUNK_ENTRIES = 1 << 14
 
 # below this many draws a Kolmogorov-Smirnov test says little
@@ -206,9 +209,10 @@ class ComparisonReport:
 def chunk_sizes(count: int, entries_per_draw: int) -> list[int]:
     """Split count consecutive draws, each consuming entries_per_draw random
     variates, into chunks of at most CHUNK_ENTRIES variates (at least one
-    draw each), in stream order.  A split into more chunks than a stream
-    key can index raises ParameterError before the list is made."""
-    size = max(1, CHUNK_ENTRIES // entries_per_draw)
+    draw each), in stream order; a draw that consumes none (an orbit at
+    m = 1) counts as one.  A split into more chunks than a stream key can
+    index raises ParameterError before the list is made."""
+    size = max(1, CHUNK_ENTRIES // max(1, entries_per_draw))
     full, rest = divmod(count, size)
     if full + bool(rest) > _MAX_CHUNKS:
         raise ParameterError(f"{count} draws make more than {_MAX_CHUNKS} chunks")
@@ -254,12 +258,12 @@ def _draw_key(config: EstimatorConfig) -> tuple:
 
 def _chunks(key: tuple) -> list[tuple[int, int]]:
     """The chunks (index, size) of a draw key, split by the variates a draw
-    consumes: 2m - 1 for a spectrum, m^2 for an orbit, m for a Dirichlet
-    draw, and m(m+1)/2 for a state or its Bartlett factor."""
+    consumes: 2m - 1 for a spectrum, m(m - 1) for an orbit, m for a
+    Dirichlet draw, and m(m+1)/2 for a state or its Bartlett factor."""
     sampler, _, spec, _, samples = key
     m = spec.m
     factor = m * (m + 1) // 2
-    variates = {"spectra": 2 * m - 1, "orbits": m * m, "states": factor, "ks_factors": factor, "ks_dirichlet": m}
+    variates = {"spectra": 2 * m - 1, "orbits": m * (m - 1), "states": factor, "ks_factors": factor, "ks_dirichlet": m}
     return list(enumerate(chunk_sizes(samples, variates[sampler])))
 
 

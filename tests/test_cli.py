@@ -672,10 +672,12 @@ CROSS_KERNEL_BATTERY = (
 )
 
 
-def battery_under(coretype: str, seeds) -> list:
+def battery_under(seeds, **variables) -> list:
     """The records CROSS_KERNEL_BATTERY prints at each seed, without their
-    wall_time_ms, from one subprocess with OpenBLAS forced to coretype."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    wall_time_ms, from one subprocess with the environment variables set
+    (OPENBLAS_CORETYPE to force a BLAS kernel, NPY_DISABLE_CPU_FEATURES to
+    narrow numpy's SIMD dispatch)."""
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
     script = "import sys\nfrom randcoh import cli\nfor argv in sys.argv[1:]:\n    cli.main(argv.split())\n"
     commands = [command.format(seed=seed) for seed in seeds for command in CROSS_KERNEL_BATTERY]
@@ -703,12 +705,50 @@ def same_printed_digits(a, b) -> bool:
 
 @pytest.mark.skipif(not dynamic_openblas(), reason="numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build")
 def test_printed_digits_do_not_depend_on_the_blas_kernel():
-    prescott = battery_under("Prescott", [9])
-    haswell = battery_under("Haswell", [9, 10])
+    prescott = battery_under([9], OPENBLAS_CORETYPE="Prescott")
+    haswell = battery_under([9, 10], OPENBLAS_CORETYPE="Haswell")
     assert len(prescott) == 3 + 130
     assert same_printed_digits(haswell[:len(prescott)], prescott)
     # the comparison can fail: another seed prints other digits
     assert not same_printed_digits(haswell[len(prescott):], prescott)
+
+
+# numpy's AVX-512 loop groups.  Without them numpy runs its AVX2 loops of
+# np.log and np.exp, which round some values differently: the normals and
+# every entropy take other bits, and the printed digits must not
+SIMD_GROUPS_OFF = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def numpy_dispatches(groups: str) -> bool:
+    """Whether numpy dispatches loops of every CPU feature group named, and
+    this host runs them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return False
+    return all(group in __cpu_dispatch__ and __cpu_features__.get(group) for group in groups.split())
+
+
+def log_exp_digest(**variables) -> str:
+    """A digest of np.log and np.exp on a fixed grid, from a subprocess with
+    the environment variables set."""
+    script = ("import hashlib\nimport numpy as np\nx = np.linspace(0.001, 20.0, 100_000)\n"
+              "print(hashlib.sha256(np.log(x).tobytes() + np.exp(x).tobytes()).hexdigest())\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, **variables), check=True)
+    return result.stdout
+
+
+@pytest.mark.skipif(not numpy_dispatches(SIMD_GROUPS_OFF), reason="numpy runs no AVX-512 loops on this host")
+def test_printed_digits_do_not_depend_on_numpys_simd_dispatch():
+    # the narrowed dispatch does move the bits of np.log and np.exp
+    assert log_exp_digest() != log_exp_digest(NPY_DISABLE_CPU_FEATURES=SIMD_GROUPS_OFF)
+    default = battery_under([9])
+    narrowed = battery_under([9, 10], NPY_DISABLE_CPU_FEATURES=SIMD_GROUPS_OFF)
+    assert len(default) == 3 + 130
+    assert same_printed_digits(narrowed[:len(default)], default)
+    # the comparison can fail: another seed prints other digits
+    assert not same_printed_digits(narrowed[len(default):], default)
 
 
 def test_printed_digits_allow_a_rounding_boundary_only():

@@ -506,6 +506,42 @@ class TestIsospectralDiagonal:
         assert abs(np.mean(vals) - 0.5) < 0.005
 
 
+class TestGramSchmidtOrbit:
+    """The orbit sampler's m - 1 Gram-Schmidt columns against the reference
+    construction: the whole phase-corrected QR unitary of linalg."""
+
+    @pytest.mark.parametrize("lam", [(0.3, 0.7), (0.1, 0.3, 0.6), (0.05, 0.1, 0.15, 0.3, 0.4)])
+    def test_diagonals_match_the_qr_route(self, lam):
+        # the largest eigenvalue is the last one, which the sampler reads
+        # off the row complement of the other columns
+        lam = np.array(lam)
+        n = 20_000
+        orbit = sample_isospectral_diagonal(stream(71), lam, n)
+        qr = linalg.unitary_conjugate_diagonal(linalg.haar_unitary(stream(72), lam.size, n), lam)
+        for i in (0, lam.size - 1):
+            assert sps.ks_2samp(orbit[:, i], qr[:, i]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_a_pure_spectrum_gives_beta_diagonals(self, m):
+        # at lam = e_1 the entry d_0 = |U_00|^2 of a Haar unitary is
+        # Beta(1, m - 1), whose CDF is 1 - (1 - x)^(m - 1)
+        lam = np.zeros(m)
+        lam[0] = 1.0
+        d0 = sample_isospectral_diagonal(stream(73, m), lam, 20_000)[:, 0]
+        assert sps.kstest(d0, lambda x: 1.0 - (1.0 - x) ** (m - 1)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 16])
+    def test_the_uniform_spectrum_is_fixed(self, m):
+        d = sample_isospectral_diagonal(stream(74, m), np.full(m, 1.0 / m), 200)
+        assert np.abs(d - 1.0 / m).max() <= 1e-15
+
+    def test_dimension_one_returns_the_spectrum_without_drawing(self):
+        s = stream(75)
+        d = sample_isospectral_diagonal(s, np.array([1.0]), 50)
+        assert np.array_equal(d, np.ones((50, 1)))
+        assert np.array_equal(s.normals(5), stream(75).normals(5))
+
+
 class TestEnsembleInvariants:
     @pytest.mark.parametrize("spec", [EnsembleSpec(2, 2), EnsembleSpec(3, 5), EnsembleSpec(2, 2, k=3)])
     def test_states_are_valid(self, spec):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from randcoh import linalg
+from randcoh import functionals, linalg
 from randcoh.closedforms import isospectral_avg_diag_entropy, max_subentropy
 from randcoh.ensembles import DensityMatrix, EnsembleSpec, sample_mixing_spectrum, sample_mixing_state
 from randcoh.errors import DomainError, NumericalError, ParameterError
@@ -51,25 +51,35 @@ def subentropy_reference(lam) -> float:
     Zeros are dropped (a zero eigenvalue leaves Q as it is).  Distinct
     entries go through the literal quotient formula
     -sum_i x_i^r ln x_i / prod_{j != i}(x_i - x_j) over the r nonzero
-    entries, at 30 digits more than its largest term has before the point,
-    so that the cancellation leaves an absolute error near 1e-30.  Tied
-    entries go through mpmath.quad, at 30 digits, of the positive integrand
+    entries.  A float is a dyadic rational, so the entries are scaled to
+    integers V_i with x_i = V_i / T, T = sum_j V_j, and each quotient
+    x_i^r / prod_{j != i}(x_i - x_j) = V_i^r / (T prod_{j != i}(V_i - V_j))
+    is formed exactly in Python integers.  Only the r logarithms and the
+    cancelling sum are taken in mpmath, at 30 digits more than its largest
+    term has before the point, so that the cancellation leaves an absolute
+    error near 1e-30.  Tied entries go through mpmath.quad, at 30 digits,
+    of the positive integrand
     Q = (1/r) int_0^inf P / ((1 + r t)(1 + r t + t^2 P)) dt, with
     P(t) = sum_{k=2}^{r} e_k(r x) t^(k-2).
     """
-    exact = [mpmath.mpf(float(v)) for v in lam if v != 0]
-    r = len(exact)
-    if len(set(exact)) == r:
+    values = [float(v) for v in lam if v != 0]
+    r = len(values)
+    if len(set(values)) == r:
+        ratios = [v.as_integer_ratio() for v in values]
+        denominator = max(q for _, q in ratios)
+        ints = [p * (denominator // q) for p, q in ratios]
+        total = sum(ints)
+        quotients = [(v**r, total * math.prod(v - w for w in ints if w != v)) for v in ints]
+
         def terms():
-            total = mpmath.fsum(exact)
-            x = [v / total for v in exact]
-            return [xi**r * mpmath.log(xi) / mpmath.fprod(xi - xj for j, xj in enumerate(x) if j != i)
-                    for i, xi in enumerate(x)]
+            return [mpmath.mpf(num) / den * mpmath.log(mpmath.mpf(v) / total)
+                    for (num, den), v in zip(quotients, ints)]
 
         with mpmath.workdps(30):
             digits = max((int(mpmath.log10(abs(t))) for t in terms() if t), default=0)
         with mpmath.workdps(30 + max(digits, 0)):
             return float(-mpmath.fsum(terms()))
+    exact = [mpmath.mpf(v) for v in values]
     with mpmath.workdps(30):
         total = mpmath.fsum(exact)
         e = [mpmath.mpf(1)] + [mpmath.mpf(0)] * r
@@ -328,12 +338,33 @@ class TestSubentropy:
         assert not repr(subentropy(lam)).startswith(value)
         assert np.array_equal(subentropy(np.stack([np.full(m, 1.0 / m), lam]))[1], subentropy(lam))
 
-    def test_a_value_above_the_maximum_is_a_numerical_error(self):
-        # at m = 1100 the e_k of the uniform spectrum, up to C(1100, 550),
-        # overflow to inf and every term takes its limit weight
-        with pytest.raises(NumericalError, match=r"^subentropy at m = 1100: the quadrature gave .*, "
-                                                 r"above the maximum 0\.42"):
-            subentropy(np.full(1100, 1.0 / 1100))
+    def test_a_value_above_the_maximum_is_a_numerical_error(self, monkeypatch):
+        # a quadrature fault: the trapezoid weights of twice the step double
+        # every sum, which puts the uniform spectrum at twice its maximum
+        monkeypatch.setattr(functionals, "_STEP", 2 * functionals._STEP)
+        with pytest.raises(NumericalError, match=r"^subentropy at m = 8: the quadrature gave .*, "
+                                                 r"above the maximum 0\.36"):
+            subentropy(np.full(8, 1.0 / 8))
+
+    @pytest.mark.parametrize("m", [1030, 1100, 2048])
+    def test_uniform_beyond_the_range_of_the_unscaled_coefficients(self, m):
+        # C(m, m/2) overflows from m = 1030 on; the coefficients of mu / 2^s
+        # do not
+        assert functionals._coefficient_shift(m) > 0
+        assert abs(subentropy(np.full(m, 1.0 / m)) - max_subentropy(m)) <= 1e-12
+
+    def test_no_shift_up_to_m_1023(self):
+        assert [functionals._coefficient_shift(m) for m in (1, 2, 1023, 1024, 1800, 2048)] == [0, 0, 0, 1, 2, 2]
+
+    def test_a_power_of_two_shift_keeps_every_bit(self, monkeypatch):
+        # the coefficients of mu / 8 at m = 64, evaluated at the nodes 8 tau,
+        # give the unscaled sum's bits: every scaling is by a power of two
+        near_uniform = np.full(64, 1 / 64) + 1e-4 * np.linspace(-1.0, 1.0, 64)
+        lams = np.concatenate([induced_spectra(64, 20, seed=7), list(edge_variants(near_uniform).values())])
+        unscaled = subentropy(lams)
+        monkeypatch.setattr(functionals, "_LOG2_E_SUM_MAX", 20)
+        assert functionals._coefficient_shift(64) == 3
+        assert np.array_equal(subentropy(lams), unscaled)
 
     def test_strictly_below_maximum_off_uniform(self):
         for lam in random_spectra(500, seed=404):

@@ -47,6 +47,14 @@ class TestChunks:
     def test_at_least_one_draw_per_chunk(self):
         assert mc.chunk_sizes(3, mc.CHUNK_ENTRIES * 2) == [1, 1, 1]
 
+    def test_a_draw_of_no_variates_counts_as_one(self):
+        # an orbit at m = 1 draws nothing: its plan is that of one variate
+        # a draw, and the orbit key plans it
+        assert mc.chunk_sizes(40_000, 0) == mc.chunk_sizes(40_000, 1) == [16_384, 16_384, 7232]
+        config = mc.EstimatorConfig(EnsembleSpec(1, 1), "isospectral_diag_entropy", 40_000, master_seed=0,
+                                    fixed_spectrum=(1.0,))
+        assert mc._chunks(mc._draw_key(config)) == [(0, 16_384), (1, 16_384), (2, 7232)]
+
     @pytest.mark.usefixtures("chunks_of_4096")
     def test_chunks_stop_at_the_width_of_the_stream_index(self, monkeypatch):
         # a chunk index is a SeedSpec's 32-bit stream_index
@@ -239,9 +247,10 @@ class TestEstimate:
         assert (one.count, one.mean, one.m2) == (three.count, three.mean, three.m2)
 
     # a state at m = 8 is m(m+1)/2 = 36 variates, 113 draws to a chunk; a
-    # spectrum at m = 4 is 2m - 1 = 7 Gamma variates, 585 to a chunk; an
-    # isospectral draw at m = 3 is one 3 x 3 Haar matrix, 455 to a chunk;
-    # each size below makes three chunks
+    # spectrum at m = 4 is 2m - 1 = 7 Gamma variates, 585 to a chunk; each
+    # of those sizes makes three chunks.  An isospectral draw at m = 3 is the
+    # m(m - 1) = 6 complex Gaussians of two Gram-Schmidt columns, 682 to a
+    # chunk, so its 1000 samples make two
     @pytest.mark.usefixtures("chunks_of_4096")
     @pytest.mark.parametrize("quantity,spec,samples,spectrum", [
         ("entropy", EnsembleSpec(4, 8), 1500, None),
@@ -436,7 +445,7 @@ def per_draw_reference(config):
     if config.quantity in spectral:
         entries = 2 * spec.m - 1
     elif config.fixed_spectrum is not None:
-        entries = len(config.fixed_spectrum) ** 2
+        entries = len(config.fixed_spectrum) * (len(config.fixed_spectrum) - 1)
     else:
         entries = spec.m * (spec.m + 1) // 2
     merged = mc.RunningStats()
@@ -864,8 +873,9 @@ def drawn_uniforms(monkeypatch, runs):
 class TestStreamDomains:
     # (2, 3) at 12 000 samples: states and spectra are both 3 variates,
     # 5461 to a chunk, so each family draws three chunks, and the KS sample
-    # takes three stacks of factors; the isospectral job draws three chunks
-    # of 3 x 3 Haar matrices (1820 to a chunk) at 5000 samples
+    # takes three stacks of factors; the isospectral job draws two chunks
+    # of orbit draws (2730 to a chunk, 6 complex Gaussians each) at 5000
+    # samples
     SPEC, SAMPLES, SEED = EnsembleSpec(2, 3), 12_000, 9
 
     def families(self):
@@ -1010,8 +1020,9 @@ class TestPinnedStates:
 
 class TestChunkWorkingSet:
     # the tracemalloc peak of one full chunk stays within BYTES_PER_VARIATE
-    # per random variate plus the chunk's stack of m x m matrices (complex
-    # Bartlett factors or Haar matrices, real Laguerre tridiagonals).  Each
+    # per random variate plus a stack of m x m matrices for the chunk's
+    # draws (complex Bartlett factors, real Laguerre tridiagonals; an orbit
+    # draw holds the m x (m - 1) complex Gram-Schmidt columns).  Each
     # case is a chunk of about 16 000 variates: there, drawing the variates
     # in whole-array temporaries and checking and solving whole stacks
     # costs 75-120 bytes per variate over the stack
@@ -1036,9 +1047,9 @@ class TestChunkWorkingSet:
             config = mc.EstimatorConfig(spec, quantity, 10**6, master_seed=3, fixed_spectrum=spectrum)
             key = mc._draw_key(config)
             worker = partial(mc._run_worker, (config,))
-        # a spectrum is 2m - 1 variates, a state m(m+1)/2, an orbit draw m^2
+        # a spectrum is 2m - 1 variates, a state m(m+1)/2, an orbit draw m(m - 1)
         m = spec.m
-        variates = {"spectra": 2 * m - 1, "states": m * (m + 1) // 2, "orbits": m * m}[key[0]]
+        variates = {"spectra": 2 * m - 1, "states": m * (m + 1) // 2, "orbits": m * (m - 1)}[key[0]]
         size = mc._chunks(key)[0][1]
         assert size * variates > mc.CHUNK_ENTRIES - variates
         worker((0, size))  # first-call allocations are not the chunk's
