@@ -64,23 +64,41 @@ def _json_line(payload) -> str:
         raise NumericalError(f"refusing to write a non-finite number: {exc}") from exc
 
 
-def _emit(payload, out_path: str | None) -> None:
+class _OutFile:
+    """The --out file, opened for appending once per command, before anything
+    is drawn or printed, and closed when the command ends.  Failing to open,
+    write or close it (say, on a full disk) exits 1, and a file that the
+    opening created is removed again if no record reached it."""
+
+    def __init__(self, path: str):
+        self.path, self._created = path, not os.path.exists(path)
+        self._fh = self._io(open, path, "a", encoding="utf-8")
+
+    def write(self, text: str) -> None:
+        self._io(self._fh.write, text)
+
+    def close(self) -> None:
+        try:
+            self._io(self._fh.close)
+        finally:
+            if self._created and os.path.getsize(self.path) == 0:
+                os.remove(self.path)
+
+    def _io(self, fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OSError as exc:
+            raise UsageError(f"cannot append to --out {self.path}: {exc.strerror}") from exc
+
+
+def _emit(payload, out: _OutFile | None) -> None:
     line = _json_line(payload)
     print(line)
-    if out_path:
-        _append(out_path, line + "\n")
+    if out is not None:
+        out.write(line + "\n")
 
 
-def _append(path: str, text: str) -> None:
-    """Append text to the --out file; failing to (say, on a full disk) exits 1."""
-    try:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot append to --out {path}: {exc.strerror}") from exc
-
-
-def _report(command: str, parameters: dict, seed: int, checks, out_path: str | None) -> int:
+def _report(command: str, parameters: dict, seed: int, checks, out: _OutFile | None) -> int:
     """Print one record per (name, entry, wall_time_ms) check of checks, each
     as soon as its check is done, and return the exit code: 2 if some
     entry's verdict is "fail", else 0 (a "skip" counts for neither)."""
@@ -93,7 +111,7 @@ def _report(command: str, parameters: dict, seed: int, checks, out_path: str | N
             "results": {name: entry},
             "seed": seed,
             "wall_time_ms": wall_time_ms,
-        }, out_path)
+        }, out)
         failed |= entry["verdict"] == "fail"
     return 2 if failed else 0
 
@@ -343,15 +361,13 @@ def main(argv=None) -> int:
         # only the commands that take --workers have the attribute
         if getattr(args, "workers", 0) is None:
             args.workers = mc.default_workers()
-        out = getattr(args, "out", None)
-        if out:
-            # an --out path that cannot be appended to is refused before anything is
-            # drawn or printed; a file this check creates is removed again
-            existed = os.path.exists(out)
-            _append(out, "")
-            if not existed:
-                os.remove(out)
-        return args.func(args)
+        if not getattr(args, "out", None):
+            return args.func(args)
+        args.out = _OutFile(args.out)
+        try:
+            return args.func(args)
+        finally:
+            args.out.close()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

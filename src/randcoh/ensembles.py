@@ -8,12 +8,13 @@ sample_mixing_state, covers both, and k = 1 is the induced measure.  It
 draws the Wishart matrix from its m x m complex Bartlett factor, and
 sample_mixing_spectrum draws the spectra of the same states from the
 Laguerre bidiagonal model, both at a cost that does not grow with k*n;
-the Wishart diagonals that mc's KS checks test are the row norms of the
-same Bartlett factors (_bartlett_factor).  A DensityMatrix is either
-read off such a factor or built from a matrix that its constructor checks
-once.  At m = 2 neither sampler forms a stack of matrices: a state is read
-off its factor's three variates and a spectrum off its tridiagonal's
-three entries, elementwise, with the arithmetic of the matrix routes.
+every sampled DensityMatrix is read off its factor's variates
+(DensityMatrix._from_bartlett) and keeps the Wishart diagonal that mc's KS
+checks test (wishart_diagonal); any other is built from a matrix that its
+constructor checks once.  At m = 2 neither sampler forms a stack of
+matrices: a state is read off its factor's three variates and a spectrum
+off its tridiagonal's three entries, elementwise, with the arithmetic of
+the matrix routes.
 sample_ginibre and sample_wishart keep the Ginibre block itself,
 the reference construction the tests compare those routes against;
 nothing in mc draws it.  Direct Dirichlet and Haar-isospectral samplers
@@ -76,11 +77,11 @@ class DensityMatrix:
     Hermitian result is then solved without checking it again.
 
     sample_mixing_state reads its states straight off their Bartlett factor
-    L (rho = L L^dagger / tr(L L^dagger), _from_factor): the diagonal is
-    the squared row norms of L over their sum, the spectrum is that of
-    L L^dagger over the same trace, and the matrix is formed only when it
-    is read, with exactly that diagonal.  At m = 2 not even L is stacked
-    (_from_qubit): the three entries of L L^dagger that the closed-form
+    L (_from_bartlett): wishart_diagonal is the diagonal of W = L L^dagger
+    (None for a state built from a matrix), the diagonal is it over its
+    sum, the spectrum is that of W over the same trace, and the matrix is
+    formed only when it is read, with exactly that diagonal.  At m = 2 not
+    even L is stacked: the three entries of W that the closed-form
     eigenvalues read are formed from L's three variates, elementwise.
     Estimators read the diagonal, the spectrum or both, never the matrix.
 
@@ -88,7 +89,7 @@ class DensityMatrix:
     computed on first access and cached.
     """
 
-    __slots__ = ("diagonal", "_matrix", "_spectrum", "_factor", "_trace", "_qubit")
+    __slots__ = ("diagonal", "wishart_diagonal", "_matrix", "_spectrum", "_factor", "_variates")
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -106,41 +107,29 @@ class DensityMatrix:
         hermitian = linalg.hermitize(matrix)
         self._matrix = _normalized(hermitian, np.trace(hermitian, axis1=-2, axis2=-1).real[..., None])
         self.diagonal = np.diagonal(self._matrix, axis1=-2, axis2=-1).real.copy()
-        self._factor = self._trace = self._spectrum = self._qubit = None
+        self.wishart_diagonal = self._factor = self._variates = self._spectrum = None
 
     @classmethod
-    def _from_factor(cls, low: np.ndarray) -> "DensityMatrix":
-        """States L L^dagger / tr(L L^dagger) of square factors L (one or a
-        stack); the diagonal W_ii = sum_j |L_ij|^2 is read without forming
-        L L^dagger."""
+    def _from_bartlett(cls, root: np.ndarray, z: np.ndarray) -> "DensityMatrix":
+        """States L L^dagger / tr(L L^dagger) of the Bartlett factors L with
+        diagonals root (..., m) and strict lower triangles z (..., m(m-1)/2),
+        row-major (_bartlett_variates).  At m = 2 the diagonal of
+        W = L L^dagger is formed elementwise, W_ii = root_i^2 plus |z_0|^2
+        in row 1: one addition, which commutes, so these are the bits
+        _row_norms gives on L.  The variates are kept for the closed-form
+        spectrum, and L is built only when the matrix is read.  From m = 3
+        on (and at m = 1) L is formed once and W_ii = sum_j |L_ij|^2 read
+        off it."""
         state = cls.__new__(cls)
-        norms = _row_norms(low)
-        state._trace = linalg.row_sum(norms, keepdims=True)
-        state.diagonal = norms / state._trace
-        state._factor = low
-        state._matrix = state._spectrum = state._qubit = None
-        return state
-
-    @classmethod
-    def _from_qubit(cls, root: np.ndarray, z: np.ndarray) -> "DensityMatrix":
-        """m = 2 states read off the Bartlett variates of their factors
-        L = [[root_0, 0], [z_0, root_1]] (stacks (..., 2) and (..., 1)),
-        without a stack of L: W_00 = root_0^2 and W_11 = |z_0|^2 + root_1^2,
-        formed with the operations _row_norms applies to L, so the diagonal
-        and the trace are those of _from_factor, bit for bit.  L itself is
-        built only when the matrix is read."""
-        state = cls.__new__(cls)
-        w00 = root[..., 0] ** 2
-        w11 = z[..., 0].real ** 2
-        w11 += z[..., 0].imag ** 2
-        w11 += root[..., 1] ** 2
-        trace = w00 + w11
-        state._trace = trace[..., None]
-        state.diagonal = np.empty(np.shape(trace) + (2,))
-        np.divide(w00, trace, out=state.diagonal[..., 0])
-        np.divide(w11, trace, out=state.diagonal[..., 1])
-        state._qubit = (root, z, w00, w11)
-        state._factor = state._matrix = state._spectrum = None
+        state._factor = state._variates = state._matrix = state._spectrum = None
+        if root.shape[-1] == 2:
+            state.wishart_diagonal = root**2
+            state.wishart_diagonal[..., 1] += z[..., 0].real ** 2 + z[..., 0].imag ** 2
+            state._variates = (root, z)
+        else:
+            state._factor = _lower_factor(root, z)
+            state.wishart_diagonal = _row_norms(state._factor)
+        state.diagonal = state.wishart_diagonal / linalg.row_sum(state.wishart_diagonal, keepdims=True)
         return state
 
     @property
@@ -152,8 +141,8 @@ class DensityMatrix:
         """The density matrix (complex, exactly Hermitian), or the stack."""
         if self._matrix is None:
             if self._factor is None:
-                self._factor = _lower_factor(*self._qubit[:2])
-            matrix = _normalized(linalg.gram(self._factor), self._trace)
+                self._factor = _lower_factor(*self._variates)
+            matrix = _normalized(linalg.gram(self._factor), linalg.row_sum(self.wishart_diagonal, keepdims=True))
             diag = np.arange(self.dim)
             matrix[..., diag, diag] = self.diagonal
             self._matrix = matrix
@@ -163,18 +152,19 @@ class DensityMatrix:
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, descending, clamped into [0, 1] and summing to 1."""
         if self._spectrum is None:
-            if self._qubit is not None:
-                # |W_10| = |z_0 root_0|: L L^dagger's off-diagonal entry
-                root, z, w00, w11 = self._qubit
-                vals = linalg._eigenvalues_2x2(w00, w11, np.abs(z[..., 0] * root[..., 0]))
-                vals /= self._trace
-            elif self._factor is None:
+            if self.wishart_diagonal is None:
                 # the constructor checked the matrix and made it exactly
                 # Hermitian, so it is not checked again
                 vals = linalg.exact_hermitian_eigenvalues(self._matrix)
             else:
-                vals = linalg.factor_gram_eigenvalues(self._factor)
-                vals /= self._trace
+                if self._variates is not None:
+                    # |W_10| = |z_0 root_0|: L L^dagger's off-diagonal entry
+                    root, z = self._variates
+                    w = self.wishart_diagonal
+                    vals = linalg._eigenvalues_2x2(w[..., 0], w[..., 1], np.abs(z[..., 0] * root[..., 0]))
+                else:
+                    vals = linalg.factor_gram_eigenvalues(self._factor)
+                vals /= linalg.row_sum(self.wishart_diagonal, keepdims=True)
             self._spectrum = linalg.clamp_spectrum(vals)
         return self._spectrum
 
@@ -223,19 +213,17 @@ def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int) -> Den
     norm Gamma(kn - i), and its coordinates along them are i.i.d.
     CN(0, 1).)  The law of the whole state is that of the Ginibre
     construction, at m(m+1)/2 variates per draw whatever k*n is.  The
-    state is read off L (DensityMatrix._from_factor): its diagonal is the
-    squared row norms of L over their sum, and W itself is formed only for
-    the spectrum (unaveraged) and for the matrix, when they are read.  At
-    m = 2 the state is read off L's variates (DensityMatrix._from_qubit),
-    and L is formed only for the matrix.
+    state is read off L's variates (DensityMatrix._from_bartlett): its
+    wishart_diagonal is the squared row norms of L and its diagonal is
+    them over their sum; W itself is formed only for the spectrum
+    (unaveraged) and for the matrix, when they are read.  At m = 2 L is
+    formed only for the matrix.
 
     The stack is drawn with one gammas call (m variates per draw, draw by
     draw) and then one complex_gaussians call (the strict lower triangles,
     row-major, draw by draw).
     """
-    if spec.m == 2:
-        return DensityMatrix._from_qubit(*_bartlett_variates(stream, spec, size))
-    return DensityMatrix._from_factor(_bartlett_factor(stream, spec, size))
+    return DensityMatrix._from_bartlett(*_bartlett_variates(stream, spec, size))
 
 
 def _bartlett_variates(stream: RngStream, spec: EnsembleSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,14 +247,6 @@ def _lower_factor(root: np.ndarray, z: np.ndarray) -> np.ndarray:
     low[..., diag, diag] = root
     low[..., rows, cols] = z
     return low
-
-
-def _bartlett_factor(stream: RngStream, spec: EnsembleSpec, count: int) -> np.ndarray:
-    """The (count, m, m) stack of complex Bartlett factors L that
-    sample_mixing_state draws, in its stream order.  Row i's squared norm
-    is W_ii ~ Gamma(kn)."""
-    # the stack is allocated after the draws, which need the most memory
-    return _lower_factor(*_bartlett_variates(stream, spec, count))
 
 
 def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> np.ndarray:

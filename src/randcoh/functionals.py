@@ -145,8 +145,11 @@ def subentropy(lam):
     m log2(1 + 1/c) <= 1023, and P(tau) = c^2 P_nu(c tau) is evaluated at
     the scaled nodes c tau: scaling by a power of two is exact, so every
     step is that of the unscaled sum, barring e_k(nu) that underflow and
-    are negligible wherever P is not already far above 1 + m tau.  A value
-    above the maximum is a fault, and NumericalError is raised.
+    are negligible wherever P is not already far above 1 + m tau.  The
+    fixed grid's error grows with m: the uniform spectrum reads 1.7e-14
+    below the maximum at m = 1023, 7.4e-14 at 2048, 5.6e-13 at 4096 and
+    8.2e-12 at 10 000.  A value above the maximum is a fault, and
+    NumericalError is raised.
     """
     lam = _validated_probabilities(lam)
     m = lam.shape[-1]

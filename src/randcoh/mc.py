@@ -42,11 +42,11 @@ The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
 integer shapes up to GAMMA_CDF_MAX_SHAPE (those of the Wishart diagonals
 that verify tests) live here so the distributional checks need nothing
 outside the package; both work on arrays.  diagonal_ks_tests is the one
-entry point of the two KS checks of the diagonal law.  It reads the
-Wishart diagonals as the row norms of the Bartlett factors
-sample_mixing_state draws, so its cost does not grow with k*n either; its
-factors and its direct Dirichlet sample are the draw keys of the
-ks_factors and ks_dirichlet samplers, run inline.
+entry point of the two KS checks of the diagonal law.  Its Wishart
+diagonals are the states sampler's own wishart_diagonal: the ks_factors
+draw key draws states with sample_mixing_state, the code every estimate of
+a state runs, so its cost does not grow with k*n either.  That key and
+the direct Dirichlet sample's (ks_dirichlet) run inline.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ from . import closedforms, functionals
 # is imported only to be wrapped there, since nothing in this module calls it
 from .ensembles import (  # noqa: F401
     EnsembleSpec,
-    _bartlett_factor,
-    _row_norms,
     sample_diag_dirichlet,
     sample_isospectral_diagonal,
     sample_mixing_spectrum,
@@ -270,7 +268,7 @@ def _chunks(key: tuple) -> list[tuple[int, int]]:
 def _draw(key: tuple, index: int, size: int):
     """Draw chunk index, of size samples, of a draw key from its stream
     (master_seed, domain, index), the one place a stream is made: an array
-    of diagonals, spectra or factor row norms, or a DensityMatrix stack."""
+    of diagonals, spectra or Wishart diagonals, or a DensityMatrix stack."""
     sampler, fixed_spectrum, spec, master_seed, _ = key
     stream = RngStream(SeedSpec(master_seed, index, STREAM_DOMAINS[sampler]))
     if sampler == "orbits":
@@ -278,7 +276,7 @@ def _draw(key: tuple, index: int, size: int):
     if sampler == "spectra":
         return sample_mixing_spectrum(stream, spec, size)
     if sampler == "ks_factors":
-        return _row_norms(_bartlett_factor(stream, spec, size))
+        return sample_mixing_state(stream, spec, size).wishart_diagonal
     if sampler == "ks_dirichlet":
         return sample_diag_dirichlet(stream, spec, size)
     return sample_mixing_state(stream, spec, size)
@@ -554,9 +552,9 @@ def diagonal_ks_tests(spec: EnsembleSpec, samples: int, master_seed: int) -> tup
 
 def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int) -> np.ndarray:
     """The (samples, m) stack of the diagonals W_ii ~ Gamma(kn, 1) of the
-    states sample_mixing_state draws, read as the squared row norms of their
-    Bartlett factors (m(m+1)/2 variates per draw whatever kn is): the
-    ks_factors draw key of master_seed, chunk for chunk."""
+    states sample_mixing_state draws, their wishart_diagonal (m(m+1)/2
+    variates per draw whatever kn is): the ks_factors draw key of
+    master_seed, chunk for chunk."""
     key = ("ks_factors", None, spec, master_seed, samples)
     return np.concatenate([_draw(key, *chunk) for chunk in _chunks(key)])
 

@@ -108,7 +108,7 @@ class TestEstimate:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
     def test_out_on_a_full_device_exits_one(self, capsys):
-        # the device opens for appending, so the write of the first record fails
+        # the device opens for appending, so writing the records fails
         code, _, err = run_cli(
             capsys, "estimate", "--quantity", "coherence", "--m", "2", "--n", "2",
             "--samples", "100", "--seed", "1", "--workers", "1", "--out", "/dev/full",
@@ -258,25 +258,34 @@ class TestVerify:
     @pytest.mark.usefixtures("chunks_of_4096")
     @pytest.mark.parametrize("samples,ks_chunks", [(200, [1000]), (3000, [1365, 1365, 270])])
     def test_one_ks_sample_draw(self, capsys, monkeypatch, samples, ks_chunks):
-        # both KS records read one stack of Bartlett factors: at (2, 3) a
+        # both KS records read one stack of Wishart diagonals: at (2, 3) a
         # state is 3 variates, so the KS sample comes in chunks of 1365,
-        # chunk c from stream (seed, ks_factors, c); the estimators' factors
-        # are drawn in ensembles
+        # chunk c from stream (seed, ks_factors, c); the estimators draw
+        # their states in the states domain
         draws = []
-        bartlett = mc._bartlett_factor
+        states = mc.sample_mixing_state
+        ks_domain = mc.STREAM_DOMAINS["ks_factors"]
+
+        class KeyedStream(RngStream):
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.seed = seed
 
         def counted(stream, spec, count):
-            draws.append(bartlett(stream, spec, count))
-            return draws[-1]
+            drawn = states(stream, spec, count)
+            if stream.seed.domain == ks_domain:
+                draws.append((stream.seed, drawn.wishart_diagonal))
+            return drawn
 
-        monkeypatch.setattr(mc, "_bartlett_factor", counted)
+        monkeypatch.setattr(mc, "RngStream", KeyedStream)
+        monkeypatch.setattr(mc, "sample_mixing_state", counted)
         code, out, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3", "--samples", str(samples),
                                "--seed", "6", "--workers", "1")
         assert code == 0
-        assert [len(low) for low in draws] == ks_chunks
-        for c, low in enumerate(draws):
-            stream = RngStream(SeedSpec(6, c, mc.STREAM_DOMAINS["ks_factors"]))
-            assert np.array_equal(low, bartlett(stream, EnsembleSpec(2, 3), len(low)))
+        assert [len(w) for _, w in draws] == ks_chunks
+        for c, (seed, w) in enumerate(draws):
+            assert seed == SeedSpec(6, c, ks_domain)
+            assert np.array_equal(w, states(RngStream(seed), EnsembleSpec(2, 3), len(w)).wishart_diagonal)
         records = parse_jsonl(out)
         wall = {name: r["wall_time_ms"] for r in records for name in r["results"]}
         assert wall["wishart_diagonal_gamma_ks"] == wall["diagonal_dirichlet_consistency_ks"]
@@ -572,6 +581,25 @@ class TestSample:
         )
         assert code == 0
         assert len(out.splitlines()) == 2
+        assert out_path.read_text() == out
+
+    def test_out_file_is_opened_once(self, capsys, tmp_path, monkeypatch):
+        # one open of the --out file for the whole command, not one per record
+        out_path = tmp_path / "draws.jsonl"
+        opened = []
+
+        def counted(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counted, raising=False)
+        code, out, _ = run_cli(
+            capsys, "sample", "--what", "spectrum", "--m", "2", "--n", "2", "--count", "3000", "--seed", "1",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert opened == [str(out_path)]
+        assert len(out.splitlines()) == 3000
         assert out_path.read_text() == out
 
     def test_negative_count_is_a_usage_error(self, capsys):

@@ -234,8 +234,9 @@ class TestFactorReadState:
     @pytest.mark.parametrize("spec", [EnsembleSpec(2, 3), EnsembleSpec(4, 8, k=2)])
     def test_diagonal_is_the_row_norms_of_the_factor(self, spec):
         states = sample_mixing_state(stream(91), spec, 200)
-        low = ensembles._bartlett_factor(stream(91), spec, 200)
+        low = bartlett_factor(stream(91), spec, 200)
         norms = (np.abs(low) ** 2).sum(axis=-1)
+        np.testing.assert_allclose(states.wishart_diagonal, norms, rtol=1e-15)
         np.testing.assert_allclose(states.diagonal, norms / norms.sum(axis=-1, keepdims=True), rtol=1e-15)
 
     def test_estimators_never_form_the_matrix(self, monkeypatch):
@@ -257,8 +258,8 @@ class TestFactorReadState:
         def refuse(*args):
             raise AssertionError("an m = 2 estimate formed a stack of matrices")
 
-        for owner, name in [(ensembles, "_lower_factor"), (ensembles, "_bartlett_factor"),
-                            (ensembles, "_laguerre_tridiagonal"), (linalg, "gram"), (linalg, "hermitize"),
+        for owner, name in [(ensembles, "_lower_factor"), (ensembles, "_laguerre_tridiagonal"),
+                            (linalg, "gram"), (linalg, "hermitize"),
                             (linalg, "factor_gram_eigenvalues"), (linalg, "hermitian_eigenvalues"),
                             (linalg, "exact_hermitian_eigenvalues")]:
             monkeypatch.setattr(owner, name, refuse)
@@ -285,9 +286,10 @@ class TestQubitDraws:
     def test_states_are_those_of_their_factors(self, seed, kn, size):
         spec = EnsembleSpec(2, kn)
         states = sample_mixing_state(RngStream(SeedSpec(seed)), spec, size)
-        low = ensembles._bartlett_factor(RngStream(SeedSpec(seed)), spec, size)
+        low = bartlett_factor(RngStream(SeedSpec(seed)), spec, size)
         norms = ensembles._row_norms(low)
         trace = norms.sum(axis=-1, keepdims=True)
+        assert np.array_equal(states.wishart_diagonal, norms)
         assert np.array_equal(states.diagonal, norms / trace)
         products = low @ low.conj().swapaxes(-1, -2)
         expected = linalg.hermitian_eigenvalues(products) / trace
@@ -303,6 +305,12 @@ class TestQubitDraws:
         g = RngStream(SeedSpec(seed)).gammas(np.tile([kn, kn - 1, 1.0], size), 3 * size).reshape(size, 3)
         vals = linalg.exact_hermitian_eigenvalues(ensembles._laguerre_tridiagonal(g, 2))
         assert np.array_equal(spectra, linalg.clamp_spectrum(vals / g.sum(axis=-1, keepdims=True)))
+
+
+def bartlett_factor(s, spec, count):
+    """The (count, m, m) stack of the Bartlett factors L whose states
+    sample_mixing_state draws from the same stream."""
+    return ensembles._lower_factor(*ensembles._bartlett_variates(s, spec, count))
 
 
 def bartlett_reference(s, spec, count):

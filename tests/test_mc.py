@@ -26,7 +26,7 @@ from randcoh.ensembles import (
 from randcoh.errors import DomainError, ParameterError
 from randcoh.functionals import harmonic
 from randcoh.randkit import RngStream, SeedSpec
-from test_ensembles import bartlett_reference
+from test_ensembles import bartlett_factor, bartlett_reference
 
 
 class TestChunks:
@@ -731,18 +731,18 @@ class TestGammaMarginal:
         assert len(sizes) == 2
         streams = [RngStream(SeedSpec(63, c, mc.STREAM_DOMAINS["ks_factors"])) for c in range(len(sizes))]
         diags = np.concatenate([
-            np.diagonal(linalg.gram(mc._bartlett_factor(stream, spec, size)), axis1=-2, axis2=-1).real
+            np.diagonal(linalg.gram(bartlett_factor(stream, spec, size)), axis1=-2, axis2=-1).real
             for stream, size in zip(streams, sizes)])
         expected = [mc.ks_statistic(diags[:, i], lambda x: mc.gamma_cdf(x, 3.0)) for i in range(2)]
         assert mc.diagonal_ks_tests(spec, 1500, 63)[0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [81, 82, 83])
     def test_factors_of_the_next_size_fail(self, monkeypatch, seed):
-        # factors drawn at kn + 1 give Gamma(kn + 1) diagonals
+        # states drawn at kn + 1 give Gamma(kn + 1) diagonals
         critical = mc.ks_critical_value(1000)
         assert (mc.diagonal_ks_tests(EnsembleSpec(4, 8), 1000, seed)[0] < critical).all()
-        bartlett = mc._bartlett_factor
-        monkeypatch.setattr(mc, "_bartlett_factor", lambda stream, spec, count: bartlett(
+        states = mc.sample_mixing_state
+        monkeypatch.setattr(mc, "sample_mixing_state", lambda stream, spec, count: states(
             stream, EnsembleSpec(spec.m, spec.n + 1, spec.k), count))
         assert (mc.diagonal_ks_tests(EnsembleSpec(4, 8), 1000, seed)[0] > critical).all()
 
@@ -801,7 +801,7 @@ class TestKsSubstreams:
         # coherence family draws from substream 0 of the seed
         spec = EnsembleSpec(3, 8)
         coherence_chunk = sample_mixing_state(RngStream(SeedSpec(5, 0)), spec, 682)
-        low = mc._bartlett_factor(RngStream(SeedSpec(5, 0)), spec, 682)
+        low = bartlett_factor(RngStream(SeedSpec(5, 0)), spec, 682)
         norms = np.sum(low.real**2 + low.imag**2, axis=-1)
         assert np.array_equal(coherence_chunk.diagonal, norms / norms.sum(axis=-1, keepdims=True))
         diags = mc._wishart_diagonals(spec, 3000, 5)
@@ -817,7 +817,7 @@ class TestKsSubstreams:
         # key gets chunks chunks, the last holding 1 + tail % size draws
         spec = EnsembleSpec(3, 4, k=2)
         draws = {
-            "ks_factors": lambda stream, size: ensembles._row_norms(ensembles._bartlett_factor(stream, spec, size)),
+            "ks_factors": lambda stream, size: ensembles._row_norms(bartlett_factor(stream, spec, size)),
             "ks_dirichlet": lambda stream, size: sample_diag_dirichlet(stream, spec, size)[:, 0],
         }
         for sampler, draw in draws.items():
@@ -827,6 +827,25 @@ class TestKsSubstreams:
             expected = np.concatenate([draw(RngStream(SeedSpec(seed, c, mc.STREAM_DOMAINS[sampler])),
                                             min(size, samples - c * size)) for c in range(chunks)])
             assert np.array_equal(self.ks_sample(sampler, spec, samples, seed), expected), sampler
+
+    @pytest.mark.usefixtures("chunks_of_4096")
+    @pytest.mark.parametrize("spec", [EnsembleSpec(1, 2), EnsembleSpec(2, 3), EnsembleSpec(3, 4, k=2),
+                                      EnsembleSpec(8, 9)])
+    def test_ks_diagonals_are_the_states_samplers_own(self, spec):
+        # the KS sample is the wishart_diagonal of the states sample_mixing_state
+        # draws on stream (seed, ks_factors, c), and their diagonal is it
+        # over its sum, bit for bit: at m = 2 the elementwise route the
+        # estimates run, from m = 3 on the row norms of the factor
+        size = mc.chunk_sizes(10**6, spec.m * (spec.m + 1) // 2)[0]
+        samples = 2 * size + 7
+        assert len(mc._chunks(("ks_factors", None, spec, 71, samples))) == 3
+        states = [sample_mixing_state(RngStream(SeedSpec(71, c, mc.STREAM_DOMAINS["ks_factors"])), spec,
+                                      min(size, samples - c * size)) for c in range(3)]
+        expected = np.concatenate([state.wishart_diagonal for state in states])
+        assert np.array_equal(mc._wishart_diagonals(spec, samples, 71), expected)
+        for state in states:
+            w = state.wishart_diagonal
+            assert np.array_equal(w / linalg.row_sum(w, keepdims=True), state.diagonal)
 
     @staticmethod
     def ks_sample(sampler, spec, samples, seed):
@@ -1114,6 +1133,19 @@ def test_only_draw_makes_a_stream():
     # one stream rule: chunk c of a draw key draws from stream (seed, domain,
     # c), and mc._draw is the one function that makes such a stream
     assert _package_callers("RngStream") == ["mc._draw"]
+
+
+def test_one_route_for_every_sampled_state():
+    # a sampled state is built only by DensityMatrix._from_bartlett, which
+    # only sample_mixing_state calls, and mc reaches the Bartlett factors
+    # through that sampler alone: it imports no private name of ensembles
+    assert _package_callers("__new__") == ["ensembles._from_bartlett"]
+    assert _package_callers("_from_bartlett") == ["ensembles.sample_mixing_state"]
+    tree = ast.parse((SRC / "randcoh" / "mc.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "ensembles" for alias in node.names]
+    assert "sample_mixing_state" in imported
+    assert not [name for name in imported if name.startswith("_")]
 
 
 def test_one_chunk_map_per_estimator_call():
