@@ -14,6 +14,7 @@ one place.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,18 +86,31 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+@functools.cache
+def _m2_normalisers(n: int) -> tuple[float, float]:
+    """The normalisers of the two m = 2 densities at n, each from its own
+    Beta function: B(n-1, n-1)/(2n-1) for eigen_density_m2 and B(n, n) for
+    derivative_principle_density_m2.  They depend on n alone, so a grid of
+    points at one n computes them once."""
+    return math.exp(_log_beta(n - 1, n - 1)) / (2 * n - 1), math.exp(_log_beta(n, n))
+
+
 def eigen_density_m2(n: int, x: float) -> float:
     """Density of the larger-or-smaller eigenvalue coordinate x of an
     m = 2 induced state (the partner eigenvalue is 1 - x).
 
-    Proportional to (2x-1)^2 (x(1-x))^(n-2) on (0, 1); the normalizer is
-    the exact Beta-function combination B(n-1,n-1) - 4 B(n,n).
+    Proportional to (2x-1)^2 (x(1-x))^(n-2) on (0, 1).  Its integral
+    B(n-1,n-1) - 4 B(n,n) equals B(n-1,n-1)/(2n-1), since
+    B(n,n) = B(n-1,n-1) (n-1)/(2(2n-1)); the normalizer is taken in that
+    form, whose one Beta function and one division keep their digits,
+    where the difference of the two Beta functions cancels (its relative
+    error grows to about 1e-10 by n = 150).
     """
     if n < 2:
         raise ParameterError(f"m = 2 spectra need n >= 2, got n={n}")
     if not 0.0 < x < 1.0:
         return 0.0
-    norm = math.exp(_log_beta(n - 1, n - 1)) - 4.0 * math.exp(_log_beta(n, n))
+    norm = _m2_normalisers(n)[0]
     return (2.0 * x - 1.0) ** 2 * (x * (1.0 - x)) ** (n - 2) / norm
 
 
@@ -115,5 +129,5 @@ def derivative_principle_density_m2(n: int, x: float) -> float:
         raise ParameterError(f"m = 2 spectra need n >= 2, got n={n}")
     if not 0.0 < x < 1.0:
         return 0.0
-    beta_nn = math.exp(_log_beta(n, n))
+    beta_nn = _m2_normalisers(n)[1]
     return (1.0 - 2.0 * x) * (n - 1) * (x * (1.0 - x)) ** (n - 2) * (1.0 - 2.0 * x) / beta_nn / 2.0

@@ -18,8 +18,13 @@ Marsaglia-Tsang at every other shape.  Gamma shapes below 1 are refused:
 every variate the ensembles draw has an integer shape of at least 1.  A
 gammas call takes the pattern of shapes that its draws repeat (the m or
 2m - 1 shapes of one sampled matrix), and splits and prepares that pattern
-once, however many draws repeat it.  Every draw method returns an array of
-n draws; one draw is the batch of one, e.g. ``uniforms(1)[0]``.
+once, however many draws repeat it.  Its draws form a table of one row per
+repeat and one column per shape, and the per-shape work runs by columns,
+since numpy's reductions and broadcasts along a short row cost per row:
+the Erlang products multiply whole factor columns left to right, and
+Marsaglia-Tsang's per-shape constants d and c multiply a table of up to
+_COLUMN_LOOP_MAX columns one column at a time.  Every draw method returns
+an array of n draws; one draw is the batch of one, e.g. ``uniforms(1)[0]``.
 
 Uniforms are buffered.  A request that the buffer cannot serve refills
 only its shortfall, at least 4096 raw outputs at a time.  Polar normals
@@ -55,12 +60,21 @@ _POLAR_ACCEPT = math.pi / 4.0  # P(u^2 + v^2 < 1) for (u, v) uniform on [-1, 1)^
 _PAIRS_PER_PASS = 1 << 13
 # largest integer shape drawn as an Erlang sum: its cost grows with the shape
 # (one uniform per unit of shape) and Marsaglia-Tsang's does not.  Measured
-# per entry on a 2-vCPU Xeon host, Erlang is 4x faster at shape 1 and breaks
-# even at shape 4 in calls of 16 384 entries, the largest an estimator chunk
-# makes (at shape 5-6 in calls of 4000, past 10 in calls of 400).  Every
-# factor 1 - U is at least 2^-53, so the product of up to 19 of them stays a
-# normal float
+# per entry on a 2-vCPU Xeon host with the products formed by columns,
+# Erlang is 6-7x faster at shape 1 (7 ns against 45-49) and breaks even
+# between shapes 5 and 6 in calls of 16 384 entries, the largest an
+# estimator chunk makes (at about shape 7 in calls of 4000, past 12 in
+# calls of 400).  The cutoff is kept at 4 even so: moving it would change the
+# draws of every shape it moves.  Every factor 1 - U is at least 2^-53, so
+# the product of up to 19 of them stays a normal float
 _ERLANG_MAX_SHAPE = 4
+# widest (rows, p) table whose per-column constants are applied column by
+# column (_times_columns).  Measured on a 2-vCPU Xeon host, a broadcast
+# multiply of 1024 rows takes 7.0 us at p = 2 and 7.3 at p = 3, the column
+# loop 3.4 and 4.8; the loop loses below about 256 rows at p = 2 and 512 at
+# p = 3, by at most 1.7 us.  At p = 4 it loses below about 800 rows, which
+# a 200-sample verify at m = 4 draws
+_COLUMN_LOOP_MAX = 3
 
 
 def _polar_lookahead(need: int) -> int:
@@ -79,11 +93,12 @@ class SeedSpec:
     domain: int = 0
 
     def __post_init__(self):
-        # a float would pass the range test and be truncated by the key cast
+        # a float would pass the range test and be truncated by the key
+        # cast, and a bool would pass as 0 or 1
         for name, value, bits in (("master_seed", self.master_seed, 64),
                                   ("stream_index", self.stream_index, 32),
                                   ("domain", self.domain, 32)):
-            if not (isinstance(value, (int, np.integer)) and 0 <= value < 2**bits):
+            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and 0 <= value < 2**bits):
                 raise ParameterError(f"{name} must be a {bits}-bit unsigned integer, got {value!r}")
 
 
@@ -263,12 +278,24 @@ class RngStream:
         (p >= 1 of them) in each row: -ln of the product of a consecutive
         factors 1 - U each, from one block of rows * sum(a) uniforms.  Each
         factor lies in (0, 1], so the product is positive and finite, and
-        its log too."""
-        counts = shapes.astype(np.intp)
-        ends = np.cumsum(counts)
+        its log too.  The products are formed by columns, left to right:
+        column j of the output is the first of its a factor columns times
+        each later one in turn, a multiply per factor column, where a
+        reduction along the short rows would cost per row."""
+        counts = shapes.astype(np.intp).tolist()
         # a new array: an array that uniforms() returned is never overwritten
-        factors = np.subtract(1.0, self.uniforms(rows * int(ends[-1]))).reshape(rows, -1)
-        out = np.multiply.reduceat(factors, ends - counts, axis=1)
+        factors = np.subtract(1.0, self.uniforms(rows * sum(counts))).reshape(rows, -1)
+        out = np.empty((rows, len(counts)))
+        start = 0
+        for j, count in enumerate(counts):
+            col = out[:, j]
+            if count == 1:
+                col[...] = factors[:, start]
+            else:
+                np.multiply(factors[:, start], factors[:, start + 1], out=col)
+                for i in range(start + 2, start + count):
+                    col *= factors[:, i]
+            start += count
         np.log(out, out=out)
         np.negative(out, out=out)
         return out
@@ -278,7 +305,10 @@ class RngStream:
         of shape shapes[j].
 
         Each column runs with its own d = a - 1/3 and c = 1/sqrt(9d),
-        computed once.  Each rejection round consumes one normal and one
+        computed once as (p,) arrays; the first round applies them to the
+        table by _times_columns, and the later rounds gather them for the
+        draws still pending (a single column broadcasts its own, with no
+        gather).  Each rejection round consumes one normal and one
         uniform per pending slot (the uniform is drawn unconditionally; it
         is independent of the candidate, so discarding it on rejection is
         harmless).
@@ -293,15 +323,18 @@ class RngStream:
         k = rows * p
         accept, v = _marsaglia_tsang_round(self.normals(k).reshape(rows, p),
                                            self.uniforms(k).reshape(rows, p), d, c)
-        v *= d
-        out = v.ravel()
+        out = _times_columns(v, d, v).ravel()
         pending = np.flatnonzero(~accept)
         while pending.size:
-            col = pending % p
-            dk = d[col]
+            if p == 1:
+                dk, ck = d, c
+            else:
+                col = pending % p
+                dk, ck = d[col], c[col]
             accept, v = _marsaglia_tsang_round(self.normals(pending.size), self.uniforms(pending.size),
-                                               dk, c[col])
-            out[pending[accept]] = dk[accept] * v[accept]
+                                               dk, ck)
+            v *= dk
+            out[pending[accept]] = v[accept]
             pending = pending[~accept]
         return out.reshape(rows, p)
 
@@ -315,17 +348,32 @@ def _columns(mask: np.ndarray):
     return cols
 
 
+def _times_columns(a: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a * c into out, for c that broadcasts against a.  A table a of 2 to
+    _COLUMN_LOOP_MAX columns times the constants c of its columns is
+    multiplied column by column, a scalar per column, where numpy's
+    broadcast would run its inner loop along each short row; a product is
+    rounded once either way, so the bits are the same."""
+    if a.ndim == 2 and 1 < a.shape[1] <= _COLUMN_LOOP_MAX:
+        for j in range(a.shape[1]):
+            np.multiply(a[:, j], c[j], out=out[:, j])
+        return out
+    return np.multiply(a, c, out=out)
+
+
 def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d: np.ndarray,
                            c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Marsaglia-Tsang round on normals x and uniforms u at
-    d = a - 1/3 and c = 1/sqrt(9d) (arrays that broadcast against x): the
-    accept mask and v = (1 + c x)^3.  A candidate is accepted when v > 0
-    and the log test or the squeeze passes; the cheap log test runs first
-    and the squeeze only where it failed, since x**4 of a negative x costs
-    far more than a log.  Works in two buffers besides x, u and v, each
-    value computed by the same operations in the same order as the
+    d = a - 1/3 and c = 1/sqrt(9d): the accept mask and v = (1 + c x)^3.
+    x and u are a (rows, p) table with d and c the (p,) constants of its
+    columns, or 1-D with d and c of their length or of length 1; the
+    constants are applied by _times_columns.  A candidate is accepted when
+    v > 0 and the log test or the squeeze passes; the cheap log test runs
+    first and the squeeze only where it failed, since x**4 of a negative x
+    costs far more than a log.  Works in two buffers besides x, u and v,
+    each value computed by the same operations in the same order as the
     textbook expression."""
-    t = x * c
+    t = _times_columns(x, c, np.empty_like(x))
     t += 1.0
     v = t * t
     v *= t
@@ -335,7 +383,7 @@ def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d: np.ndarray,
     np.log(v, out=t, where=pos)
     w = np.subtract(1.0, v)
     w += t
-    w *= d
+    _times_columns(w, d, w)
     np.multiply(x, 0.5, out=t)
     t *= x
     t += w  # 0.5 x^2 + d (1 - v + log v)

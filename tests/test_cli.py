@@ -355,7 +355,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("n", [cli.M2_DENSITY_MAX_ENV_DIM, cli.M2_DENSITY_MAX_ENV_DIM + 1, 10**6])
     def test_derivative_check_skipped_above_its_kn_bound(self, capsys, n):
-        # from k*n = 537 on the densities divide by zero; a skipped check
+        # from k*n = 533 on eigen_density_m2 divides by zero; a skipped check
         # leaves the exit code to the other checks
         code, out, err = run_cli(capsys, "verify", "--m", "2", "--n", str(n), "--samples", "10",
                                  "--seed", "1", "--workers", "1")

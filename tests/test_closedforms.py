@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -190,6 +191,27 @@ class TestEigenDensityM2:
 
 
 class TestDerivativePrincipleM2:
+    def test_agrees_with_eigen_density_on_verifys_grid_at_every_checked_kn(self):
+        # verify's derivative_principle_m2 check: its 50 points and its gate,
+        # at every k*n it compares.  The cancelling normaliser
+        # B(n-1,n-1) - 4 B(n,n) failed it from k*n = 69 on
+        xs = np.linspace(0.01, 0.99, 50)
+        for n in range(2, 164):
+            diff = max(abs(cf.eigen_density_m2(n, float(x)) - cf.derivative_principle_density_m2(n, float(x)))
+                       for x in xs)
+            assert diff < 1e-10, n
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 69, 100, 150, 163, 300])
+    def test_eigen_density_normaliser_is_the_exact_beta_quotient(self, n):
+        # the integral of (2x-1)^2 (x(1-x))^(n-2) over (0, 1) is
+        # B(n-1, n-1)/(2n-1), in exact rationals at integer n; exp(lgamma)
+        # keeps it within 3e-13, where the cancelling form was off by
+        # 1.2e-10 at n = 150
+        exact = Fraction(math.factorial(n - 2) ** 2, math.factorial(2 * n - 3) * (2 * n - 1))
+        x = 0.3
+        profile = Fraction((2.0 * x - 1.0) ** 2 * (x * (1.0 - x)) ** (n - 2))
+        assert abs(Fraction(cf.eigen_density_m2(n, x)) * exact / profile - 1) < 1e-12
+
     @pytest.mark.parametrize("x", [0.1, 0.3, 0.7])
     def test_pointwise_equal_to_eigen_density(self, x):
         assert cf.derivative_principle_density_m2(3, x) == pytest.approx(

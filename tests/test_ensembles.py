@@ -51,6 +51,12 @@ class TestEnsembleSpec:
     def test_accepts_numpy_integers(self):
         assert EnsembleSpec(np.int64(2), np.int32(3), np.uint8(2)).env_dim == 6
 
+    @pytest.mark.parametrize("m,n,k", [(True, 2, 1), (1, True, 1), (2, 2, True)])
+    def test_rejects_bools(self, m, n, k):
+        # a bool is an int to isinstance, and would pass as 1
+        with pytest.raises(ParameterError):
+            EnsembleSpec(m, n, k)
+
 
 class TestDensityMatrix:
     def test_rejects_wrong_trace(self):

@@ -188,6 +188,22 @@ class TestEstimatorConfig:
         with pytest.raises(ParameterError):
             mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", master_seed=0, **kwargs)
 
+    def test_rejects_bool_workers(self):
+        # a bool is an int to isinstance, and would pass as 1
+        with pytest.raises(ParameterError):
+            mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", samples=10, master_seed=0, workers=True)
+
+    def test_bool_master_seed_draws_nothing(self):
+        config = mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", samples=10, master_seed=True)
+        with pytest.raises(ParameterError, match="master_seed"):
+            mc.estimate(config)
+
+    @pytest.mark.parametrize("field", ["samples", "master_seed", "workers"])
+    def test_concentration_rejects_bools(self, field):
+        kwargs = {"samples": 10, "master_seed": 0, "workers": 1, field: True}
+        with pytest.raises(ParameterError, match=field):
+            mc.empirical_concentration(EnsembleSpec(3, 3), 0.2, **kwargs)
+
     def test_spectrum_rejected_elsewhere(self):
         with pytest.raises(ParameterError):
             mc.EstimatorConfig(EnsembleSpec(2, 2), "coherence", samples=10, master_seed=0,
@@ -614,6 +630,12 @@ class TestIncompleteGamma:
         with pytest.raises(ParameterError):
             mc.gamma_cdf(np.array([1.0, 2.0]), shape)
 
+    @pytest.mark.parametrize("shape", [True, np.True_])
+    def test_rejects_bool_shapes(self, shape):
+        # 3.0 is an integer shape, but True is not the shape 1
+        with pytest.raises(ParameterError):
+            mc.gamma_cdf(1.0, shape)
+
     @pytest.mark.parametrize("shape", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_shape(self, shape):
         with pytest.raises(ParameterError):
@@ -661,6 +683,14 @@ class TestKolmogorovSmirnov:
             assert stacked.shape == (3,)
             assert list(stacked) == [mc.ks_statistic(draws[:, i], cdf) for i in range(3)]
         assert isinstance(mc.ks_statistic(draws[:, 0], lambda x: mc.gamma_cdf(x, 3.0)), float)
+
+    def test_a_wide_stack_gives_exactly_the_statistics_of_its_columns(self):
+        # past mc._KS_COLUMNS the stack is not scanned column by column
+        width = mc._KS_COLUMNS + 4
+        draws = RngStream(SeedSpec(80, 0)).gammas(3.0, width * 1500).reshape(1500, width)
+        stacked = mc.ks_statistic(draws, lambda x: mc.gamma_cdf(x, 3.0))
+        assert stacked.shape == (width,)
+        assert list(stacked) == [mc.ks_statistic(draws[:, i], lambda x: mc.gamma_cdf(x, 3.0)) for i in range(width)]
 
     def test_a_stack_calls_cdf_once(self):
         calls = []
