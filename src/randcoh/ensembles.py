@@ -129,7 +129,7 @@ class DensityMatrix:
         else:
             state._factor = _lower_factor(root, z)
             state.wishart_diagonal = _row_norms(state._factor)
-        state.diagonal = linalg.row_divide(state.wishart_diagonal, linalg.row_sum(state.wishart_diagonal))
+        state.diagonal = state.wishart_diagonal / linalg.row_sum(state.wishart_diagonal, keepdims=True)
         return state
 
     @property
@@ -164,7 +164,7 @@ class DensityMatrix:
                     vals = linalg._eigenvalues_2x2(w[..., 0], w[..., 1], np.abs(z[..., 0] * root[..., 0]))
                 else:
                     vals = linalg.factor_gram_eigenvalues(self._factor)
-                linalg.row_divide(vals, linalg.row_sum(self.wishart_diagonal), out=vals)
+                vals /= linalg.row_sum(self.wishart_diagonal, keepdims=True)
             self._spectrum = linalg.clamp_spectrum(vals)
         return self._spectrum
 
@@ -281,7 +281,7 @@ def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> 
         vals = np.empty((size, m))
         for rows in linalg.row_blocks(size, m * m, 8):
             vals[rows] = linalg.exact_hermitian_eigenvalues(_laguerre_tridiagonal(g[rows], m))
-    linalg.row_divide(vals, linalg.row_sum(g), out=vals)
+    vals /= linalg.row_sum(g, keepdims=True)
     return linalg.clamp_spectrum(vals)
 
 
@@ -306,7 +306,7 @@ def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec, size: int) -> n
     (size, m) stack of symmetric Dirichlet(k*n, ..., k*n) vectors, drawn
     from one block of size*m Gamma variates."""
     g = stream.gammas(float(spec.env_dim), spec.m * size).reshape(size, spec.m)
-    return linalg.row_divide(g, linalg.row_sum(g))
+    return g / linalg.row_sum(g, keepdims=True)
 
 
 def sample_isospectral_diagonal(stream: RngStream, lam: np.ndarray, size: int) -> np.ndarray:

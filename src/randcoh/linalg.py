@@ -13,15 +13,13 @@ that member on its own.  Stacks are checked, and products of factors
 formed and solved, in blocks of matrices (row_blocks), so that the
 temporaries of a pass stay bounded however large the stack is.
 
-Three row kernels serve the package's short rows (spectra, diagonals and
-factor rows of a few entries), where numpy's reductions, sorts and
-broadcasts along the last axis cost per row rather than per entry:
-row_sum adds the columns of a narrow stack left to right, which is the
-order numpy sums fewer than 8 entries in, so it gives numpy's bits;
-row_divide divides each column of rows of up to 3 entries by the rows'
-divisors, which rounds each quotient once, as the broadcast does;
-row_sort sorts rows of up to 4 entries by a compare-exchange network on
-column views, which only permutes each row.  Wider rows go to numpy.
+Two row kernels serve the package's short rows (spectra, diagonals and
+factor rows of a few entries), where numpy's reductions and sorts along
+the last axis cost per row rather than per entry: row_sum adds the
+columns of a narrow stack left to right, which is the order numpy sums
+fewer than 8 entries in, so it gives numpy's bits; row_sort sorts rows of
+up to 4 entries by a compare-exchange network on column views, which only
+permutes each row.  Wider rows go to numpy.
 """
 
 from __future__ import annotations
@@ -44,12 +42,6 @@ _BLOCK_BYTES = 9 << 16
 # of fewer than 8 entries left to right from 0.0, and unrolls 8 partial
 # sums, in another order, from 8 entries on
 _ROW_SUM_COLUMNS = 8
-# widest row divided column by column (row_divide).  Measured on a 2-vCPU
-# Xeon host, a broadcast division of 1024 rows takes 5.5 us at 2 columns
-# and 5.8 at 3, the column loop 3.0 and 4.2; the loop loses below about 128
-# rows at 2 columns and 256 at 3, by at most 0.7 us.  At 4 columns it loses
-# below about 600 rows
-_ROW_DIVIDE_COLUMNS = 3
 # widest row sorted by a compare-exchange network (row_sort): on 1000 rows
 # of 2-4 entries np.sort takes about 40 us and the network of 1, 3 or 5
 # comparators 5-25 us; each comparator is two ufunc calls, so the 9 of a
@@ -72,22 +64,6 @@ def row_sum(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
     for j in range(1, m):
         out += a[..., j]
     return out[..., None] if keepdims else out
-
-
-def row_divide(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a / s[..., None] into out (a new array if None): each row of the
-    float64 stack a (..., m) divided by its entry of s (...), bit for bit.
-    Rows of 2 to _ROW_DIVIDE_COLUMNS entries are divided column by column,
-    at a cost per column where numpy's broadcast pays per row; a quotient
-    is rounded once either way.  out may be a itself."""
-    m = a.shape[-1]
-    if not 1 < m <= _ROW_DIVIDE_COLUMNS:
-        return np.divide(a, s[..., None], out=out)
-    if out is None:
-        out = np.empty(a.shape)
-    for j in range(m):
-        np.divide(a[..., j], s, out=out[..., j])
-    return out
 
 
 def row_sort(a: np.ndarray) -> np.ndarray:

@@ -92,11 +92,6 @@ CHUNK_ENTRIES = 1 << 14
 
 # below this many draws a Kolmogorov-Smirnov test says little
 KS_MIN_SAMPLES = 1000
-# widest stack of samples whose KS statistics are taken column by column
-# (ks_statistic).  Measured on a 2-vCPU Xeon host, on 1000 samples the
-# broadcast form takes 59 us at 2 columns, 65 at 4 and 85 at 8, the column
-# loop 13, 24 and 47; at 16 columns the loop takes 105 us against 85
-_KS_COLUMNS = 8
 
 # the stream domain (SeedSpec.domain) of each sampler: the streams of one
 # master seed are keyed (master_seed, domain, chunk), so no two draw keys
@@ -504,11 +499,9 @@ def ks_statistic(values: np.ndarray, cdf) -> float | np.ndarray:
     values is one sample of shape (n,), which gives a float, or a stack of
     samples along axis 0, shape (n, m), which gives the m statistics of its
     columns.  cdf is called once, on the whole sample sorted along axis 0,
-    and must return the array of CDF values, of the same shape.  Up to
-    _KS_COLUMNS columns are scanned one at a time, where broadcasting the
-    grid against the short rows, and the maxima along axis 0, would cost
-    per row; a difference is rounded once and a maximum is exact either
-    way, so the bits are the same.
+    and must return the array of CDF values, of the same shape.  The
+    columns are scanned one at a time, since broadcasting the grid against
+    short rows, and taking maxima along axis 0, costs per row.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 0 or values.shape[0] < 1:
@@ -519,13 +512,9 @@ def ks_statistic(values: np.ndarray, cdf) -> float | np.ndarray:
     if f.shape != values.shape:
         raise ParameterError(f"cdf must map the {values.shape} sample to an array of that shape, got {f.shape}")
     grid = np.arange(1, n + 1) / n
-    cols = f.reshape(n, -1).T
-    if len(cols) <= _KS_COLUMNS:
-        below = grid - 1.0 / n
-        d = np.array([np.maximum((grid - col).max(), (col - below).max()) for col in cols]).reshape(f.shape[1:])
-    else:
-        grid = grid.reshape((n,) + (1,) * (f.ndim - 1))
-        d = np.maximum((grid - f).max(axis=0), (f - (grid - 1.0 / n)).max(axis=0))
+    below = grid - 1.0 / n
+    d = np.array([np.maximum((grid - col).max(), (col - below).max())
+                  for col in f.reshape(n, -1).T]).reshape(f.shape[1:])
     return float(d) if d.ndim == 0 else d
 
 

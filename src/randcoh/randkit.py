@@ -19,12 +19,12 @@ every variate the ensembles draw has an integer shape of at least 1.  A
 gammas call takes the pattern of shapes that its draws repeat (the m or
 2m - 1 shapes of one sampled matrix), and splits and prepares that pattern
 once, however many draws repeat it.  Its draws form a table of one row per
-repeat and one column per shape, and the per-shape work runs by columns,
-since numpy's reductions and broadcasts along a short row cost per row:
-the Erlang products multiply whole factor columns left to right, and
-Marsaglia-Tsang's per-shape constants d and c multiply a table of up to
-_COLUMN_LOOP_MAX columns one column at a time.  Every draw method returns
-an array of n draws; one draw is the batch of one, e.g. ``uniforms(1)[0]``.
+repeat and one column per shape.  The Erlang products of a pattern of up
+to _ERLANG_COLUMNS shapes multiply whole factor columns left to right,
+since numpy's reduceat along a short row costs per row; Marsaglia-Tsang's
+per-shape constants d and c broadcast against the table.  Every draw
+method returns an array of n draws; one draw is the batch of one, e.g.
+``uniforms(1)[0]``.
 
 Uniforms are buffered.  A request that the buffer cannot serve refills
 only its shortfall, at least 4096 raw outputs at a time.  Polar normals
@@ -68,13 +68,13 @@ _PAIRS_PER_PASS = 1 << 13
 # draws of every shape it moves.  Every factor 1 - U is at least 2^-53, so
 # the product of up to 19 of them stays a normal float
 _ERLANG_MAX_SHAPE = 4
-# widest (rows, p) table whose per-column constants are applied column by
-# column (_times_columns).  Measured on a 2-vCPU Xeon host, a broadcast
-# multiply of 1024 rows takes 7.0 us at p = 2 and 7.3 at p = 3, the column
-# loop 3.4 and 4.8; the loop loses below about 256 rows at p = 2 and 512 at
-# p = 3, by at most 1.7 us.  At p = 4 it loses below about 800 rows, which
-# a 200-sample verify at m = 4 draws
-_COLUMN_LOOP_MAX = 3
+# widest pattern whose Erlang products are formed column by column (_erlang);
+# a wider one goes to np.multiply.reduceat.  The ensembles' patterns have at
+# most 8 Erlang shapes, 4 on the Laguerre diagonal and 4 below it.  Measured
+# on a 2-vCPU Xeon host at 8 shapes of 1-4, reduceat takes 74 us on 1000
+# rows and 411 on 5461, the column loop 36 and 203; on one row 3 us against
+# 18, and on a pattern of 10 000 shapes, one per draw, 0.18 ms against 17 ms
+_ERLANG_COLUMNS = 8
 
 
 def _polar_lookahead(need: int) -> int:
@@ -278,24 +278,30 @@ class RngStream:
         (p >= 1 of them) in each row: -ln of the product of a consecutive
         factors 1 - U each, from one block of rows * sum(a) uniforms.  Each
         factor lies in (0, 1], so the product is positive and finite, and
-        its log too.  The products are formed by columns, left to right:
-        column j of the output is the first of its a factor columns times
-        each later one in turn, a multiply per factor column, where a
-        reduction along the short rows would cost per row."""
-        counts = shapes.astype(np.intp).tolist()
+        its log too.  Up to _ERLANG_COLUMNS shapes, the products are formed
+        by columns, left to right: column j of the output is the first of
+        its a factor columns times each later one in turn, a multiply per
+        factor column, where reduceat along the short rows would cost per
+        row.  A wider pattern is reduced by reduceat, whose products also
+        run left to right, so the bits are the same either way."""
+        counts = shapes.astype(np.intp)
+        ends = np.cumsum(counts)
         # a new array: an array that uniforms() returned is never overwritten
-        factors = np.subtract(1.0, self.uniforms(rows * sum(counts))).reshape(rows, -1)
-        out = np.empty((rows, len(counts)))
-        start = 0
-        for j, count in enumerate(counts):
-            col = out[:, j]
-            if count == 1:
-                col[...] = factors[:, start]
-            else:
-                np.multiply(factors[:, start], factors[:, start + 1], out=col)
-                for i in range(start + 2, start + count):
-                    col *= factors[:, i]
-            start += count
+        factors = np.subtract(1.0, self.uniforms(rows * int(ends[-1]))).reshape(rows, -1)
+        if counts.size > _ERLANG_COLUMNS:
+            out = np.multiply.reduceat(factors, ends - counts, axis=1)
+        else:
+            out = np.empty((rows, counts.size))
+            start = 0
+            for j, count in enumerate(counts.tolist()):
+                col = out[:, j]
+                if count == 1:
+                    col[...] = factors[:, start]
+                else:
+                    np.multiply(factors[:, start], factors[:, start + 1], out=col)
+                    for i in range(start + 2, start + count):
+                        col *= factors[:, i]
+                start += count
         np.log(out, out=out)
         np.negative(out, out=out)
         return out
@@ -305,10 +311,7 @@ class RngStream:
         of shape shapes[j].
 
         Each column runs with its own d = a - 1/3 and c = 1/sqrt(9d),
-        computed once as (p,) arrays; the first round applies them to the
-        table by _times_columns, and the later rounds gather them for the
-        draws still pending (a single column broadcasts its own, with no
-        gather).  Each rejection round consumes one normal and one
+        computed once.  Each rejection round consumes one normal and one
         uniform per pending slot (the uniform is drawn unconditionally; it
         is independent of the candidate, so discarding it on rejection is
         harmless).
@@ -323,18 +326,15 @@ class RngStream:
         k = rows * p
         accept, v = _marsaglia_tsang_round(self.normals(k).reshape(rows, p),
                                            self.uniforms(k).reshape(rows, p), d, c)
-        out = _times_columns(v, d, v).ravel()
+        v *= d
+        out = v.ravel()
         pending = np.flatnonzero(~accept)
         while pending.size:
-            if p == 1:
-                dk, ck = d, c
-            else:
-                col = pending % p
-                dk, ck = d[col], c[col]
+            col = pending % p
+            dk = d[col]
             accept, v = _marsaglia_tsang_round(self.normals(pending.size), self.uniforms(pending.size),
-                                               dk, ck)
-            v *= dk
-            out[pending[accept]] = v[accept]
+                                               dk, c[col])
+            out[pending[accept]] = dk[accept] * v[accept]
             pending = pending[~accept]
         return out.reshape(rows, p)
 
@@ -348,32 +348,17 @@ def _columns(mask: np.ndarray):
     return cols
 
 
-def _times_columns(a: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a * c into out, for c that broadcasts against a.  A table a of 2 to
-    _COLUMN_LOOP_MAX columns times the constants c of its columns is
-    multiplied column by column, a scalar per column, where numpy's
-    broadcast would run its inner loop along each short row; a product is
-    rounded once either way, so the bits are the same."""
-    if a.ndim == 2 and 1 < a.shape[1] <= _COLUMN_LOOP_MAX:
-        for j in range(a.shape[1]):
-            np.multiply(a[:, j], c[j], out=out[:, j])
-        return out
-    return np.multiply(a, c, out=out)
-
-
 def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d: np.ndarray,
                            c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Marsaglia-Tsang round on normals x and uniforms u at
-    d = a - 1/3 and c = 1/sqrt(9d): the accept mask and v = (1 + c x)^3.
-    x and u are a (rows, p) table with d and c the (p,) constants of its
-    columns, or 1-D with d and c of their length or of length 1; the
-    constants are applied by _times_columns.  A candidate is accepted when
-    v > 0 and the log test or the squeeze passes; the cheap log test runs
-    first and the squeeze only where it failed, since x**4 of a negative x
-    costs far more than a log.  Works in two buffers besides x, u and v,
-    each value computed by the same operations in the same order as the
+    d = a - 1/3 and c = 1/sqrt(9d) (arrays that broadcast against x): the
+    accept mask and v = (1 + c x)^3.  A candidate is accepted when v > 0
+    and the log test or the squeeze passes; the cheap log test runs first
+    and the squeeze only where it failed, since x**4 of a negative x costs
+    far more than a log.  Works in two buffers besides x, u and v, each
+    value computed by the same operations in the same order as the
     textbook expression."""
-    t = _times_columns(x, c, np.empty_like(x))
+    t = x * c
     t += 1.0
     v = t * t
     v *= t
@@ -383,7 +368,7 @@ def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d: np.ndarray,
     np.log(v, out=t, where=pos)
     w = np.subtract(1.0, v)
     w += t
-    _times_columns(w, d, w)
+    w *= d
     np.multiply(x, 0.5, out=t)
     t *= x
     t += w  # 0.5 x^2 + d (1 - v + log v)

@@ -230,8 +230,8 @@ LEADING = st.one_of(st.tuples(st.integers(0, 40)), st.tuples(st.integers(1, 6), 
 
 
 class TestRowKernels:
-    """row_sum, row_divide and row_sort give numpy's bits at any width: by
-    columns on narrow rows, by numpy itself on wide ones."""
+    """row_sum and row_sort give numpy's bits at any width: by columns on
+    narrow rows, by numpy itself on wide ones."""
 
     # signed zeros, subnormals, magnitudes up to 1e+-300 and mixtures of them
     VALUES = st.one_of(
@@ -265,24 +265,6 @@ class TestRowKernels:
             assert bits(linalg.row_sum(np.full((2, m), -0.0))) == bits([0.0, 0.0])
         assert linalg.row_sum(np.array([0.25, 0.5])) == 0.75
         assert np.array_equal(linalg.row_sort(np.array([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
-
-    @given(leading=LEADING, m=st.integers(1, 9), layout=st.sampled_from(["C", "F", "reversed"]),
-           data=st.data())
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_row_divide_is_the_broadcast_division(self, leading, m, layout, data):
-        # positive entries, subnormal to 1e300, so that no row sums to 0 or inf
-        positive = st.one_of(st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300]),
-                             st.floats(1e-300, 1e300))
-        a = data.draw(arrays(np.float64, leading + (m,), elements=positive))
-        a = {"C": a, "F": np.asfortranarray(a), "reversed": a[..., ::-1]}[layout]
-        want = a / linalg.row_sum(a, keepdims=True)
-        got = linalg.row_divide(a, linalg.row_sum(a))
-        assert got.shape == a.shape
-        assert bits(got) == bits(want)
-        # in place, as the spectra samplers divide
-        inplace = a.copy()
-        assert linalg.row_divide(inplace, linalg.row_sum(a), out=inplace) is inplace
-        assert bits(inplace) == bits(want)
 
     @given(leading=LEADING, m=st.integers(1, 8), data=st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)

@@ -677,20 +677,19 @@ class TestKolmogorovSmirnov:
             mc.ks_statistic(np.array([0.2, 0.4, 0.6]), lambda x: 0.5)
 
     def test_a_stack_gives_exactly_the_statistics_of_its_columns(self):
-        draws = RngStream(SeedSpec(79, 0)).gammas(3.0, 3 * 1500).reshape(1500, 3)
-        for cdf in (lambda x: mc.gamma_cdf(x, 3.0), lambda x: mc.gamma_cdf(x, 4.0)):
-            stacked = mc.ks_statistic(draws, cdf)
-            assert stacked.shape == (3,)
-            assert list(stacked) == [mc.ks_statistic(draws[:, i], cdf) for i in range(3)]
+        for width in (3, 12):
+            draws = RngStream(SeedSpec(79, 0)).gammas(3.0, width * 1500).reshape(1500, width)
+            for cdf in (lambda x: mc.gamma_cdf(x, 3.0), lambda x: mc.gamma_cdf(x, 4.0)):
+                stacked = mc.ks_statistic(draws, cdf)
+                assert stacked.shape == (width,)
+                assert list(stacked) == [mc.ks_statistic(draws[:, i], cdf) for i in range(width)]
+                # the bits of the whole-stack form: the grid broadcast
+                # against the rows, and maxima along axis 0
+                f = cdf(np.sort(draws, axis=0))
+                grid = (np.arange(1, 1501) / 1500)[:, None]
+                broadcast = np.maximum((grid - f).max(axis=0), (f - (grid - 1.0 / 1500)).max(axis=0))
+                assert np.array_equal(stacked, broadcast)
         assert isinstance(mc.ks_statistic(draws[:, 0], lambda x: mc.gamma_cdf(x, 3.0)), float)
-
-    def test_a_wide_stack_gives_exactly_the_statistics_of_its_columns(self):
-        # past mc._KS_COLUMNS the stack is not scanned column by column
-        width = mc._KS_COLUMNS + 4
-        draws = RngStream(SeedSpec(80, 0)).gammas(3.0, width * 1500).reshape(1500, width)
-        stacked = mc.ks_statistic(draws, lambda x: mc.gamma_cdf(x, 3.0))
-        assert stacked.shape == (width,)
-        assert list(stacked) == [mc.ks_statistic(draws[:, i], lambda x: mc.gamma_cdf(x, 3.0)) for i in range(width)]
 
     def test_a_stack_calls_cdf_once(self):
         calls = []

@@ -11,7 +11,7 @@ from scipy import stats as sps
 from randcoh import mc
 from randcoh.ensembles import EnsembleSpec, sample_diag_dirichlet
 from randcoh.errors import ParameterError
-from randcoh.randkit import _COLUMN_LOOP_MAX, _ERLANG_MAX_SHAPE, RngStream, SeedSpec, _marsaglia_tsang_round
+from randcoh.randkit import _ERLANG_COLUMNS, _ERLANG_MAX_SHAPE, RngStream, SeedSpec
 
 
 def stream(master=2024, index=0):
@@ -449,11 +449,14 @@ class TestGammaShapeArray:
             stream().gammas(np.array(shapes), 3)
 
 
-class TestShortRowKernels:
-    """The column-by-column kernels of the Gamma sampler give the bits of
-    the whole-table numpy forms they replace."""
+class TestErlangColumns:
+    """The Erlang products, formed by columns up to _ERLANG_COLUMNS shapes
+    and by reduceat above, give the bits of reduceat at every width."""
 
-    @pytest.mark.parametrize("shapes", [[1], [1, 1, 1], [3, 2, 1], [4, 1, 2], [2, 2], [4, 3, 2, 1, 4, 3]])
+    # the widest column loop, the narrowest reduceat, and one shape per draw
+    WIDE = [list(np.resize([4, 1, 3, 2], width)) for width in (_ERLANG_COLUMNS, _ERLANG_COLUMNS + 1, 256)]
+
+    @pytest.mark.parametrize("shapes", [[1], [1, 1, 1], [3, 2, 1], [4, 1, 2], [2, 2], [4, 3, 2, 1, 4, 3]] + WIDE)
     @pytest.mark.parametrize("rows", [1, 1000, 5461])
     def test_erlang_columns_are_the_reduceat_products(self, shapes, rows):
         counts = np.array(shapes)
@@ -462,44 +465,6 @@ class TestShortRowKernels:
         want = -np.log(np.multiply.reduceat(factors, np.cumsum(counts) - counts, axis=1))
         assert got.shape == (rows, counts.size)
         assert np.array_equal(got, want)
-
-    @staticmethod
-    def broadcast_round(x, u, d, c):
-        """The Marsaglia-Tsang round with its constants broadcast against x."""
-        t = 1.0 + x * c
-        v = t * t * t
-        pos = v > 0.0
-        log_v = np.log(np.where(pos, v, 1.0))
-        accept = pos & (np.log(u) < 0.5 * x * x + d * ((1.0 - v) + log_v))
-        squeeze = pos & ~accept
-        accept[squeeze] = u[squeeze] < 1.0 - 0.0331 * x[squeeze] ** 4
-        return accept, v
-
-    # by columns up to _COLUMN_LOOP_MAX, broadcast at 1 and above it
-    @pytest.mark.parametrize("p", sorted({1, 2, _COLUMN_LOOP_MAX, _COLUMN_LOOP_MAX + 1, 4, 31}))
-    def test_round_on_a_table_is_the_broadcast_round(self, p):
-        rows = 2000
-        s = stream(32)
-        # shapes from just above 1, where candidates are rejected, to large ones
-        d = np.geomspace(1.0, 500.0, p) - 1.0 / 3.0
-        c = 1.0 / np.sqrt(9.0 * d)
-        x = s.normals(rows * p).reshape(rows, p)
-        u = s.uniforms(rows * p).reshape(rows, p)
-        accept, v = _marsaglia_tsang_round(x, u, d, c)
-        want_accept, want_v = self.broadcast_round(x, u, d, c)
-        assert np.array_equal(v, want_v)
-        assert np.array_equal(accept, want_accept)
-        assert 0 < np.count_nonzero(~accept)
-
-    @pytest.mark.parametrize("constants", ["per_entry", "one"])
-    def test_round_on_pending_draws_is_the_broadcast_round(self, constants):
-        s = stream(33)
-        x, u = s.normals(999), s.uniforms(999)
-        a = np.tile([1.2, 7.0, 40.0], 333) if constants == "per_entry" else np.array([1.2])
-        d = a - 1.0 / 3.0
-        c = 1.0 / np.sqrt(9.0 * d)
-        got, want = _marsaglia_tsang_round(x, u, d, c), self.broadcast_round(x, u, d, c)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestDirichlet:
