@@ -306,8 +306,7 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; it holds no default
-    that can go stale (--workers resolves when the command runs)."""
+    """The argument parser, built once per process."""
     parser = _Parser(prog="randcoh", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -318,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
         if samples:
             p.add_argument("--samples", type=int, required=True, help="Monte Carlo sample count")
-            p.add_argument("--workers", type=int, default=None,
+            p.add_argument("--workers", type=int, default=1,
                            help="processes that evaluate the sample chunks; the results do not "
-                                "depend on it (default: available parallelism)")
+                                "depend on it (default 1: a pool pays only on jobs of a few "
+                                "hundred ms or more)")
         p.add_argument("--out", type=str, default=None, help="also append JSONL records to this file")
 
     p_est = sub.add_parser("estimate", help="one MC estimate vs its closed form")
@@ -358,9 +358,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # only the commands that take --workers have the attribute
-        if getattr(args, "workers", 0) is None:
-            args.workers = mc.default_workers()
         if not getattr(args, "out", None):
             return args.func(args)
         args.out = _OutFile(args.out)
@@ -368,10 +365,7 @@ def main(argv=None) -> int:
             return args.func(args)
         finally:
             args.out.close()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RandcohError as exc:
+    except (UsageError, RandcohError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

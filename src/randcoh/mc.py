@@ -52,7 +52,6 @@ the direct Dirichlet sample's (ks_dirichlet) run inline.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -573,12 +572,3 @@ def _dirichlet_ks(diags: np.ndarray, spec: EnsembleSpec, master_seed: int) -> fl
     key = ("ks_dirichlet", None, spec, master_seed, len(diags))
     from_dirichlet = np.concatenate([_draw(key, *chunk)[:, 0] for chunk in _chunks(key)])
     return ks_two_sample(diags[:, 0] / row_sum(diags), from_dirichlet)
-
-
-def default_workers() -> int:
-    """Available parallelism: the CPUs this process may run on, where the
-    platform reports its affinity, else the CPU count."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is not None:
-        return len(affinity(0)) or 1
-    return os.cpu_count() or 1

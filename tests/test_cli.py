@@ -15,6 +15,7 @@ from randcoh.cli import main
 from randcoh.ensembles import EnsembleSpec
 from randcoh.errors import NumericalError
 from randcoh.randkit import RngStream, SeedSpec
+from test_cli_golden import GOLDEN
 from test_mc import _callers
 
 
@@ -807,13 +808,23 @@ class TestParser:
         finally:
             cli.build_parser.cache_clear()
 
-    def test_default_workers_resolve_when_the_command_runs(self, capsys, monkeypatch):
-        argv = ("estimate", "--quantity", "coherence", "--m", "2", "--n", "2", "--samples", "100",
-                "--seed", "5")
-        workers = []
-        for count in (1, 3):
-            monkeypatch.setattr(mc, "default_workers", lambda count=count: count)
-            code, out, _ = run_cli(capsys, *argv)
-            assert code == 0
-            workers.append(parse_jsonl(out)[0]["parameters"]["workers"])
-        assert workers == [1, 3]
+    def test_without_workers_runs_inline_and_prints_one_worker_on_any_host(self, capsys, monkeypatch):
+        # 20 000 m = 2 states make 4 chunks, so a pool would start at any
+        # default above 1; the host reports 64 CPUs, and a pool raises
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a command without --workers started a process pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_pool)
+        command = "estimate --quantity coherence --m 2 --n 2 --samples 20000 --seed 7"
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0
+        (record,) = parse_jsonl(out)
+        assert record.pop("wall_time_ms") >= 0.0
+        assert record["parameters"].pop("workers") == 1
+        # the golden battery's record of this command, which ran at --workers 2
+        golden = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
+        (expected,) = [line["output"] for line in golden if line["command"] == command]
+        assert expected["parameters"].pop("workers") == 2
+        assert record == expected

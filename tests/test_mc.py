@@ -82,20 +82,6 @@ class TestChunks:
             mc.empirical_concentration(spec, 0.1, samples(spec), master_seed=1)
 
 
-class TestDefaultWorkers:
-    def test_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
-        assert mc.default_workers() == 3
-
-    def test_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: 6)
-        assert mc.default_workers() == 6
-        monkeypatch.setattr(mc.os, "cpu_count", lambda: None)
-        assert mc.default_workers() == 1
-
-
 class TestRunningStats:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
