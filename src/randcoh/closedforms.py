@@ -78,7 +78,7 @@ def concentration_bound(m: int, n: int, epsilon: float) -> float:
         raise ParameterError(f"the tail bound requires m >= 3, got {m}")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
-    exponent = -(m * n * epsilon**2) / (144.0 * math.pi**3 * _LN2 * math.log(m) ** 2)
+    exponent = -(m * n * (epsilon * epsilon)) / (144.0 * math.pi**3 * _LN2 * math.log(m) ** 2)
     return min(1.0, 2.0 * math.exp(exponent))
 
 

@@ -370,7 +370,9 @@ def sample_isospectral_diagonal(stream: RngStream, lam: np.ndarray, size: int) -
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
     """a summed over its second-to-last axis (of at least 2 rows), the rows
-    added first to last, each an elementwise add over the draws."""
+    added first to last, each an elementwise add over the draws.  Not
+    linalg.row_sum on swapped axes: from 8 rows on that is numpy's sum,
+    whose order on a stack of one draw differs from its order on more."""
     total = a[..., 0, :] + a[..., 1, :]
     for i in range(2, a.shape[-2]):
         total += a[..., i, :]

@@ -27,12 +27,12 @@ method returns an array of n draws; one draw is the batch of one, e.g.
 ``uniforms(1)[0]``.
 
 Uniforms are buffered.  A request that the buffer cannot serve refills
-only its shortfall, at least 4096 raw outputs at a time.  Polar normals
-screen their candidate pairs in vectorised passes over a lookahead of the
-buffer: need/p + 4 sqrt(need (1-p))/p pairs for need accepted pairs,
-p = pi/4, i.e. the negative-binomial mean plus four standard deviations,
-but at most 8192 pairs a pass, so that a call's working memory beyond its
-output is bounded whatever n is.  Each pass consumes exactly the uniforms
+exactly its shortfall.  Polar normals screen their candidate pairs in
+vectorised passes over a lookahead of the buffer: need/p +
+4 sqrt(need (1-p))/p pairs for need accepted pairs, p = pi/4, i.e. the
+negative-binomial mean plus four standard deviations, but at most 8192
+pairs a pass, so that a call's working memory beyond its output is
+bounded whatever n is.  Each pass consumes exactly the uniforms
 up to the last pair it used (all of them, if it used every pair), so every
 call leaves the stream exactly where drawing the pairs round by round
 would, and the pairs it looked at but did not use stay buffered for the
@@ -50,7 +50,6 @@ from numpy.random import Philox
 
 from .errors import ParameterError
 
-_BLOCK = 4096
 _INV_2_53 = 2.0**-53
 _SQRT_HALF = math.sqrt(0.5)
 _POLAR_ACCEPT = math.pi / 4.0  # P(u^2 + v^2 < 1) for (u, v) uniform on [-1, 1)^2
@@ -131,13 +130,13 @@ class RngStream:
     def _lookahead(self, n: int) -> np.ndarray:
         """The next n uniforms, as a view of the buffer, without consuming them.
 
-        Refills only the shortfall, at least _BLOCK raw outputs at a time.
-        The block size only affects buffering: the i-th uniform is always
-        derived from the i-th raw output.
+        Refills exactly the shortfall, so the buffer holds only uniforms
+        that some request looked at: the i-th uniform is always derived from
+        the i-th raw output, however the requests split the stream.
         """
         rest = self._buf.size - self._pos
         if n > rest:
-            raw = self._bitgen.random_raw(max(_BLOCK, n - rest))
+            raw = self._bitgen.random_raw(n - rest)
             raw >>= np.uint64(11)
             buf = np.empty(rest + raw.size, dtype=np.float64)
             buf[:rest] = self._buf[self._pos:]
@@ -248,7 +247,7 @@ class RngStream:
         consecutive uniforms for a draw of shape a; the Marsaglia-Tsang
         rounds then run on the other draws, in draw order.  The pattern is
         checked and split once, and each group fills its columns of the
-        (n/p, p) table of draws.
+        (n/p, p) table of draws through the pattern's boolean mask.
         """
         if n < 0:
             raise ParameterError(f"n must be nonnegative, got {n}")
@@ -269,8 +268,8 @@ class RngStream:
         if not erlang.any():
             return self._marsaglia_tsang(pattern, rows).ravel()
         out = np.empty((rows, p), dtype=np.float64)
-        out[:, _columns(erlang)] = self._erlang(pattern[erlang], rows)
-        out[:, _columns(~erlang)] = self._marsaglia_tsang(pattern[~erlang], rows)
+        out[:, erlang] = self._erlang(pattern[erlang], rows)
+        out[:, ~erlang] = self._marsaglia_tsang(pattern[~erlang], rows)
         return out.ravel()
 
     def _erlang(self, shapes: np.ndarray, rows: int) -> np.ndarray:
@@ -279,11 +278,11 @@ class RngStream:
         factors 1 - U each, from one block of rows * sum(a) uniforms.  Each
         factor lies in (0, 1], so the product is positive and finite, and
         its log too.  Up to _ERLANG_COLUMNS shapes, the products are formed
-        by columns, left to right: column j of the output is the first of
-        its a factor columns times each later one in turn, a multiply per
-        factor column, where reduceat along the short rows would cost per
-        row.  A wider pattern is reduced by reduceat, whose products also
-        run left to right, so the bits are the same either way."""
+        by columns, left to right: column j of the output is a copy of the
+        first of its a factor columns, multiplied by each later one in turn,
+        where reduceat along the short rows would cost per row.  A wider
+        pattern is reduced by reduceat, whose products also run left to
+        right, so the bits are the same either way."""
         counts = shapes.astype(np.intp)
         ends = np.cumsum(counts)
         # a new array: an array that uniforms() returned is never overwritten
@@ -295,12 +294,9 @@ class RngStream:
             start = 0
             for j, count in enumerate(counts.tolist()):
                 col = out[:, j]
-                if count == 1:
-                    col[...] = factors[:, start]
-                else:
-                    np.multiply(factors[:, start], factors[:, start + 1], out=col)
-                    for i in range(start + 2, start + count):
-                        col *= factors[:, i]
+                col[...] = factors[:, start]
+                for i in range(start + 1, start + count):
+                    col *= factors[:, i]
                 start += count
         np.log(out, out=out)
         np.negative(out, out=out)
@@ -337,15 +333,6 @@ class RngStream:
             out[pending[accept]] = dk[accept] * v[accept]
             pending = pending[~accept]
         return out.reshape(rows, p)
-
-
-def _columns(mask: np.ndarray):
-    """The columns where mask holds: a slice when they are one run (as in
-    every pattern the ensembles draw), else their indices."""
-    cols = np.flatnonzero(mask)
-    if cols[-1] - cols[0] + 1 == cols.size:
-        return slice(int(cols[0]), int(cols[-1]) + 1)
-    return cols
 
 
 def _marsaglia_tsang_round(x: np.ndarray, u: np.ndarray, d: np.ndarray,

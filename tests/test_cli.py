@@ -443,6 +443,17 @@ class TestConcentration:
         assert code == 0
         assert parse_jsonl(out)[0]["results"]["concentration"]["empirical_fraction"] in (0.0, 1.0)
 
+    def test_huge_epsilon_passes_on_a_zero_bound(self, capsys):
+        # epsilon^2 overflows a float power above about 1.34e154
+        code, out, _ = run_cli(
+            capsys, "concentration", "--m", "3", "--n", "3", "--epsilon", "1e300",
+            "--samples", "5", "--seed", "1",
+        )
+        assert code == 0
+        entry = parse_jsonl(out)[0]["results"]["concentration"]
+        assert entry["bound"] == 0.0
+        assert entry["verdict"] == "pass"
+
     def test_m_two_is_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "concentration", "--m", "2", "--n", "3", "--epsilon", "0.2",

@@ -132,6 +132,10 @@ class TestConcentrationBound:
     def test_vanishing_epsilon_saturates(self):
         assert cf.concentration_bound(3, 3, 1e-12) == 1.0
 
+    def test_huge_epsilon_gives_the_limit_zero(self):
+        # a float power epsilon**2 raises OverflowError above about 1.34e154
+        assert cf.concentration_bound(3, 3, 1e300) == 0.0
+
     def test_monotone_in_epsilon_and_dimension(self):
         eps = np.linspace(5.0, 50.0, 8)
         vals = [cf.concentration_bound(4, 100, e) for e in eps]

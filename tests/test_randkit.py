@@ -205,7 +205,9 @@ class TestStreamLayout:
 
     @pytest.mark.parametrize("master,index", [(0, 0), (2024, 3), (2**64 - 1, 2**32 - 1)])
     def test_uniforms_are_the_scaled_philox_outputs_across_refills(self, master, index):
-        # requests that end just before, on and just after 4096-output refills
+        # a refill draws exactly a request's shortfall, so requests of
+        # uniforms alone each refill their own size: among them 0, and sizes
+        # either side of 4096
         sizes = (1, 4094, 1, 1, 5000, 3191, 4096, 0, 9000, 7)
         s = RngStream(SeedSpec(master, index))
         got = np.concatenate([s.uniforms(k) for k in sizes])
