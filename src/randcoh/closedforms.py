@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .ensembles import EnsembleSpec
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 from .functionals import EULER_GAMMA, harmonic, subentropy
 
 _LN2 = math.log(2.0)
@@ -106,8 +106,7 @@ def eigen_density_m2(n: int, x: float) -> float:
     where the difference of the two Beta functions cancels (its relative
     error grows to about 1e-10 by n = 150).
     """
-    if n < 2:
-        raise ParameterError(f"m = 2 spectra need n >= 2, got n={n}")
+    check_integer("n", n, 2)
     if not 0.0 < x < 1.0:
         return 0.0
     norm = _m2_normalisers(n)[0]
@@ -125,8 +124,7 @@ def derivative_principle_density_m2(n: int, x: float) -> float:
     with eigen_density_m2: both reduce to the same polynomial profile, but
     through independent constant factors.
     """
-    if n < 2:
-        raise ParameterError(f"m = 2 spectra need n >= 2, got n={n}")
+    check_integer("n", n, 2)
     if not 0.0 < x < 1.0:
         return 0.0
     beta_nn = _m2_normalisers(n)[1]

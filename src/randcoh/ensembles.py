@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 from .randkit import RngStream
 
 TRACE_TOL = 1e-12
@@ -50,18 +50,11 @@ class EnsembleSpec:
     k: int = 1
 
     def __post_init__(self):
-        # a float would slip through the range tests and on into the Gamma
-        # shapes and array sizes, and a bool would pass as 0 or 1
-        for name in ("m", "n", "k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
+        check_integer("m", self.m, 1)
+        check_integer("n", self.n, 1)
+        check_integer("k", self.k, 1)
         if self.m > self.n:
             raise ParameterError(f"requires m <= n, got m={self.m}, n={self.n}")
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
 
     @property
     def env_dim(self) -> int:
@@ -187,8 +180,8 @@ def _normalized(hermitian: np.ndarray, trace: np.ndarray) -> np.ndarray:
 def sample_ginibre(stream: RngStream, m: int, n: int, size: int) -> np.ndarray:
     """(size, m, n) stack of matrices of i.i.d. complex standard Gaussians,
     drawn as one block, matrix by matrix, each row-major."""
-    if m < 1 or n < 1:
-        raise ParameterError(f"matrix dimensions must be >= 1, got {m} x {n}")
+    check_integer("m", m, 1)
+    check_integer("n", n, 1)
     return stream.complex_gaussians(size * m * n).reshape(size, m, n)
 
 

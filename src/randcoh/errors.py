@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import numpy as np
 
 
 class RandcohError(Exception):
@@ -15,3 +17,13 @@ class DomainError(RandcohError, ValueError):
 
 class NumericalError(RandcohError, ArithmeticError):
     """A numeric routine failed to converge or produced an invalid result."""
+
+
+def check_integer(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ParameterError, naming the parameter, the bound and the value,
+    unless value is an int or an np.integer (a bool is neither: it would
+    pass as 0 or 1) in [low, high), or at least low when high is None."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer))
+                                       and low <= value and (high is None or value < high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ParameterError(f"{name} must be an integer {bound}, got {value!r}")

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, NumericalError, check_integer
 from .linalg import row_blocks, row_sort, row_sum
 
 EULER_GAMMA = 0.5772156649015329
@@ -52,8 +52,7 @@ def harmonic(k: int) -> float:
     Summed exactly (fsum) below k = 100; from there on the Euler-Maclaurin
     expansion is within 2 ulp of the partial sums, and at k = 100 equal.
     """
-    if k < 1:
-        raise ParameterError(f"harmonic index must be >= 1, got {k}")
+    check_integer("k", k, 1)
     if k < 100:
         return math.fsum(1.0 / j for j in range(1, k + 1))
     # H_k = ln k + gamma + 1/2k - 1/12k^2 + 1/120k^4 - 1/252k^6 + O(k^-8)

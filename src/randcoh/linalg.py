@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_integer
 from .randkit import RngStream
 
 HERMITIAN_TOL = 1e-10
@@ -242,8 +242,7 @@ def haar_unitary(stream: RngStream, m: int, size: int) -> np.ndarray:
     column j of each Q by the phase conj(r_jj)/|r_jj|.  Without the phase
     correction the QR convention biases the law away from Haar.
     """
-    if m < 1:
-        raise ParameterError(f"dimension must be >= 1, got {m}")
+    check_integer("m", m, 1)
     q, r = np.linalg.qr(stream.complex_gaussians(size * m * m).reshape(size, m, m))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d)).conj()[:, None, :]

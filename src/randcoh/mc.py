@@ -70,7 +70,7 @@ from .ensembles import (  # noqa: F401
     sample_mixing_state,
     sample_wishart,
 )
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_integer
 from .linalg import row_sum
 from .randkit import RngStream, SeedSpec
 
@@ -102,12 +102,6 @@ STREAM_DOMAINS = {"states": 0, "spectra": 1, "orbits": 2, "ks_factors": 3, "ks_d
 _MAX_CHUNKS = 2**32
 
 
-def _check_count(name: str, value, minimum: int) -> None:
-    # a bool is an int to isinstance, and would pass as 0 or 1
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= minimum):
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """One Monte Carlo run: which ensemble, which functional, how much work."""
@@ -122,8 +116,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
             raise ParameterError(f"unknown quantity {self.quantity!r}; expected one of {QUANTITIES}")
-        _check_count("samples", self.samples, 2)
-        _check_count("workers", self.workers, 1)
+        check_integer("samples", self.samples, 2)
+        check_integer("workers", self.workers, 1)
         if self.quantity == "isospectral_diag_entropy":
             if self.fixed_spectrum is None:
                 raise ParameterError("isospectral_diag_entropy requires fixed_spectrum")
@@ -396,8 +390,8 @@ def empirical_concentration(spec: EnsembleSpec, epsilon: float, samples: int,
     The bound is computed before any draw, so its checks of m and epsilon
     are the ones that apply here.  The coherences are, chunk for chunk,
     those of the coherence estimate of the same spec, seed and samples."""
-    _check_count("samples", samples, 1)
-    _check_count("workers", workers, 1)
+    check_integer("samples", samples, 1)
+    check_integer("workers", workers, 1)
     bound = closedforms.concentration_bound(spec.m, spec.env_dim, epsilon)
     key = ("states", None, spec, master_seed, samples)
     center = closedforms.avg_coherence(spec.m, spec.n, spec.k)
@@ -532,8 +526,9 @@ def ks_critical_value(n: int, alpha: float = 0.01, n2: int | None = None) -> flo
     two-sample form), for 0 < alpha < 1 and sample sizes >= 1."""
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
-    for size in (n,) if n2 is None else (n, n2):
-        _check_count("KS sample size", size, 1)
+    check_integer("n", n, 1)
+    if n2 is not None:
+        check_integer("n2", n2, 1)
     c = math.sqrt(-0.5 * math.log(alpha / 2.0))
     if n2 is None:
         return c / math.sqrt(n)

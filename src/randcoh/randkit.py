@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 
 _INV_2_53 = 2.0**-53
 _SQRT_HALF = math.sqrt(0.5)
@@ -92,13 +92,9 @@ class SeedSpec:
     domain: int = 0
 
     def __post_init__(self):
-        # a float would pass the range test and be truncated by the key
-        # cast, and a bool would pass as 0 or 1
-        for name, value, bits in (("master_seed", self.master_seed, 64),
-                                  ("stream_index", self.stream_index, 32),
-                                  ("domain", self.domain, 32)):
-            if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and 0 <= value < 2**bits):
-                raise ParameterError(f"{name} must be a {bits}-bit unsigned integer, got {value!r}")
+        check_integer("master_seed", self.master_seed, 0, 2**64)
+        check_integer("stream_index", self.stream_index, 0, 2**32)
+        check_integer("domain", self.domain, 0, 2**32)
 
 
 class RngStream:
@@ -121,8 +117,7 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next n i.i.d. uniforms on [0, 1) as float64."""
-        if n < 0:
-            raise ParameterError(f"n must be nonnegative, got {n}")
+        check_integer("n", n, 0)
         out = self._lookahead(n).copy()
         self._pos += n
         return out
@@ -160,8 +155,7 @@ class RngStream:
         but the last of a large call, and rarely the last one) consumes its
         whole lookahead and the next pass looks ahead again for the rest.
         """
-        if n < 0:
-            raise ParameterError(f"n must be nonnegative, got {n}")
+        check_integer("n", n, 0)
         out = np.empty(n, dtype=np.float64)
         filled = 0
         if self._spare_normal is not None and n > 0:
@@ -217,8 +211,7 @@ class RngStream:
 
         Consumes 2n normals in (re, im) interleaved order.
         """
-        if n < 0:
-            raise ParameterError(f"n must be nonnegative, got {n}")
+        check_integer("n", n, 0)
         nrm = self.normals(2 * n)
         nrm *= _SQRT_HALF
         # (re, im) pairs are the memory layout of a complex array
@@ -249,8 +242,7 @@ class RngStream:
         checked and split once, and each group fills its columns of the
         (n/p, p) table of draws through the pattern's boolean mask.
         """
-        if n < 0:
-            raise ParameterError(f"n must be nonnegative, got {n}")
+        check_integer("n", n, 0)
         pattern = np.atleast_1d(np.asarray(shape, dtype=np.float64))
         p = pattern.size
         # an empty pattern only fits an empty call
