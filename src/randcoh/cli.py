@@ -27,9 +27,8 @@ SCHEMA_VERSION = 1
 # the largest k*n at which verify's derivative_principle_m2 check compares
 # two numbers at each of its 50 grid points: up to it, both m = 2 densities
 # are normal floats on the whole grid.  Above it the ends of the grid
-# underflow on both sides (to 0.0 from about k*n = 300), from 506 the
-# normaliser of eigen_density_m2 is subnormal and loses its digits, and from
-# 533 it underflows to 0.0, which that density divides by
+# underflow on both sides (to 0.0 from about k*n = 300), and from 506 the
+# normaliser of eigen_density_m2 is subnormal, where it raises NumericalError
 M2_DENSITY_MAX_ENV_DIM = 163
 _LN2 = math.log(2.0)
 

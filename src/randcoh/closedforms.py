@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
 from .ensembles import EnsembleSpec
-from .errors import ParameterError, check_integer
+from .errors import DomainError, NumericalError, ParameterError, check_integer
 from .functionals import EULER_GAMMA, harmonic, subentropy
 
 _LN2 = math.log(2.0)
@@ -95,6 +96,25 @@ def _m2_normalisers(n: int) -> tuple[float, float]:
     return math.exp(_log_beta(n - 1, n - 1)) / (2 * n - 1), math.exp(_log_beta(n, n))
 
 
+def _m2_normaliser(n: int, x: float, which: int) -> float | None:
+    """Normaliser which (0: eigen_density_m2, 1: derivative_principle_density_m2)
+    of _m2_normalisers at n, after the checks both densities share: n an
+    integer >= 2 (ParameterError) and x not NaN (DomainError).  None where
+    x lies outside (0, 1), where the density is 0.  A normaliser that is not
+    a normal float raises NumericalError: it is subnormal, and the density
+    loses its digits, from n = 506 (eigen) and 510 (derivative), and 0.0
+    from n = 533 and 537."""
+    check_integer("n", n, 2)
+    if math.isnan(x):
+        raise DomainError("the m = 2 densities are undefined at x = NaN")
+    if not 0.0 < x < 1.0:
+        return None
+    norm = _m2_normalisers(n)[which]
+    if norm < sys.float_info.min:
+        raise NumericalError(f"the m = 2 density normaliser at n = {n} is {norm!r}, not a normal float")
+    return norm
+
+
 def eigen_density_m2(n: int, x: float) -> float:
     """Density of the larger-or-smaller eigenvalue coordinate x of an
     m = 2 induced state (the partner eigenvalue is 1 - x).
@@ -106,10 +126,9 @@ def eigen_density_m2(n: int, x: float) -> float:
     where the difference of the two Beta functions cancels (its relative
     error grows to about 1e-10 by n = 150).
     """
-    check_integer("n", n, 2)
-    if not 0.0 < x < 1.0:
+    norm = _m2_normaliser(n, x, 0)
+    if norm is None:
         return 0.0
-    norm = _m2_normalisers(n)[0]
     return (2.0 * x - 1.0) ** 2 * (x * (1.0 - x)) ** (n - 2) / norm
 
 
@@ -124,8 +143,7 @@ def derivative_principle_density_m2(n: int, x: float) -> float:
     with eigen_density_m2: both reduce to the same polynomial profile, but
     through independent constant factors.
     """
-    check_integer("n", n, 2)
-    if not 0.0 < x < 1.0:
+    beta_nn = _m2_normaliser(n, x, 1)
+    if beta_nn is None:
         return 0.0
-    beta_nn = _m2_normalisers(n)[1]
     return (1.0 - 2.0 * x) * (n - 1) * (x * (1.0 - x)) ** (n - 2) * (1.0 - 2.0 * x) / beta_nn / 2.0

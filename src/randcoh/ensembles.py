@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .errors import ParameterError, check_integer
+from . import functionals, linalg
+from .errors import DomainError, ParameterError, check_integer
 from .randkit import RngStream
 
 TRACE_TOL = 1e-12
@@ -182,6 +182,7 @@ def sample_ginibre(stream: RngStream, m: int, n: int, size: int) -> np.ndarray:
     drawn as one block, matrix by matrix, each row-major."""
     check_integer("m", m, 1)
     check_integer("n", n, 1)
+    check_integer("size", size, 0)
     return stream.complex_gaussians(size * m * n).reshape(size, m, n)
 
 
@@ -216,6 +217,7 @@ def sample_mixing_state(stream: RngStream, spec: EnsembleSpec, size: int) -> Den
     draw) and then one complex_gaussians call (the strict lower triangles,
     row-major, draw by draw).
     """
+    check_integer("size", size, 0)
     return DensityMatrix._from_bartlett(*_bartlett_variates(stream, spec, size))
 
 
@@ -259,6 +261,7 @@ def sample_mixing_spectrum(stream: RngStream, spec: EnsembleSpec, size: int) -> 
     the sampler of the states.  At m = 2 the three entries of T are passed
     to the closed-form eigenvalues elementwise, with no stack of T.
     """
+    check_integer("size", size, 0)
     m, kn = spec.m, spec.env_dim
     shapes = np.concatenate([kn - np.arange(m), m - 1 - np.arange(m - 1)]).astype(np.float64)
     g = stream.gammas(shapes, size * shapes.size).reshape(size, shapes.size)
@@ -298,6 +301,7 @@ def sample_diag_dirichlet(stream: RngStream, spec: EnsembleSpec, size: int) -> n
     """Diagonal marginal of the order-k ensemble, sampled directly: a
     (size, m) stack of symmetric Dirichlet(k*n, ..., k*n) vectors, drawn
     from one block of size*m Gamma variates."""
+    check_integer("size", size, 0)
     g = stream.gammas(float(spec.env_dim), spec.m * size).reshape(size, spec.m)
     return g / linalg.row_sum(g, keepdims=True)
 
@@ -318,9 +322,13 @@ def sample_isospectral_diagonal(stream: RngStream, lam: np.ndarray, size: int) -
     draw, row-major; m = 1 draws nothing and returns lam.  Every step is a
     real elementwise operation on the stack or a sum over a short axis in
     a fixed order, so a draw's bits depend neither on the stack it is in
-    nor on the BLAS kernel.
+    nor on the BLAS kernel.  lam must be one probability vector
+    (functionals._validated_probabilities, and 1-D), else DomainError.
     """
-    lam = np.asarray(lam, dtype=np.float64)
+    check_integer("size", size, 0)
+    lam = functionals._validated_probabilities(lam)
+    if lam.ndim != 1:
+        raise DomainError(f"lam must be one probability vector, got shape {lam.shape}")
     m = lam.size
     z = stream.complex_gaussians(size * m * (m - 1))
     # the real and the imaginary parts of column j of every draw, each an

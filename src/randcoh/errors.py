@@ -1,4 +1,13 @@
-"""Exception types shared across the package, and its one integer rule."""
+"""Exception types shared across the package, and its one integer rule.
+
+check_integer decides what an integer parameter is, for every entry that
+takes one: a dimension (m, n, k), a sample, worker, draw or chunk count, a
+stream key field or a harmonic index passes only as an int or an
+np.integer within its bounds, never as a bool, a float or a string.  Its
+one exception is mc.gamma_cdf's shape, which also takes an integral float
+such as 3.0.  Tests that relate two parameters (m <= n) and the CLI's flag
+checks, whose messages name the flag, stay at their call sites.
+"""
 
 import numpy as np
 

@@ -243,6 +243,7 @@ def haar_unitary(stream: RngStream, m: int, size: int) -> np.ndarray:
     correction the QR convention biases the law away from Haar.
     """
     check_integer("m", m, 1)
+    check_integer("size", size, 0)
     q, r = np.linalg.qr(stream.complex_gaussians(size * m * m).reshape(size, m, m))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q *= (d / np.abs(d)).conj()[:, None, :]

@@ -203,7 +203,9 @@ def chunk_sizes(count: int, entries_per_draw: int) -> list[int]:
     variates, into chunks of at most CHUNK_ENTRIES variates (at least one
     draw each), in stream order; a draw that consumes none (an orbit at
     m = 1) counts as one.  A split into more chunks than a stream key can
-    index raises ParameterError before the list is made."""
+    index raises ParameterError before the list is made, and so does a
+    count that is not an integer >= 0."""
+    check_integer("count", count, 0)
     size = max(1, CHUNK_ENTRIES // max(1, entries_per_draw))
     full, rest = divmod(count, size)
     if full + bool(rest) > _MAX_CHUNKS:
@@ -494,12 +496,10 @@ def ks_statistic(values: np.ndarray, cdf) -> float | np.ndarray:
     columns.  cdf is called once, on the whole sample sorted along axis 0,
     and must return the array of CDF values, of the same shape.  The
     columns are scanned one at a time, since broadcasting the grid against
-    short rows, and taking maxima along axis 0, costs per row.
+    short rows, and taking maxima along axis 0, costs per row.  An empty
+    sample raises ParameterError, a NaN in it DomainError (_ks_sample).
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 0 or values.shape[0] < 1:
-        raise ParameterError("KS statistic needs at least one sample")
-    values = np.sort(values, axis=0)
+    values = np.sort(_ks_sample(values), axis=0)
     n = values.shape[0]
     f = np.asarray(cdf(values), dtype=np.float64)
     if f.shape != values.shape:
@@ -512,13 +512,26 @@ def ks_statistic(values: np.ndarray, cdf) -> float | np.ndarray:
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
+    """Two-sample Kolmogorov-Smirnov statistic.  Each sample needs at least
+    one value (ParameterError otherwise) and no NaN (DomainError)."""
+    a = np.sort(_ks_sample(a))
+    b = np.sort(_ks_sample(b))
     joint = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, joint, side="right") / a.size
     cdf_b = np.searchsorted(b, joint, side="right") / b.size
     return float(np.abs(cdf_a - cdf_b).max())
+
+
+def _ks_sample(values) -> np.ndarray:
+    """values as a float64 array, refused unless it holds at least one
+    sample along axis 0 (ParameterError) and no NaN, which neither sorts
+    nor has a CDF value (DomainError)."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 0 or values.shape[0] < 1:
+        raise ParameterError("a KS statistic needs at least one sample")
+    if np.isnan(values).any():
+        raise DomainError("a KS statistic is undefined on a NaN sample")
+    return values
 
 
 def ks_critical_value(n: int, alpha: float = 0.01, n2: int | None = None) -> float:

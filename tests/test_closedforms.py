@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from randcoh import closedforms as cf
-from randcoh.errors import DomainError, ParameterError
+from randcoh.errors import DomainError, NumericalError, ParameterError
 from randcoh.functionals import EULER_GAMMA, harmonic, subentropy
 
 LN2 = math.log(2.0)
@@ -192,6 +192,25 @@ class TestEigenDensityM2:
     def test_requires_n_at_least_two(self):
         with pytest.raises(ParameterError):
             cf.eigen_density_m2(1, 0.3)
+
+
+class TestM2DensityFailures:
+    @pytest.mark.parametrize("density", [cf.eigen_density_m2, cf.derivative_principle_density_m2])
+    def test_nan_is_outside_the_domain(self, density):
+        # NaN fails both interval tests, which read as outside (0, 1) and 0.0
+        with pytest.raises(DomainError):
+            density(3, math.nan)
+
+    @pytest.mark.parametrize("density,first_subnormal,first_zero", [
+        (cf.eigen_density_m2, 506, 533), (cf.derivative_principle_density_m2, 510, 537)])
+    def test_a_normaliser_that_is_no_normal_float_is_a_numerical_error(self, density, first_subnormal, first_zero):
+        # a subnormal normaliser loses digits, and a zero one was a ZeroDivisionError
+        density(first_subnormal - 1, 0.5 - 1e-3)
+        for n in (first_subnormal, first_zero - 1, first_zero, 10**4):
+            with pytest.raises(NumericalError, match=f"n = {n}"):
+                density(n, 0.5 - 1e-3)
+        # outside (0, 1) the density is 0 at every n
+        assert density(first_zero, 1.5) == 0.0
 
 
 class TestDerivativePrincipleM2:

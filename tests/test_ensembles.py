@@ -17,7 +17,7 @@ from randcoh.ensembles import (
     sample_mixing_state,
     sample_wishart,
 )
-from randcoh.errors import ParameterError
+from randcoh.errors import DomainError, ParameterError
 from randcoh.randkit import RngStream, SeedSpec
 from test_randkit import dirichlet
 
@@ -556,6 +556,12 @@ class TestGramSchmidtOrbit:
         d = sample_isospectral_diagonal(s, np.array([1.0]), 50)
         assert np.array_equal(d, np.ones((50, 1)))
         assert np.array_equal(s.normals(5), stream(75).normals(5))
+
+    @pytest.mark.parametrize("lam", [[math.nan, 0.5], [0.9, 0.5], [0.5, -0.5, 1.0], [[0.5, 0.5]], 1.0])
+    def test_refuses_what_is_not_one_probability_vector(self, lam):
+        # NaN diagonals, or numbers from a spectrum that sums to 1.4
+        with pytest.raises(DomainError):
+            sample_isospectral_diagonal(stream(76), lam, 3)
 
 
 class TestEnsembleInvariants:

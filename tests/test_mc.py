@@ -699,6 +699,23 @@ class TestKolmogorovSmirnov:
         a, b = rng.random(3000), rng.random(2000) ** 1.1
         assert mc.ks_two_sample(a, b) == pytest.approx(sps.ks_2samp(a, b).statistic, abs=1e-12)
 
+    @pytest.mark.parametrize("a,b", [([], [1.0]), ([1.0], []), (np.empty(0), np.empty(0))])
+    def test_two_sample_refuses_an_empty_sample(self, a, b):
+        # numpy would give nan with a RuntimeWarning
+        with pytest.raises(ParameterError):
+            mc.ks_two_sample(a, b)
+
+    @pytest.mark.parametrize("a,b", [([math.nan, 1.0], [1.0]), ([1.0, 2.0], [0.5, math.nan])])
+    def test_two_sample_refuses_a_nan(self, a, b):
+        # a NaN sorts last and would be scored as a value above every other
+        with pytest.raises(DomainError):
+            mc.ks_two_sample(a, b)
+
+    @pytest.mark.parametrize("values", [np.array([math.nan, 0.5]), np.array([[0.1, 0.2], [0.3, math.nan]])])
+    def test_one_sample_refuses_a_nan(self, values):
+        with pytest.raises(DomainError):
+            mc.ks_statistic(values, lambda x: np.clip(x, 0.0, 1.0))
+
     def test_critical_value_constant(self):
         # sqrt(-ln(0.005)/2) = 1.62762363071873
         assert mc.ks_critical_value(10_000) == pytest.approx(1.62762363071873 / 100.0, rel=1e-12)
