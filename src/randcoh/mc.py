@@ -556,8 +556,7 @@ def diagonal_ks_tests(spec: EnsembleSpec, samples: int, master_seed: int) -> tup
     sampler (_dirichlet_ks).  At m = 1 rho_00 is 1 in both samples, so the
     second check cannot fail: its sample is not drawn, and None stands for
     its statistic.  At least KS_MIN_SAMPLES samples are required."""
-    if samples < KS_MIN_SAMPLES:
-        raise ParameterError(f"need >= {KS_MIN_SAMPLES} samples for a meaningful KS test, got {samples}")
+    check_integer("samples", samples, KS_MIN_SAMPLES)
     diags = _wishart_diagonals(spec, samples, master_seed)
     return (ks_statistic(diags, lambda x: gamma_cdf(x, spec.env_dim)),
             _dirichlet_ks(diags, spec, master_seed) if spec.m > 1 else None)

@@ -37,6 +37,7 @@ GUARDED = [
      "samples", 1, None),
     ("empirical_concentration.workers", lambda v: mc.empirical_concentration(SPEC, 0.2, 10, 1, workers=v),
      "workers", 1, None),
+    ("diagonal_ks_tests.samples", lambda v: mc.diagonal_ks_tests(SPEC, v, 1), "samples", mc.KS_MIN_SAMPLES, None),
     ("ks_critical_value.n", lambda v: mc.ks_critical_value(v), "n", 1, None),
     ("ks_critical_value.n2", lambda v: mc.ks_critical_value(10, n2=v), "n2", 1, None),
     ("chunk_sizes.count", lambda v: mc.chunk_sizes(v, 3), "count", 0, None),
