@@ -279,8 +279,7 @@ def cmd_sample(args) -> int:
     # count average, chunk for chunk; a bad seed is refused even at --count 0
     SeedSpec(args.seed)
     key = ("states", None, EnsembleSpec(args.m, args.n, args.k), args.seed, args.count)
-    for chunk in mc._chunks(key):
-        states = mc._draw(key, *chunk)
+    for states in mc._drawn(key):
         if args.what == "state":
             # complex entries as [re, im] pairs
             rows = np.stack([states.matrix.real, states.matrix.imag], axis=-1).tolist()

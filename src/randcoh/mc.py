@@ -29,13 +29,14 @@ states at (4, 8) and orbits at m = 3.
 
 A draw key (sampler, fixed_spectrum, spec, master_seed, samples) fixes its
 chunk plan (_chunks) and its draws (_draw), and _draw is the one place a
-stream is made.  A job's key has the sampler of its quantity (SAMPLERS).
+stream is made; outside the chunk map, _drawn yields a key's draws chunk by
+chunk.  A job's key has the sampler of its quantity (SAMPLERS).
 Jobs with one key form a family: run_comparisons draws each chunk of a
 family once and evaluates every quantity of the family on that one stack.
 One estimator call is one chunk map (_map_chunks) over the chunks of all
 its families, on at most one pool.  empirical_concentration draws the
 coherence estimate's states, chunk for chunk, and counts their tail; the
-CLI's sample command prints the same states.  Each sampler draws in its
+CLI's sample command prints the same states, through _drawn.  Each sampler draws in its
 own stream domain, so the draw keys of one master seed share no variate.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
@@ -46,7 +47,7 @@ entry point of the two KS checks of the diagonal law.  Its Wishart
 diagonals are the states sampler's own wishart_diagonal: the ks_factors
 draw key draws states with sample_mixing_state, the code every estimate of
 a state runs, so its cost does not grow with k*n either.  That key and
-the direct Dirichlet sample's (ks_dirichlet) run inline.
+the direct Dirichlet sample's (ks_dirichlet) run inline, through _drawn.
 """
 
 from __future__ import annotations
@@ -276,6 +277,13 @@ def _draw(key: tuple, index: int, size: int):
     if sampler == "ks_dirichlet":
         return sample_diag_dirichlet(stream, spec, size)
     return sample_mixing_state(stream, spec, size)
+
+
+def _drawn(key: tuple):
+    """The draws of every chunk of a draw key, chunk by chunk in chunk
+    order (_draw): the one loop over _chunks outside the chunk map."""
+    for chunk in _chunks(key):
+        yield _draw(key, *chunk)
 
 
 def _values(quantity: str, draws) -> np.ndarray:
@@ -549,33 +557,22 @@ def ks_critical_value(n: int, alpha: float = 0.01, n2: int | None = None) -> flo
 
 
 def diagonal_ks_tests(spec: EnsembleSpec, samples: int, master_seed: int) -> tuple[np.ndarray, float | None]:
-    """The two KS checks of the diagonal law, on one draw of samples
-    Wishart diagonals (_wishart_diagonals): the KS statistic of each entry
-    W_ii, i = 0..m-1, against the Gamma(kn, 1) CDF, and the two-sample KS
-    statistic of rho_00 = W_00 / tr W against the direct Dirichlet marginal
-    sampler (_dirichlet_ks).  At m = 1 rho_00 is 1 in both samples, so the
+    """The two KS checks of the diagonal law, on one draw of samples Wishart
+    diagonals, the (samples, m) stack W_ii ~ Gamma(kn, 1) of the states
+    sample_mixing_state draws (their wishart_diagonal, m(m+1)/2 variates per
+    draw whatever kn is) by the ks_factors draw key of master_seed: the KS
+    statistic of each entry W_ii against the Gamma(kn, 1) CDF, and the
+    two-sample KS statistic of rho_00 = W_00 / tr W, read off that stack,
+    against as many direct Dirichlet draws (the first column of the
+    ks_dirichlet key), so that the two samples are independent of each other
+    and of every estimate.  At m = 1 rho_00 is 1 in both samples, so the
     second check cannot fail: its sample is not drawn, and None stands for
     its statistic.  At least KS_MIN_SAMPLES samples are required."""
     check_integer("samples", samples, KS_MIN_SAMPLES)
-    diags = _wishart_diagonals(spec, samples, master_seed)
-    return (ks_statistic(diags, lambda x: gamma_cdf(x, spec.env_dim)),
-            _dirichlet_ks(diags, spec, master_seed) if spec.m > 1 else None)
-
-
-def _wishart_diagonals(spec: EnsembleSpec, samples: int, master_seed: int) -> np.ndarray:
-    """The (samples, m) stack of the diagonals W_ii ~ Gamma(kn, 1) of the
-    states sample_mixing_state draws, their wishart_diagonal (m(m+1)/2
-    variates per draw whatever kn is): the ks_factors draw key of
-    master_seed, chunk for chunk."""
     key = ("ks_factors", None, spec, master_seed, samples)
-    return np.concatenate([_draw(key, *chunk) for chunk in _chunks(key)])
-
-
-def _dirichlet_ks(diags: np.ndarray, spec: EnsembleSpec, master_seed: int) -> float:
-    """Two-sample KS statistic of rho_00 = W_00 / tr W over a diagonal stack,
-    read without forming the states, against as many direct Dirichlet
-    draws, the ks_dirichlet draw key of master_seed, so that the two
-    samples are independent of each other and of every estimate."""
-    key = ("ks_dirichlet", None, spec, master_seed, len(diags))
-    from_dirichlet = np.concatenate([_draw(key, *chunk)[:, 0] for chunk in _chunks(key)])
-    return ks_two_sample(diags[:, 0] / row_sum(diags), from_dirichlet)
+    diags = np.concatenate(list(_drawn(key)))
+    gamma_ks = ks_statistic(diags, lambda x: gamma_cdf(x, spec.env_dim))
+    if spec.m == 1:
+        return gamma_ks, None
+    from_dirichlet = [draws[:, 0] for draws in _drawn(("ks_dirichlet", *key[1:]))]
+    return gamma_ks, ks_two_sample(diags[:, 0] / row_sum(diags), np.concatenate(from_dirichlet))

@@ -29,6 +29,18 @@ from randcoh.randkit import RngStream, SeedSpec
 from test_ensembles import bartlett_factor, bartlett_reference
 
 
+def ks_factors(spec, samples, seed):
+    """The Wishart diagonals diagonal_ks_tests scores: the ks_factors draw
+    key of seed, drawn chunk by chunk through mc._drawn."""
+    return np.concatenate(list(mc._drawn(("ks_factors", None, spec, seed, samples))))
+
+
+def ks_dirichlet(spec, samples, seed):
+    """The direct Dirichlet sample of rho_00 that diagonal_ks_tests compares
+    them with: the first column of each chunk of the ks_dirichlet key."""
+    return np.concatenate([draws[:, 0] for draws in mc._drawn(("ks_dirichlet", None, spec, seed, samples))])
+
+
 class TestChunks:
     @pytest.mark.usefixtures("chunks_of_4096")
     def test_budget_sets_the_chunk_size(self):
@@ -792,22 +804,27 @@ class TestGammaMarginal:
         monkeypatch.setattr(RngStream, "uniforms", counted)
         for n in (8, 20_000):
             consumed.append(0)
-            mc._wishart_diagonals(EnsembleSpec(3, n), 1000, 82)
+            ks_factors(EnsembleSpec(3, n), 1000, 82)
         assert consumed[0] < 6 * 1000 * 3
         assert abs(consumed[1] - consumed[0]) <= 0.01 * consumed[0]
 
+    @pytest.mark.usefixtures("chunks_of_4096")
     def test_both_checks_read_one_stack(self, monkeypatch):
+        # (3, 4, k=2): 682 factors to a chunk, so 1500 samples are three
+        # chunks of the ks_factors key, and each is drawn once
         spec = EnsembleSpec(3, 4, k=2)
+        key = ("ks_factors", None, spec, 65, 1500)
+        assert len(mc._chunks(key)) == 3
         draws = []
-        diagonals = mc._wishart_diagonals
+        draw = mc._draw
 
         def counted(*args):
             draws.append(args)
-            return diagonals(*args)
+            return draw(*args)
 
-        monkeypatch.setattr(mc, "_wishart_diagonals", counted)
+        monkeypatch.setattr(mc, "_draw", counted)
         mc.diagonal_ks_tests(spec, 1500, 65)
-        assert draws == [(spec, 1500, 65)]
+        assert [args for args in draws if args[0][0] == "ks_factors"] == [(key, *chunk) for chunk in mc._chunks(key)]
 
     def test_shared_path_rejects_thin_samples(self):
         with pytest.raises(ParameterError):
@@ -836,7 +853,7 @@ class TestKsSubstreams:
         low = bartlett_factor(RngStream(SeedSpec(5, 0)), spec, 682)
         norms = np.sum(low.real**2 + low.imag**2, axis=-1)
         assert np.array_equal(coherence_chunk.diagonal, norms / norms.sum(axis=-1, keepdims=True))
-        diags = mc._wishart_diagonals(spec, 3000, 5)
+        diags = ks_factors(spec, 3000, 5)
         assert not np.isclose(diags[:682], norms, rtol=1e-6, atol=0.0).any()
 
     @pytest.mark.usefixtures("chunks_of_4096")
@@ -874,7 +891,7 @@ class TestKsSubstreams:
         states = [sample_mixing_state(RngStream(SeedSpec(71, c, mc.STREAM_DOMAINS["ks_factors"])), spec,
                                       min(size, samples - c * size)) for c in range(3)]
         expected = np.concatenate([state.wishart_diagonal for state in states])
-        assert np.array_equal(mc._wishart_diagonals(spec, samples, 71), expected)
+        assert np.array_equal(ks_factors(spec, samples, 71), expected)
         for state in states:
             w = state.wishart_diagonal
             assert np.array_equal(w / linalg.row_sum(w, keepdims=True), state.diagonal)
@@ -882,14 +899,8 @@ class TestKsSubstreams:
     @staticmethod
     def ks_sample(sampler, spec, samples, seed):
         """The Wishart diagonals of the KS factors, or the direct Dirichlet
-        sample of rho_00 that _dirichlet_ks compares them with."""
-        if sampler == "ks_factors":
-            return mc._wishart_diagonals(spec, samples, seed)
-        compared = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mc, "ks_two_sample", lambda a, b: compared.append(b) or 0.0)
-            mc._dirichlet_ks(np.ones((samples, spec.m)), spec, seed)
-        return compared[0]
+        sample of rho_00 that diagonal_ks_tests compares them with."""
+        return (ks_factors if sampler == "ks_factors" else ks_dirichlet)(spec, samples, seed)
 
     def test_stream_domains_are_distinct_and_in_range(self):
         tags = mc.STREAM_DOMAINS
@@ -953,8 +964,8 @@ class TestStreamDomains:
         # the KS factors and the direct Dirichlet draws, separately
         spec, samples, seed = self.SPEC, self.SAMPLES, self.SEED
         values.update(drawn_uniforms(monkeypatch, {
-            "ks_factors": lambda: mc._wishart_diagonals(spec, samples, seed),
-            "ks_dirichlet": lambda: mc._dirichlet_ks(np.ones((samples, spec.m)), spec, seed),
+            "ks_factors": lambda: ks_factors(spec, samples, seed),
+            "ks_dirichlet": lambda: ks_dirichlet(spec, samples, seed),
         }))
         assert values["ks"].size == values["ks_factors"].size + values["ks_dirichlet"].size
         del values["ks"]
@@ -973,8 +984,8 @@ class TestStreamDomains:
             "states": self.families()["states"],
             "spectra": self.families()["spectra"],
             "orbits": self.families()["orbits"],
-            "ks_factors": lambda: mc._wishart_diagonals(spec, samples, seed),
-            "ks_dirichlet": lambda: mc._dirichlet_ks(np.ones((samples, spec.m)), spec, seed),
+            "ks_factors": lambda: ks_factors(spec, samples, seed),
+            "ks_dirichlet": lambda: ks_dirichlet(spec, samples, seed),
         }
         values = drawn_uniforms(monkeypatch, {name: runs[name] for name in shared})
         assert np.intersect1d(values[shared[0]], values[shared[1]]).size > 0
@@ -1136,7 +1147,8 @@ class TestDirichletConsistency:
         # below the KS_MIN_SAMPLES that diagonal_ks_tests asks for; since
         # the check cannot fail at m = 1, diagonal_ks_tests does not run it
         spec = EnsembleSpec(1, 2)
-        assert mc._dirichlet_ks(mc._wishart_diagonals(spec, 500, 0), spec, 0) == 0.0
+        diags = ks_factors(spec, 500, 0)
+        assert mc.ks_two_sample(diags[:, 0] / linalg.row_sum(diags), ks_dirichlet(spec, 500, 0)) == 0.0
         assert mc.diagonal_ks_tests(spec, 1000, 0)[1] is None
 
 
@@ -1185,6 +1197,14 @@ def test_one_chunk_map_per_estimator_call():
     # _merged_stats, and empirical_concentration maps its own; nothing else
     # may start a second map (and a second pool) within one call
     assert _package_callers("_map_chunks") == ["mc._merged_stats", "mc.empirical_concentration"]
+
+
+def test_one_inline_chunk_loop():
+    # outside the chunk map, the chunks of a draw key are drawn in one
+    # place, mc._drawn: verify's KS samples and the CLI's sample command
+    # iterate it, and no module outside mc reaches _chunks or _draw
+    assert _package_callers("_chunks") == ["mc._drawn", "mc._merged_stats", "mc.empirical_concentration"]
+    assert _package_callers("_draw") == ["mc._drawn", "mc._run_worker", "mc._concentration_worker"]
 
 
 class TestLazyPool:
