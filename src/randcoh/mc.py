@@ -42,12 +42,13 @@ own stream domain, so the draw keys of one master seed share no variate.
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
 integer shapes up to GAMMA_CDF_MAX_SHAPE (those of the Wishart diagonals
 that verify tests) live here so the distributional checks need nothing
-outside the package; both work on arrays.  diagonal_ks_tests is the one
-entry point of the two KS checks of the diagonal law.  Its Wishart
-diagonals are the states sampler's own wishart_diagonal: the ks_factors
-draw key draws states with sample_mixing_state, the code every estimate of
-a state runs, so its cost does not grow with k*n either.  That key and
-the direct Dirichlet sample's (ks_dirichlet) run inline, through _drawn.
+outside the package; both work on arrays, and refuse samples and CDF
+values they cannot score.  diagonal_ks_tests is the one entry point of the
+two KS checks of the diagonal law.  Its Wishart diagonals are the states
+sampler's own wishart_diagonal: the ks_factors draw key draws states with
+sample_mixing_state, the code every estimate of a state runs, so its cost
+does not grow with k*n either.  That key and the direct Dirichlet sample's
+(ks_dirichlet) run inline, through _drawn.
 """
 
 from __future__ import annotations
@@ -505,13 +506,16 @@ def ks_statistic(values: np.ndarray, cdf) -> float | np.ndarray:
     and must return the array of CDF values, of the same shape.  The
     columns are scanned one at a time, since broadcasting the grid against
     short rows, and taking maxima along axis 0, costs per row.  An empty
-    sample raises ParameterError, a NaN in it DomainError (_ks_sample).
+    sample raises ParameterError, a NaN in it DomainError (_ks_sample), and
+    a cdf value that is NaN or outside [0, 1] ParameterError.
     """
     values = np.sort(_ks_sample(values), axis=0)
     n = values.shape[0]
     f = np.asarray(cdf(values), dtype=np.float64)
     if f.shape != values.shape:
         raise ParameterError(f"cdf must map the {values.shape} sample to an array of that shape, got {f.shape}")
+    if not ((f >= 0.0) & (f <= 1.0)).all():
+        raise ParameterError("cdf values must lie in [0, 1] and not be NaN")
     grid = np.arange(1, n + 1) / n
     below = grid - 1.0 / n
     d = np.array([np.maximum((grid - col).max(), (col - below).max())
@@ -520,10 +524,13 @@ def ks_statistic(values: np.ndarray, cdf) -> float | np.ndarray:
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic.  Each sample needs at least
-    one value (ParameterError otherwise) and no NaN (DomainError)."""
-    a = np.sort(_ks_sample(a))
-    b = np.sort(_ks_sample(b))
+    """Two-sample Kolmogorov-Smirnov statistic.  Each sample must be
+    one-dimensional with at least one value (ParameterError otherwise) and
+    no NaN (DomainError)."""
+    a, b = _ks_sample(a), _ks_sample(b)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ParameterError(f"a two-sample KS statistic takes 1-D samples, got shapes {a.shape} and {b.shape}")
+    a, b = np.sort(a), np.sort(b)
     joint = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, joint, side="right") / a.size
     cdf_b = np.searchsorted(b, joint, side="right") / b.size

@@ -728,6 +728,18 @@ class TestKolmogorovSmirnov:
         with pytest.raises(DomainError):
             mc.ks_statistic(values, lambda x: np.clip(x, 0.0, 1.0))
 
+    @pytest.mark.parametrize("cdf", [lambda x: x * math.nan, lambda x: x + 1.0, lambda x: x - 0.15])
+    def test_one_sample_refuses_cdf_values_outside_the_unit_interval(self, cdf):
+        # a NaN cdf value would score nan, and x + 1 would score 1.1
+        with pytest.raises(ParameterError, match="cdf"):
+            mc.ks_statistic(np.array([0.1, 0.2]), cdf)
+
+    @pytest.mark.parametrize("a,b", [(np.ones((3, 2)), [1.0]), ([1.0], np.ones((1, 1)))])
+    def test_two_sample_refuses_a_sample_that_is_not_one_dimensional(self, a, b):
+        # numpy would end in an untyped ValueError from concatenate
+        with pytest.raises(ParameterError, match="1-D"):
+            mc.ks_two_sample(a, b)
+
     def test_critical_value_constant(self):
         # sqrt(-ln(0.005)/2) = 1.62762363071873
         assert mc.ks_critical_value(10_000) == pytest.approx(1.62762363071873 / 100.0, rel=1e-12)
