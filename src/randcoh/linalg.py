@@ -255,12 +255,17 @@ def unitary_conjugate_diagonal(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     Never forms the conjugated matrix; the diagonal is a doubly stochastic
     mixture of lam, so it is again a probability vector when lam is one.
-    u may be a stack (..., m, m); lam is one spectrum or a matching stack.
+    u may be a stack (..., m, m); lam is one spectrum or a matching stack,
+    refused with DomainError unless it is a probability vector or a stack
+    of them (functionals._validated_probabilities).
     """
+    from .functionals import _validated_probabilities  # functionals imports this module
+
     u = np.asarray(u, dtype=np.complex128)
     lam = np.asarray(lam, dtype=np.float64)
     if u.ndim < 2 or u.shape[-1] != u.shape[-2] or lam.ndim < 1 or u.shape[-1] != lam.shape[-1]:
         raise ParameterError(f"dimension mismatch: U is {u.shape}, lambda has shape {lam.shape}")
+    lam = _validated_probabilities(lam)
     weights = u.real**2
     weights += u.imag**2
     return (weights @ lam[..., None])[..., 0]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from randcoh import linalg
-from randcoh.errors import NumericalError, ParameterError
+from randcoh.errors import DomainError, NumericalError, ParameterError
 from randcoh.randkit import RngStream, SeedSpec
 
 
@@ -365,3 +365,9 @@ class TestUnitaryConjugateDiagonal:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ParameterError):
             linalg.unitary_conjugate_diagonal(np.eye(3), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("lam", [[0.5, math.nan], [0.9, 0.5], [1.2, -0.2], [[0.5, 0.5], [0.7, 0.7]]])
+    def test_refuses_a_lambda_that_is_not_a_probability_vector(self, lam):
+        # each would pass through the doubly stochastic mixture unflagged
+        with pytest.raises(DomainError):
+            linalg.unitary_conjugate_diagonal(np.eye(2), lam)
