@@ -36,7 +36,7 @@ family once and evaluates every quantity of the family on that one stack.
 One estimator call is one chunk map (_map_chunks) over the chunks of all
 its families, on at most one pool.  empirical_concentration draws the
 coherence estimate's states, chunk for chunk, and counts their tail; the
-CLI's sample command prints the same states, through _drawn.  Each sampler draws in its
+CLI's sample command prints those states (_drawn).  Each sampler draws in its
 own stream domain, so the draw keys of one master seed share no variate.
 
 The Kolmogorov-Smirnov helpers and the regularized incomplete-gamma CDF at
